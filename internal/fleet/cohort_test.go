@@ -1,14 +1,104 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io/fs"
+	"os"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"stretch/internal/loadgen"
 	"stretch/internal/stats"
 	"stretch/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/equivalence_digests.golden from the reference per-core path")
+
+// digestGolden holds one sha256 per equivalence cell, keyed by subtest
+// name: the oracle every execution path must reproduce.
+const digestGolden = "testdata/equivalence_digests.golden"
+
+// resultDigest is a sha256 over the JSON encoding of r — struct fields in
+// declaration order, floats in shortest round-trip form — so equal digests
+// mean bit-identical Results.
+func resultDigest(t *testing.T, r Result) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// readDigests loads the golden digests; a missing file is an empty set
+// only under -update.
+func readDigests(t *testing.T) map[string]string {
+	t.Helper()
+	m := make(map[string]string)
+	b, err := os.ReadFile(digestGolden)
+	if errors.Is(err, fs.ErrNotExist) && *update {
+		return m
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", digestGolden, line)
+		}
+		m[name] = sum
+	}
+	return m
+}
+
+// writeDigests rewrites the golden file in name order.
+func writeDigests(t *testing.T, m map[string]string) {
+	t.Helper()
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	sb.WriteString("# sha256 over the JSON-encoded fleet.Result of each equivalence cell.\n")
+	sb.WriteString("# Regenerate: go test ./internal/fleet -run 'TestCohort' -update\n")
+	for _, n := range names {
+		fmt.Fprintf(&sb, "%s %s\n", n, m[n])
+	}
+	if err := os.WriteFile(digestGolden, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkDigest compares the subtest's reference Result against its golden
+// digest, or records it under -update.
+func checkDigest(t *testing.T, golden map[string]string, ref Result) {
+	t.Helper()
+	got := resultDigest(t, ref)
+	if *update {
+		golden[t.Name()] = got
+		return
+	}
+	want, ok := golden[t.Name()]
+	if !ok {
+		t.Fatalf("no golden digest for %s; run with -update", t.Name())
+	}
+	if got != want {
+		t.Fatalf("reference digest %.16s, golden %.16s", got, want)
+	}
+}
 
 // equivConfig is the equivalence suite's base fleet: two clients on
 // different services (different targets and calibration-free deltas), a
@@ -46,12 +136,14 @@ func equivConfig() Config {
 
 // TestCohortEquivalence is the cohort path's contract: for every policy ×
 // engine × estimator, the coalesced run must DeepEqual the reference
-// per-core run — full Results, every float bit — at every worker count.
-// The -race CI job runs this, putting the shared solve cache, the
-// persistent pool and the phase-two class advances under the detector.
+// per-core run — full Results, every float bit — at every worker count,
+// and the reference run must reproduce its committed digest. The -race CI
+// job runs this, putting the shared solve cache, the persistent pool and
+// the phase-two class advances under the detector.
 func TestCohortEquivalence(t *testing.T) {
+	golden := readDigests(t)
 	policies := []Policy{PolicyStatic, PolicyProportional, PolicyP2C, PolicyFeedback}
-	engines := []Engine{EngineAuto, EngineFluid}
+	engines := []Engine{EngineDiscrete, EngineAuto, EngineFluid}
 	estimators := []stats.TailEstimator{stats.EstimatorHistogram, stats.EstimatorExact}
 	for _, pol := range policies {
 		for _, eng := range engines {
@@ -67,9 +159,10 @@ func TestCohortEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ref.CohortCoreWindows == 0 {
+					if eng != EngineDiscrete && ref.CohortCoreWindows == 0 {
 						t.Fatal("no coalescible core-windows; the equivalence check is vacuous")
 					}
+					checkDigest(t, golden, ref)
 					for _, workers := range []int{1, 5, 16} {
 						ccfg := cfg
 						ccfg.Workers = workers
@@ -86,15 +179,19 @@ func TestCohortEquivalence(t *testing.T) {
 			}
 		}
 	}
+	if *update {
+		writeDigests(t, golden)
+	}
 }
 
 // TestCohortEquivalenceAutoscale drives park/unpark transitions (plus a
 // scenario drain) under the util autoscaler: parked cores leave their
 // equivalence classes and return as cold starts, the class-split path the
-// plain suite cannot reach. Both estimators, both engines, three worker
+// plain suite cannot reach. Both estimators, every engine, three worker
 // counts.
 func TestCohortEquivalenceAutoscale(t *testing.T) {
-	for _, eng := range []Engine{EngineAuto, EngineFluid} {
+	golden := readDigests(t)
+	for _, eng := range []Engine{EngineDiscrete, EngineAuto, EngineFluid} {
 		for _, est := range []stats.TailEstimator{stats.EstimatorHistogram, stats.EstimatorExact} {
 			t.Run(fmt.Sprintf("%v/%v", eng, est), func(t *testing.T) {
 				cfg := equivConfig()
@@ -121,6 +218,7 @@ func TestCohortEquivalenceAutoscale(t *testing.T) {
 				if ref.ParkedCoreWindows == 0 {
 					t.Fatal("autoscaler parked nothing; the split scenario is vacuous")
 				}
+				checkDigest(t, golden, ref)
 				for _, workers := range []int{1, 5, 16} {
 					ccfg := cfg
 					ccfg.Workers = workers
@@ -136,20 +234,41 @@ func TestCohortEquivalenceAutoscale(t *testing.T) {
 			})
 		}
 	}
+	if *update {
+		writeDigests(t, golden)
+	}
 }
 
-// TestCohortDiscreteEngineUnaffected: the discrete engine has no steady
-// spans to coalesce and must keep running the reference path — reporting
-// no cohort or analytic core-windows — whatever the flag says.
+// TestCohortDiscreteEngineUnaffected: the discrete engine reports no
+// cohort or analytic core-windows, even through serving windows the
+// scheduler routed no load to, and reproduces its committed digest.
 func TestCohortDiscreteEngineUnaffected(t *testing.T) {
+	golden := readDigests(t)
 	cfg := equivConfig()
+	cfg.Traffic.Clients[1].Spec = loadgen.Spec{
+		Shape:   loadgen.Replay{Rates: []float64{6000, 6000, 0, 0, 6000, 6000, 6000, 0, 6000, 6000}},
+		Poisson: true,
+	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	zeroRate := 0
+	for _, o := range res.WindowTrace {
+		if co := o.Clients[1]; co.Cores > 0 && co.OfferedRPS == 0 {
+			zeroRate += co.Cores
+		}
+	}
+	if zeroRate == 0 {
+		t.Fatal("no serving core-window was routed zero load; the test is vacuous")
+	}
 	if res.CohortCoreWindows != 0 || res.AnalyticCoreWindows != 0 || res.AnalyticSolves != 0 {
 		t.Fatalf("discrete engine reported cohort=%d analytic=%d solves=%d",
 			res.CohortCoreWindows, res.AnalyticCoreWindows, res.AnalyticSolves)
+	}
+	checkDigest(t, golden, res)
+	if *update {
+		writeDigests(t, golden)
 	}
 }
 
