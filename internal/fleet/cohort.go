@@ -1,16 +1,19 @@
-// Cohort-coalesced window execution: the fluid/auto engines' default path.
+// Cohort-coalesced window execution: the engine's one execution path,
+// under every engine selection.
 //
 // In a homogeneous fleet almost every in-service core is bit-identical to
 // its neighbours: same client, same perf generation, same settled mode,
-// same per-core rate. The per-core path still pays per-core cost for each
-// of them — a work-claim, a solve-cache probe, a histogram Add, a
-// controller Observe — a million times per window. This path exploits the
+// same per-core rate. Paying per-core cost for each of them — a
+// work-claim, a solve-cache probe, a histogram Add, a controller Observe —
+// a million times per window is wasted work. This path exploits the
 // redundancy instead: each window is walked once, in core order, as
 // run-length spans of the plan keyed by (client, rate, perf bits,
 // migrated, controller class). A span whose classification is steady is
 // answered once — one analytic solve, one Histogram.AddN deposit of the
 // span's whole count, a bulk fill of the window slices, and one
-// representative controller per equivalence class.
+// representative controller per equivalence class. Under the discrete
+// engine classification is off: only zero-rate spans coalesce, and every
+// other core-window is discrete residue.
 //
 // Controller equivalence is exact, not approximate: monitor.Controller is
 // a deterministic all-scalar function of its observation stream, so cores
@@ -25,13 +28,12 @@
 // distinct histories, not the number of cores).
 //
 // Discrete-residue cores keep their per-core (seed, core, window) rng
-// streams untouched and run on the worker pool exactly as the reference
-// path would run them, so the determinism contract — byte-identical
-// goldens, DeepEqual across worker counts, DeepEqual against the
-// reference path — is preserved exactly. The reference per-core path
-// remains available via the STRETCH_NO_COALESCE environment variable (or
-// the unexported Config.noCoalesce bit) and is the basis of the
-// equivalence suite in cohort_test.go.
+// streams untouched and run on the worker pool one core at a time, so the
+// determinism contract — byte-identical goldens, DeepEqual across worker
+// counts — holds exactly. The per-core reference engine this path
+// replaced committed a digest of every equivalence cell
+// (testdata/equivalence_digests.golden); cohort_test.go holds the walk to
+// those digests.
 package fleet
 
 import (
@@ -118,7 +120,7 @@ func (p *workerPool) run(n int, fn func(wk int)) {
 
 func (p *workerPool) close() { close(p.jobs) }
 
-// initCohorts wires the coalesced path's state. The class table starts
+// initCohorts wires the cohort walk's state. The class table starts
 // empty and grows to the number of distinct controller histories alive at
 // once (bounded by nCores, typically far smaller); freed slots recycle
 // through freeClass so a discrete window's million forks reuse the slots
@@ -146,10 +148,8 @@ func (e *engine) newClass(cl cohortClass) int32 {
 }
 
 // leaveClass removes core c from class k, banking the class controller's
-// switch count into the core's own base — the same accounting the
-// reference path does at controller reset, moved to departure time (the
-// class controller may be reused or merged away before the core's next
-// reset). A class emptied here is only reclaimed by the end-of-window
+// switch count into the core's own base at departure time (the class
+// controller may be reused or merged away before the core's next reset). A class emptied here is only reclaimed by the end-of-window
 // sweep, never mid-walk: later cores this window may still join it
 // through freshFor.
 func (e *engine) leaveClass(c int, k int32) {
@@ -161,13 +161,13 @@ func (e *engine) leaveClass(c int, k int32) {
 	e.classOf[c] = -1
 }
 
-// coalesceWindow is phase one of a coalesced window: a single serial walk
-// over the plan that answers every steady span in closed form and queues
-// the discrete residue for the pool. Serial is deliberate — span handling
+// walkWindow is phase one of a window: a single serial walk over the plan
+// that answers every coalescible span in closed form and queues the
+// discrete residue for the pool. Serial is deliberate — span handling
 // mutates the shared class table and merge map, and the walk is O(spans +
 // cores·(slice fills)) with no simulation inside, so it is never the
 // bottleneck; the expensive residue runs on the pool in phase two.
-func (e *engine) coalesceWindow(w int, asg Assignment) {
+func (e *engine) walkWindow(w int, asg Assignment) {
 	e.worklist = e.worklist[:0]
 	e.retired = e.retired[:0]
 	for ci := range e.freshFor {
@@ -206,8 +206,8 @@ func (e *engine) coalesceWindow(w int, asg Assignment) {
 		}
 		k := e.classOf[c]
 		if k < 0 || e.classes[k].client != ci {
-			// Handover (or return from a sentinel state): cold start, same
-			// as the reference path's controller reset.
+			// Handover (or return from a sentinel state): cold start with a
+			// freshly reset controller.
 			flush(c)
 			if k >= 0 {
 				e.leaveClass(c, k)
@@ -248,9 +248,11 @@ func (e *engine) coalesceWindow(w int, asg Assignment) {
 }
 
 // subRun executes one maximal run of cores sharing (class, client, rate,
-// perf, migrated) — the cohort key. The mode, effective perf factor,
-// batch credit and steadiness classification are computed once for the
-// whole run, exactly as stepCore computes them per core.
+// perf, migrated) — the cohort key. The mode, effective perf factor
+// (scaled by the server's generation, the engaged mode's calibrated LS
+// delta and any migration penalty), batch credit and steadiness
+// classification are computed once for the whole run: identical inputs
+// would give every member core the identical answer.
 func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	m := int32(b - a)
 	mode := e.classes[k].ctl.Mode()
@@ -278,11 +280,12 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		}
 	}
 
-	// Classification, once per cohort: identical inputs would give every
-	// member core the identical answer, so deciding per span IS deciding
-	// per core. A zero-rate span coalesces trivially (tail 0, see
-	// stepCore's idle-window note); a solver refusal drops the whole span
-	// to the discrete residue, matching the per-core fallback.
+	// The steadiness classifier. Fluid takes the analytic path wherever it
+	// is sound; auto additionally demands a steady window — settled mode,
+	// no migration cold-start, no burst/surge turbulence, and utilization
+	// inside the guard band. fluidOK is all false under the discrete
+	// engine. A solver refusal drops the whole span to the discrete
+	// residue, never errors the run.
 	tail, analytic, coalesced := 0.0, false, false
 	if rate > 0 {
 		if e.fluidOK[ci] {
@@ -301,6 +304,15 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 			}
 		}
 	} else {
+		// An idle window — a Poisson draw of zero arrivals, or a window the
+		// scheduler routed no load to — skips the queueing simulation under
+		// every engine and reads as zero tail: maximal slack. This is
+		// deliberate: a core with nothing to serve cannot violate its
+		// target, its controller sees the deepest possible headroom
+		// (driving it toward B-mode), and the zero is recorded like any
+		// other tail under both estimators — it lands in the exact samples
+		// and in the histogram's bottom bucket alike, so idle windows pull
+		// the measured quantiles down rather than being silently dropped.
 		coalesced = true
 	}
 
@@ -360,11 +372,11 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 }
 
 // runWorkItem is phase two's unit of work: one discrete-residue
-// core-window, simulated exactly as the reference path would — same
-// (seed, core, window)-derived stream, same Simulator reuse, same shard
-// deposit — with the controller advance landing on the core's singleton
-// class instead of a coreState. Items touch disjoint cores and classes,
-// so the pool needs no locking beyond the claim counter.
+// core-window, simulated through the worker's reusable Simulator on the
+// core's own (seed, core, window)-derived stream, its tail deposited into
+// the worker's shard and observed by the core's singleton class. Items
+// touch disjoint cores and classes, so the pool needs no locking beyond
+// the claim counter.
 func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard []*stats.Histogram) {
 	c := int(it.core)
 	idx := c*e.windows + w

@@ -19,10 +19,12 @@ import (
 	"stretch/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/equivalence_digests.golden from the reference per-core path")
+var update = flag.Bool("update", false, "rewrite testdata/equivalence_digests.golden")
 
 // digestGolden holds one sha256 per equivalence cell, keyed by subtest
-// name: the oracle every execution path must reproduce.
+// name. The per-core reference engine generated it before that engine was
+// deleted, so it is the oracle the cohort walk must keep reproducing; a
+// rebless needs a stated cause.
 const digestGolden = "testdata/equivalence_digests.golden"
 
 // resultDigest is a sha256 over the JSON encoding of r — struct fields in
@@ -82,11 +84,11 @@ func writeDigests(t *testing.T, m map[string]string) {
 	}
 }
 
-// checkDigest compares the subtest's reference Result against its golden
-// digest, or records it under -update.
-func checkDigest(t *testing.T, golden map[string]string, ref Result) {
+// checkDigest compares the subtest's Result against its golden digest,
+// or records it under -update.
+func checkDigest(t *testing.T, golden map[string]string, res Result) {
 	t.Helper()
-	got := resultDigest(t, ref)
+	got := resultDigest(t, res)
 	if *update {
 		golden[t.Name()] = got
 		return
@@ -96,8 +98,30 @@ func checkDigest(t *testing.T, golden map[string]string, ref Result) {
 		t.Fatalf("no golden digest for %s; run with -update", t.Name())
 	}
 	if got != want {
-		t.Fatalf("reference digest %.16s, golden %.16s", got, want)
+		t.Fatalf("digest %.16s, golden %.16s", got, want)
 	}
+}
+
+// checkWorkers runs cfg at 1, 5 and 16 workers; every run must reproduce
+// the subtest's golden digest (the one-worker run records it under
+// -update). It returns the one-worker Result.
+func checkWorkers(t *testing.T, golden map[string]string, cfg Config) Result {
+	t.Helper()
+	var first Result
+	for i, workers := range []int{1, 5, 16} {
+		cfg.Workers = workers
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res
+			checkDigest(t, golden, res)
+		} else if !reflect.DeepEqual(first, res) {
+			t.Fatalf("run at %d workers diverged from the one-worker run", workers)
+		}
+	}
+	return first
 }
 
 // equivConfig is the equivalence suite's base fleet: two clients on
@@ -134,12 +158,12 @@ func equivConfig() Config {
 	}
 }
 
-// TestCohortEquivalence is the cohort path's contract: for every policy ×
-// engine × estimator, the coalesced run must DeepEqual the reference
-// per-core run — full Results, every float bit — at every worker count,
-// and the reference run must reproduce its committed digest. The -race CI
-// job runs this, putting the shared solve cache, the persistent pool and
-// the phase-two class advances under the detector.
+// TestCohortEquivalence is the cohort walk's contract: for every policy ×
+// engine × estimator, the run must reproduce the digest the per-core
+// reference engine committed — full Results, every float bit — at every
+// worker count. The -race CI job runs this, putting the shared solve
+// cache, the persistent pool and the phase-two class advances under the
+// detector.
 func TestCohortEquivalence(t *testing.T) {
 	golden := readDigests(t)
 	policies := []Policy{PolicyStatic, PolicyProportional, PolicyP2C, PolicyFeedback}
@@ -153,27 +177,9 @@ func TestCohortEquivalence(t *testing.T) {
 					cfg.Scheduler = SchedulerConfig{Policy: pol}
 					cfg.Engine = eng
 					cfg.TailEstimator = est
-					cfg.Workers = 1
-					cfg.noCoalesce = true
-					ref, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if eng != EngineDiscrete && ref.CohortCoreWindows == 0 {
+					res := checkWorkers(t, golden, cfg)
+					if eng != EngineDiscrete && res.CohortCoreWindows == 0 {
 						t.Fatal("no coalescible core-windows; the equivalence check is vacuous")
-					}
-					checkDigest(t, golden, ref)
-					for _, workers := range []int{1, 5, 16} {
-						ccfg := cfg
-						ccfg.Workers = workers
-						ccfg.noCoalesce = false
-						got, err := Run(ccfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(ref, got) {
-							t.Fatalf("coalesced run (%d workers) diverged from per-core reference", workers)
-						}
 					}
 				})
 			}
@@ -188,7 +194,7 @@ func TestCohortEquivalence(t *testing.T) {
 // scenario drain) under the util autoscaler: parked cores leave their
 // equivalence classes and return as cold starts, the class-split path the
 // plain suite cannot reach. Both estimators, every engine, three worker
-// counts.
+// counts, each against its committed digest.
 func TestCohortEquivalenceAutoscale(t *testing.T) {
 	golden := readDigests(t)
 	for _, eng := range []Engine{EngineDiscrete, EngineAuto, EngineFluid} {
@@ -209,27 +215,8 @@ func TestCohortEquivalenceAutoscale(t *testing.T) {
 						}
 					}),
 				}
-				cfg.Workers = 1
-				cfg.noCoalesce = true
-				ref, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref.ParkedCoreWindows == 0 {
+				if res := checkWorkers(t, golden, cfg); res.ParkedCoreWindows == 0 {
 					t.Fatal("autoscaler parked nothing; the split scenario is vacuous")
-				}
-				checkDigest(t, golden, ref)
-				for _, workers := range []int{1, 5, 16} {
-					ccfg := cfg
-					ccfg.Workers = workers
-					ccfg.noCoalesce = false
-					got, err := Run(ccfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ref, got) {
-						t.Fatalf("coalesced autoscale run (%d workers) diverged from reference", workers)
-					}
 				}
 			})
 		}

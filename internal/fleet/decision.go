@@ -408,8 +408,7 @@ func (e *engine) cfTail(w, ci, cnt int, rate float64) (float64, error) {
 	if t, ok := e.cfCache[k]; ok {
 		return t, nil
 	}
-	if e.engineSel != EngineDiscrete && e.fluidOK[ci] &&
-		rate*e.utilCoef[ci] <= autoSteadyMaxUtil {
+	if e.fluidOK[ci] && rate*e.utilCoef[ci] <= autoSteadyMaxUtil {
 		if t, ok := e.analyticTail(int16(ci), rate, 1); ok {
 			e.cfCache[k] = t
 			return t, nil
