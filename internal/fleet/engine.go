@@ -7,6 +7,11 @@
 // which is what turns a 1M-core × 24h day from hours of event simulation
 // into seconds of closed-form evaluation plus a residue of genuinely
 // transitional windows on the discrete path.
+//
+// The engine selection changes no execution path: every engine runs the
+// cohort walk (cohort.go), and the selection only sets what its
+// steadiness classifier may answer analytically — nothing under discrete,
+// every sound window under fluid, steady windows under auto.
 package fleet
 
 import (

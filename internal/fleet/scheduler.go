@@ -642,3 +642,50 @@ func rebalance(owner []int16, active []bool, cur, desired []int) {
 		}
 	}
 }
+
+// assignCores splits nCores across the clients proportionally to their
+// fractions: floor allocation (minimum one core each), then — when the
+// fractions subscribe the whole fleet — largest-remainder distribution of
+// the leftover. Under-subscribed traffic leaves the remaining cores idle;
+// over-allocation from the one-core minimum is reclaimed from the largest
+// allocations.
+func assignCores(clients []loadgen.Client, nCores int) []int {
+	out := make([]int, len(clients))
+	sum := 0.0
+	for _, c := range clients {
+		sum += c.Fraction
+	}
+	used := 0
+	type rem struct {
+		idx  int
+		frac float64
+	}
+	rems := make([]rem, 0, len(clients))
+	for i, c := range clients {
+		exact := c.Fraction * float64(nCores)
+		out[i] = int(exact)
+		if out[i] < 1 {
+			out[i] = 1
+		}
+		used += out[i]
+		rems = append(rems, rem{i, exact - float64(int(exact))})
+	}
+	for used > nCores {
+		big := 0
+		for i := range out {
+			if out[i] > out[big] {
+				big = i
+			}
+		}
+		out[big]--
+		used--
+	}
+	if sum > 1-1e-9 {
+		sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
+		for k := 0; used < nCores; k = (k + 1) % len(rems) {
+			out[rems[k].idx]++
+			used++
+		}
+	}
+	return out
+}
