@@ -57,8 +57,9 @@ const claimChunk = 128
 // shared — by construction, not by assumption — by every core whose
 // observation history matches. size counts current members; born is the
 // window the class was created in (−2 marks a freed table slot awaiting
-// reuse), which guards the in-place singleton advance and the double-free
-// check in retire sweeps.
+// reuse), which guards the in-place singleton advance, decides whether an
+// emptied class is freed at once or at the window's sweep, and guards the
+// sweep against double frees.
 type cohortClass struct {
 	ctl      monitor.Controller
 	client   int16
@@ -120,16 +121,20 @@ func (p *workerPool) run(n int, fn func(wk int)) {
 
 func (p *workerPool) close() { close(p.jobs) }
 
-// initCohorts wires the cohort walk's state. The class table starts
-// empty and grows to the number of distinct controller histories alive at
-// once (bounded by nCores, typically far smaller); freed slots recycle
-// through freeClass so a discrete window's million forks reuse the slots
-// the following steady window's merges release.
+// initCohorts wires the cohort walk's state. The class table holds the
+// distinct controller histories alive at once: at most one class per
+// core, plus one emptied freshFor class per client awaiting the window's
+// sweep, so it is sized once for nCores+nClients and never regrows. Freed
+// slots recycle through freeClass, so a discrete window's forks reuse the
+// slots its own departures release. The worklist holds at most one item
+// per core.
 func (e *engine) initCohorts(nClients int) {
 	e.classOf = make([]int32, e.nCores)
 	for c := range e.classOf {
 		e.classOf[c] = -1
 	}
+	e.classes = make([]cohortClass, 0, e.nCores+nClients)
+	e.worklist = make([]workItem, 0, e.nCores)
 	e.swBase = make([]uint64, e.nCores)
 	e.mergeMap = make(map[mergeKey]int32)
 	e.freshFor = make([]int32, nClients)
@@ -147,17 +152,31 @@ func (e *engine) newClass(cl cohortClass) int32 {
 	return int32(len(e.classes) - 1)
 }
 
-// leaveClass removes core c from class k, banking the class controller's
-// switch count into the core's own base at departure time (the class
-// controller may be reused or merged away before the core's next reset). A class emptied here is only reclaimed by the end-of-window
-// sweep, never mid-walk: later cores this window may still join it
-// through freshFor.
-func (e *engine) leaveClass(c int, k int32) {
-	e.swBase[c] += e.classes[k].ctl.Switches()
-	e.classes[k].size--
-	if e.classes[k].size == 0 {
+// dropMembers removes m members from class k in window w. Cores join only
+// classes minted this window (freshFor classes and merge targets), so an
+// emptied class minted earlier is unreachable and its slot is freed at
+// once. An emptied class minted this window may still be rejoined through
+// freshFor later in the walk; it waits in retired for the end-of-window
+// sweep.
+func (e *engine) dropMembers(k, m int32, w int) {
+	cl := &e.classes[k]
+	if cl.size -= m; cl.size > 0 {
+		return
+	}
+	if cl.born < int32(w) {
+		cl.born = -2
+		e.freeClass = append(e.freeClass, k)
+	} else {
 		e.retired = append(e.retired, k)
 	}
+}
+
+// leaveClass removes core c from class k, banking the class controller's
+// switch count into the core's own base at departure time (the class
+// controller may be reused or merged away before the core's next reset).
+func (e *engine) leaveClass(c int, k int32, w int) {
+	e.swBase[c] += e.classes[k].ctl.Switches()
+	e.dropMembers(k, 1, w)
 	e.classOf[c] = -1
 }
 
@@ -200,7 +219,7 @@ func (e *engine) walkWindow(w int, asg Assignment) {
 				e.batchRel[idx] = 1
 			}
 			if k := e.classOf[c]; k >= 0 {
-				e.leaveClass(c, k)
+				e.leaveClass(c, k, w)
 			}
 			continue
 		}
@@ -210,7 +229,7 @@ func (e *engine) walkWindow(w int, asg Assignment) {
 			// freshly reset controller.
 			flush(c)
 			if k >= 0 {
-				e.leaveClass(c, k)
+				e.leaveClass(c, k, w)
 			}
 			k = e.freshFor[ci]
 			if k < 0 {
@@ -235,10 +254,10 @@ func (e *engine) walkWindow(w int, asg Assignment) {
 	}
 	flush(e.nCores)
 
-	// Reclaim classes that emptied this window. born == -2 marks a slot
-	// already freed, guarding against duplicate retire entries; a class
-	// that emptied mid-walk but was rejoined later has size > 0 again and
-	// survives.
+	// Reclaim the classes minted this window that emptied. born == -2
+	// marks a slot already freed, guarding against duplicate retire
+	// entries; a class that emptied mid-walk but was rejoined later has
+	// size > 0 again and survives.
 	for _, k := range e.retired {
 		if e.classes[k].size == 0 && e.classes[k].born >= 0 {
 			e.classes[k].born = -2
@@ -320,9 +339,11 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		// Answer the whole cohort at once. Every member observes the same
 		// tail, so the post-observation controller is one shared value:
 		// look it up in the merge map and fold the members into whichever
-		// class already carries that exact state (or mint one).
+		// class already carries that exact state (or mint one). The
+		// members leave k first, so a slot k frees is the one minted.
 		cand := e.classes[k].ctl
 		cand.Observe(monitor.Observation{TailMs: tail})
+		e.dropMembers(k, m, w)
 		mk := mergeKey{ctl: cand, client: ci, lastMode: int8(mode)}
 		tgt, ok := e.mergeMap[mk]
 		if !ok {
@@ -338,10 +359,6 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 			e.classOf[c] = tgt
 		}
 		e.classes[tgt].size += m
-		e.classes[k].size -= m
-		if e.classes[k].size == 0 {
-			e.retired = append(e.retired, k)
-		}
 		if e.cohortShard != nil {
 			e.cohortShard[ci].AddN(tail, uint64(m))
 		}
@@ -359,15 +376,12 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		return
 	}
 	base := e.classes[k].ctl
+	e.dropMembers(k, m, w)
 	lm := int8(mode)
 	for c := a; c < b; c++ {
 		sk := e.newClass(cohortClass{ctl: base, client: ci, lastMode: lm, born: int32(w), size: 1})
 		e.classOf[c] = sk
 		e.worklist = append(e.worklist, workItem{core: int32(c), class: sk, rate: rate, perf: perf})
-	}
-	e.classes[k].size -= m
-	if e.classes[k].size == 0 {
-		e.retired = append(e.retired, k)
 	}
 }
 

@@ -282,3 +282,45 @@ func TestCohortSolveCounter(t *testing.T) {
 			res.CohortCoreWindows, res.AnalyticCoreWindows)
 	}
 }
+
+// TestCohortClassTableBounded: under migration-heavy churn — feedback
+// reallocation, a scenario drain/restore, util-autoscaler park/unpark —
+// the class table never holds more than one slot per core plus one per
+// client, and the worklist never grows past one item per core, under the
+// discrete and auto engines alike.
+func TestCohortClassTableBounded(t *testing.T) {
+	for _, eng := range []Engine{EngineDiscrete, EngineAuto} {
+		t.Run(eng.String(), func(t *testing.T) {
+			cfg := equivConfig()
+			cfg.Scheduler = SchedulerConfig{Policy: PolicyFeedback}
+			cfg.Engine = eng
+			cfg.Autoscale = AutoscaleConfig{
+				Policy: AutoscaleUtil, MinServers: 1,
+				Custom: windowScale(func(w int) int { return 3 - w%3 }),
+			}
+			cfg.Workers = 2
+			e, err := newEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.close()
+			bound := e.nCores + len(cfg.Traffic.Clients)
+			for w := 0; w < e.windows; w++ {
+				if err := e.runWindow(w); err != nil {
+					t.Fatal(err)
+				}
+				if len(e.classes) > bound {
+					t.Fatalf("window %d: %d class slots, bound %d", w, len(e.classes), bound)
+				}
+				if cap(e.worklist) > e.nCores {
+					t.Fatalf("window %d: worklist grew to %d, bound %d", w, cap(e.worklist), e.nCores)
+				}
+			}
+			res := e.aggregate()
+			if res.Migrations == 0 || res.ParkedCoreWindows == 0 || res.DrainedCoreWindows == 0 {
+				t.Fatalf("churn is vacuous: %d migrations, %d parked, %d drained core-windows",
+					res.Migrations, res.ParkedCoreWindows, res.DrainedCoreWindows)
+			}
+		})
+	}
+}
