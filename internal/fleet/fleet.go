@@ -89,9 +89,8 @@ type engine struct {
 	tracer decisionTracer
 
 	// The persistent worker pool and one reusable Simulator per worker.
-	workers int
-	pool    *workerPool
-	sims    []*queueing.Simulator
+	pool *workerPool
+	sims []*queueing.Simulator
 
 	// winTrace and decTrace collect one record per finished window; the
 	// last observation is the next window's scheduler feedback.

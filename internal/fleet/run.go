@@ -189,7 +189,6 @@ func newEngine(cfg Config) (*engine, error) {
 	// One reusable Simulator per worker: the queueing heaps and sample
 	// buffers live across the whole horizon. Analytic solves under the
 	// fluid/auto engines go through the shared striped cache wired above.
-	e.workers = workers
 	e.sims = make([]*queueing.Simulator, workers)
 	for i := range e.sims {
 		e.sims[i] = new(queueing.Simulator)
@@ -264,7 +263,7 @@ func (e *engine) runWindow(w int) error {
 	e.walkWindow(w, asg)
 	if work := len(e.worklist); work > 0 {
 		var next atomic.Int64
-		e.pool.run(e.workers, func(wk int) {
+		e.pool.run(len(e.sims), func(wk int) {
 			sim := e.sims[wk]
 			var shard []*stats.Histogram
 			if e.shards != nil {
