@@ -103,33 +103,62 @@ type Result struct {
 	Requests int
 }
 
-// sortedRing keeps worker free times in ascending order in a flat slice:
-// the minimum is element 0 and a replaceMin is one rightward scan plus one
-// contiguous copy. Worker pools are small (≤ 16 threads for every modelled
-// service), so the copy is a cache-line-friendly shuffle that beats a
-// binary heap's branchy sift — and min-selection over a totally ordered
-// multiset is the same value whatever structure maintains it, so results
-// stay bit-identical to the heap this replaces.
-type sortedRing []float64
+// workerRing keeps worker free times in ascending order in a circular
+// buffer whose length is a power of two at least the pool width: the
+// minimum sits at head, and the pool's free times occupy the slots head,
+// head+1, … (mod len). Popping the minimum advances head, which frees the
+// slot just past the tail; inserting the next finish time shifts right
+// only the workers that finish later than it — usually none or a few,
+// since a new request rarely finishes before the ones already in service.
+// Min-selection over a totally ordered multiset is the same value
+// whatever structure maintains it, so results stay bit-identical to the
+// heap and flat sorted slice this replaces.
+type workerRing struct {
+	slots []float64
+	mask  int
+	head  int
+	n     int // pool width
+}
 
-// replaceMin removes the minimum (element 0) and inserts v in order,
-// returning the removed minimum.
-func (s sortedRing) replaceMin(v float64) float64 {
-	top := s[0]
-	j := len(s)
-	for j > 1 && s[j-1] > v {
+// reset sizes the ring for n workers, all free at time 0.
+func (w *workerRing) reset(n int) {
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	if cap(w.slots) < size {
+		w.slots = make([]float64, size)
+	} else {
+		w.slots = w.slots[:size]
+		clear(w.slots)
+	}
+	w.mask = size - 1
+	w.head = 0
+	w.n = n
+}
+
+// min returns the earliest worker free time.
+func (w *workerRing) min() float64 { return w.slots[w.head] }
+
+// replaceMin drops the minimum and inserts v in order.
+func (w *workerRing) replaceMin(v float64) {
+	slots, mask := w.slots, w.mask
+	w.head = (w.head + 1) & mask
+	j := w.head + w.n - 1 // the slot just past the remaining n-1 workers
+	for j > w.head && slots[(j-1)&mask] > v {
+		slots[j&mask] = slots[(j-1)&mask]
 		j--
 	}
-	copy(s[0:], s[1:j])
-	s[j-1] = v
-	return top
+	slots[j&mask] = v
 }
 
 // Simulator runs request-level simulations with reusable state: the worker
-// and waiting heaps and the latency sample buffer persist across runs, so a
-// caller stepping many monitoring windows (the fleet engine's hot loop)
-// pays no per-window heap allocations. The zero value is ready after Reset.
-// A Simulator is not safe for concurrent use; share one per goroutine.
+// ring, the waiting FIFO, the per-request service-time and arrival-time
+// buffers, the arrival draw blocks and the latency store persist across
+// runs, so a caller stepping many monitoring windows (the fleet engine's
+// hot loop) pays no per-window allocations. The zero value is ready after
+// Reset. A Simulator is not safe for concurrent use; share one per
+// goroutine.
 type Simulator struct {
 	cfg Config
 	// validated marks cfg as having passed Validate, letting Reset skip
@@ -137,21 +166,25 @@ type Simulator struct {
 	// A bare equality check would not do: the zero Simulator's zero cfg
 	// must still be rejected until a Validate has actually run.
 	validated bool
-	workers   sortedRing
-	// waiting holds start times of queued requests, drained from waitHead
-	// and appended at the back. FCFS start times are nondecreasing (both
-	// arguments of the max() that assigns them are), so a FIFO ring visits
+	workers   workerRing
+	// waiting holds start times of queued requests, drained from the
+	// front and appended at the back. FCFS start times are nondecreasing
+	// (both arguments of the max() that assigns them are), so a FIFO visits
 	// them in exactly the min-first order the former heap did.
-	waiting  []float64
-	waitHead int
-	lat      *stats.Sample
-	hist     *stats.Histogram
+	waiting []float64
+	lat     *stats.Sample
+	hist    *stats.Histogram
 	// arrGaps/arrHeads buffer batched (inter-arrival gap, burst head) draw
-	// pairs from the arrival stream, refilled in blocks so the hot loop
-	// amortises the per-draw call overhead. Consumption order is identical
-	// to the historical per-arrival draws (rng.Stream.FillArrivals).
+	// pairs from the arrival stream, refilled in blocks so the arrival
+	// pass amortises the per-draw call overhead. Consumption order is
+	// identical to the historical per-arrival draws (rng.Stream.FillArrivals).
 	arrGaps  []float64
 	arrHeads []bool
+	// svcMs and arrivalMs hold one run's per-request service times and
+	// arrival instants, filled by the first two passes of Simulate and
+	// consumed by the queue pass.
+	svcMs     []float64
+	arrivalMs []float64
 }
 
 // arrivalBatch is the block size of buffered arrival draws. Over-drawing
@@ -168,12 +201,12 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Reset swaps in a service configuration, keeping the allocated heaps and
-// sample buffer for reuse by the next Simulate call. Resetting to the
-// configuration already in place (the common case on the fleet's
-// per-window loop, where a core keeps its client across windows) skips
-// the revalidation: Config is a comparable value type, so equality means
-// the earlier Validate verdict still holds.
+// Reset swaps in a service configuration, keeping the allocated buffers
+// for reuse by the next Simulate call. Resetting to the configuration
+// already in place (the common case on the fleet's per-window loop, where
+// a core keeps its client across windows) skips the revalidation: Config
+// is a comparable value type, so equality means the earlier Validate
+// verdict still holds.
 func (s *Simulator) Reset(cfg Config) error {
 	if s.validated && cfg == s.cfg {
 		return nil
@@ -192,6 +225,13 @@ func (s *Simulator) Reset(cfg Config) error {
 // excluded. Results are bit-identical to the package-level Simulate for
 // the same (config, arguments, seed), regardless of what the Simulator ran
 // before.
+//
+// The run is three passes over per-request buffers: draw every service
+// time, build the arrival timeline, then run the FCFS queue over the two.
+// The service and arrival streams are independent and each is consumed in
+// request order exactly as an interleaved loop would, so splitting the
+// passes changes no value; it lets the service draws' transcendental calls
+// overlap instead of waiting behind the queue's loop-carried state.
 func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) (Result, error) {
 	cfg := s.cfg
 	if cfg.Workers <= 0 {
@@ -204,40 +244,71 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 		return Result{}, fmt.Errorf("queueing: perf factor %v out of (0,%v]", perfFactor, float64(MaxPerfFactor))
 	}
 
-	arr := rng.New(seed).Derive(1)
-	svc := rng.New(seed).Derive(2)
-
-	// FCFS k-server queue processed in arrival order: with identical
-	// workers, assigning each request to the earliest-free worker in
-	// arrival order is exactly FCFS.
-	if cap(s.workers) < cfg.Workers {
-		s.workers = make(sortedRing, cfg.Workers)
-	} else {
-		s.workers = s.workers[:cfg.Workers]
-		for i := range s.workers {
-			s.workers[i] = 0
-		}
-	}
-	workers := s.workers
-
-	// Service-draw constants hoisted out of the per-request LogNormal:
-	// sigma², mu and sqrt(sigma²) depend only on (MeanServiceMs, ServiceCV),
-	// so folding them keeps every draw bit-identical — same expression,
-	// same evaluation order — while shedding two Logs and a Sqrt per
-	// request from the hot loop.
+	// Pass 1: service times. Constants hoisted out of the per-request
+	// LogNormal — sigma², mu and sqrt(sigma²) depend only on
+	// (MeanServiceMs, ServiceCV) — keep every draw bit-identical: same
+	// expression, same evaluation order.
+	svcStream := rng.New(seed).Derive(2)
 	svcSigma2 := math.Log(1 + cfg.ServiceCV*cfg.ServiceCV)
 	svcMu := math.Log(cfg.MeanServiceMs) - svcSigma2/2
 	svcSig := math.Sqrt(svcSigma2)
+	s.svcMs = resize(s.svcMs, nRequests)
+	svcMs := s.svcMs
+	for i := range svcMs {
+		svcMs[i] = math.Exp(svcMu+svcSig*svcStream.Normal()) / perfFactor
+	}
 
+	// Pass 2: arrival timeline. Arrival draws are consumed from a
+	// block-refilled buffer: one (gap, head) pair per burst head, in
+	// exactly the order the unbatched loop drew them. Each refill is sized
+	// to the requests still outstanding — an upper bound on the arrival
+	// draws they can consume — so a short simulation (the fleet's
+	// per-window budget) never pays for draws past its last arrival.
+	arrStream := rng.New(seed).Derive(1)
+	if s.arrGaps == nil {
+		s.arrGaps = make([]float64, arrivalBatch)
+		s.arrHeads = make([]bool, arrivalBatch)
+	}
+	s.arrivalMs = resize(s.arrivalMs, nRequests)
+	arrivalMs := s.arrivalMs
 	meanGapMs := 1000 / ratePerSec
-	now := 0.0 // arrival clock, ms
+	now := 0.0             // arrival clock, ms
+	pending := 0           // requests in this burst still to arrive at `now`
+	arrPos, arrLen := 0, 0 // empty: first use triggers a refill
+	for i := range arrivalMs {
+		if pending > 0 {
+			pending--
+		} else {
+			if arrPos == arrLen {
+				arrLen = nRequests - i
+				if arrLen > arrivalBatch {
+					arrLen = arrivalBatch
+				}
+				arrStream.FillArrivals(s.arrGaps[:arrLen], s.arrHeads[:arrLen], meanGapMs, cfg.BurstProb)
+				arrPos = 0
+			}
+			now += s.arrGaps[arrPos]
+			if s.arrHeads[arrPos] {
+				pending = int(cfg.BurstLen) - 1
+				if pending < 0 {
+					pending = 0
+				}
+			}
+			arrPos++
+		}
+		arrivalMs[i] = now
+	}
+
+	// Pass 3: the FCFS k-server queue in arrival order. With identical
+	// workers, assigning each request to the earliest-free worker in
+	// arrival order is exactly FCFS. The measured-latency store is an
+	// exact sorted sample or the mergeable log-bucketed histogram (O(1)
+	// add, O(buckets) quantile — no per-window sort on the fleet hot
+	// path); either is reused across Simulate calls.
 	warm := nRequests / 10
-	// The measured-latency store: an exact sorted sample, or the mergeable
-	// log-bucketed histogram (O(1) add, O(buckets) quantile — no per-window
-	// sort on the fleet hot path). Either is reused across Simulate calls.
 	var lat *stats.Sample
 	var hist *stats.Histogram
-	if s.cfg.Estimator == stats.EstimatorHistogram {
+	if cfg.Estimator == stats.EstimatorHistogram {
 		if s.hist == nil {
 			s.hist = stats.NewTailHistogram()
 		} else {
@@ -252,63 +323,27 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 		}
 		lat = s.lat
 	}
+	s.workers.reset(cfg.Workers)
+	workers := &s.workers
+	waiting, waitHead := s.waiting[:0], 0
 	var mean stats.Running
 	maxQ := 0
-	pending := 0 // requests in this burst still to arrive at `now`
-
-	// Arrival draws are consumed from a block-refilled buffer: one
-	// (gap, head) pair per burst head, in exactly the order the unbatched
-	// loop drew them, so results stay bit-identical while the hot loop
-	// sheds most of the per-draw call overhead. Each refill is sized to
-	// the requests still outstanding — an upper bound on the arrival draws
-	// they can consume — so a short simulation (the fleet's per-window
-	// budget) never pays for draws past its last arrival.
-	if s.arrGaps == nil {
-		s.arrGaps = make([]float64, arrivalBatch)
-		s.arrHeads = make([]bool, arrivalBatch)
-	}
-	arrPos, arrLen := 0, 0 // empty: first use triggers a refill
-
-	s.waiting = s.waiting[:0]
-	s.waitHead = 0
-
-	for i := 0; i < nRequests; i++ {
-		if pending > 0 {
-			pending--
-		} else {
-			if arrPos == arrLen {
-				arrLen = nRequests - i
-				if arrLen > arrivalBatch {
-					arrLen = arrivalBatch
-				}
-				arr.FillArrivals(s.arrGaps[:arrLen], s.arrHeads[:arrLen], meanGapMs, cfg.BurstProb)
-				arrPos = 0
-			}
-			now += s.arrGaps[arrPos]
-			if s.arrHeads[arrPos] {
-				pending = int(cfg.BurstLen) - 1
-				if pending < 0 {
-					pending = 0
-				}
-			}
-			arrPos++
-		}
-		start := workers[0]
+	for i, now := range arrivalMs {
+		start := workers.min()
 		if now > start {
 			start = now
 		}
-		svcMs := math.Exp(svcMu+svcSig*svc.Normal()) / perfFactor
-		finish := start + svcMs
+		finish := start + svcMs[i]
 		workers.replaceMin(finish)
 
 		// Queue depth: drop requests that started by `now`, then count
 		// this one if it has to wait.
-		for s.waitHead < len(s.waiting) && s.waiting[s.waitHead] <= now {
-			s.waitHead++
+		for waitHead < len(waiting) && waiting[waitHead] <= now {
+			waitHead++
 		}
 		if start > now {
-			s.waiting = append(s.waiting, start)
-			if q := len(s.waiting) - s.waitHead; q > maxQ {
+			waiting = append(waiting, start)
+			if q := len(waiting) - waitHead; q > maxQ {
 				maxQ = q
 			}
 		}
@@ -322,6 +357,7 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 			mean.Add(l)
 		}
 	}
+	s.waiting = waiting // keep the grown capacity for the next run
 
 	r := Result{MeanMs: mean.Mean(), MaxQueue: maxQ}
 	if hist != nil {
@@ -337,6 +373,15 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 	}
 	r.MeetsQoS = r.QoSMs <= cfg.QoSTargetMs
 	return r, nil
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// is short. The contents are unspecified; callers overwrite every slot.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // Simulate runs nRequests through the service at the given arrival rate
@@ -356,7 +401,10 @@ func Simulate(cfg Config, ratePerSec float64, nRequests int, perfFactor float64,
 // target at full performance — the paper's "peak sustainable load" that
 // anchors the X axes of Figs. 1 and 2.
 func PeakLoad(cfg Config, nRequests int, seed uint64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	// One Simulator serves every probe: its buffers are sized once and
+	// no state leaks between calls.
+	sim, err := NewSimulator(cfg)
+	if err != nil {
 		return 0, err
 	}
 	// The saturation rate of the worker pool bounds the search.
@@ -364,7 +412,7 @@ func PeakLoad(cfg Config, nRequests int, seed uint64) (float64, error) {
 	lo, hi := satRate*0.05, satRate*1.2
 	for i := 0; i < 24; i++ {
 		mid := (lo + hi) / 2
-		res, err := Simulate(cfg, mid, nRequests, 1.0, seed)
+		res, err := sim.Simulate(mid, nRequests, 1.0, seed)
 		if err != nil {
 			return 0, err
 		}
@@ -380,12 +428,16 @@ func PeakLoad(cfg Config, nRequests int, seed uint64) (float64, error) {
 // LoadCurve returns mean/p95/p99 latency at the given fractions of peak
 // load (Fig. 1).
 func LoadCurve(cfg Config, peak float64, fractions []float64, nRequests int, seed uint64) ([]Result, error) {
+	sim, err := NewSimulator(cfg)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Result, 0, len(fractions))
 	for _, f := range fractions {
 		if f <= 0 {
 			return nil, fmt.Errorf("queueing: non-positive load fraction %v", f)
 		}
-		r, err := Simulate(cfg, peak*f, nRequests, 1.0, seed)
+		r, err := sim.Simulate(peak*f, nRequests, 1.0, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -235,8 +235,32 @@ func TestSimulatorMatchesSimulate(t *testing.T) {
 // BenchmarkSimulate exercises the hot loop at several worker-pool widths;
 // the Workers=64 case is the regression guard for the former
 // O(requests × workers) queue-depth rescan, and the reused-Simulator cases
-// are the allocation guard for the fleet engine's per-window path.
+// are the allocation guard for the fleet engine's per-window path. The
+// fleet-window case is the shape the fleet engine runs per core-window
+// (data-serving's pool, a 400-request budget, the histogram estimator, a
+// reused Simulator) and reports ns per simulated request.
 func BenchmarkSimulate(b *testing.B) {
+	b.Run("fleet-window/reused", func(b *testing.B) {
+		const nReq = 400
+		c := Config{
+			Workers: 15, MeanServiceMs: 3.2, ServiceCV: 0.4,
+			BurstProb: 0.005, BurstLen: 18, QoSQuantile: 0.99, QoSTargetMs: 20,
+			Estimator: stats.EstimatorHistogram,
+		}
+		rate := float64(c.Workers) * 1000 / c.MeanServiceMs * 0.6
+		sim, err := NewSimulator(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.Simulate(rate, nReq, 0.93, uint64(i)+1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nReq), "ns/req")
+	})
 	for _, workers := range []int{8, 64} {
 		c := Config{
 			Workers: workers, MeanServiceMs: 5, ServiceCV: 1.0,

@@ -85,7 +85,13 @@ func Curve(cfg queueing.Config, peak float64, loads []float64, nRequests int, re
 // floor resolution if the target is met even at the lowest searched
 // performance.
 func RequiredPerf(cfg queueing.Config, ratePerSec float64, nRequests int, resolution float64, seed uint64) (float64, error) {
-	full, err := queueing.Simulate(cfg, ratePerSec, nRequests, 1.0, seed)
+	// One Simulator serves every probe of the bisection: its buffers are
+	// sized once and no state leaks between calls.
+	sim, err := queueing.NewSimulator(cfg)
+	if err != nil {
+		return 0, err
+	}
+	full, err := sim.Simulate(ratePerSec, nRequests, 1.0, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -95,7 +101,7 @@ func RequiredPerf(cfg queueing.Config, ratePerSec float64, nRequests int, resolu
 	lo, hi := resolution, 1.0 // lo may fail QoS, hi always meets it
 	for hi-lo > resolution {
 		mid := (lo + hi) / 2
-		r, err := queueing.Simulate(cfg, ratePerSec, nRequests, mid, seed)
+		r, err := sim.Simulate(ratePerSec, nRequests, mid, seed)
 		if err != nil {
 			return 0, err
 		}
@@ -106,7 +112,7 @@ func RequiredPerf(cfg queueing.Config, ratePerSec float64, nRequests int, resolu
 		}
 	}
 	// Accept the floor if it, too, meets QoS.
-	r, err := queueing.Simulate(cfg, ratePerSec, nRequests, resolution, seed)
+	r, err := sim.Simulate(ratePerSec, nRequests, resolution, seed)
 	if err != nil {
 		return 0, err
 	}
