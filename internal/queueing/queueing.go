@@ -153,12 +153,11 @@ func (w *workerRing) replaceMin(v float64) {
 }
 
 // Simulator runs request-level simulations with reusable state: the worker
-// ring, the waiting FIFO, the per-request service-time and arrival-time
-// buffers, the arrival draw blocks and the latency store persist across
-// runs, so a caller stepping many monitoring windows (the fleet engine's
-// hot loop) pays no per-window allocations. The zero value is ready after
-// Reset. A Simulator is not safe for concurrent use; share one per
-// goroutine.
+// ring, the per-request service, arrival and start-time buffers, the
+// arrival draw blocks and the latency store persist across runs, so a
+// caller stepping many monitoring windows (the fleet engine's hot loop)
+// pays no per-window allocations. The zero value is ready after Reset. A
+// Simulator is not safe for concurrent use; share one per goroutine.
 type Simulator struct {
 	cfg Config
 	// validated marks cfg as having passed Validate, letting Reset skip
@@ -167,13 +166,8 @@ type Simulator struct {
 	// must still be rejected until a Validate has actually run.
 	validated bool
 	workers   workerRing
-	// waiting holds start times of queued requests, drained from the
-	// front and appended at the back. FCFS start times are nondecreasing
-	// (both arguments of the max() that assigns them are), so a FIFO visits
-	// them in exactly the min-first order the former heap did.
-	waiting []float64
-	lat     *stats.Sample
-	hist    *stats.Histogram
+	lat       *stats.Sample
+	hist      *stats.Histogram
 	// arrGaps/arrHeads buffer batched (inter-arrival gap, burst head) draw
 	// pairs from the arrival stream, refilled in blocks so the arrival
 	// pass amortises the per-draw call overhead. Consumption order is
@@ -182,9 +176,11 @@ type Simulator struct {
 	arrHeads []bool
 	// svcMs and arrivalMs hold one run's per-request service times and
 	// arrival instants, filled by the first two passes of Simulate and
-	// consumed by the queue pass.
+	// consumed by the queue pass, which records each request's start time
+	// in startMs.
 	svcMs     []float64
 	arrivalMs []float64
+	startMs   []float64
 }
 
 // arrivalBatch is the block size of buffered arrival draws. Over-drawing
@@ -325,7 +321,9 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 	}
 	s.workers.reset(cfg.Workers)
 	workers := &s.workers
-	waiting, waitHead := s.waiting[:0], 0
+	s.startMs = resize(s.startMs, nRequests)
+	startMs := s.startMs
+	waitHead := 0 // first request not yet started at the current arrival
 	var mean stats.Running
 	maxQ := 0
 	for i, now := range arrivalMs {
@@ -336,16 +334,16 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 		finish := start + svcMs[i]
 		workers.replaceMin(finish)
 
-		// Queue depth: drop requests that started by `now`, then count
-		// this one if it has to wait.
-		for waitHead < len(waiting) && waiting[waitHead] <= now {
+		// Queue depth: the requests that have arrived by `now` but start
+		// after it. FCFS start times are nondecreasing (both arguments of
+		// the max() that assigns them are), so those requests are the
+		// suffix startMs[waitHead:i+1], and waitHead only advances.
+		startMs[i] = start
+		for waitHead <= i && startMs[waitHead] <= now {
 			waitHead++
 		}
-		if start > now {
-			waiting = append(waiting, start)
-			if q := len(waiting) - waitHead; q > maxQ {
-				maxQ = q
-			}
+		if q := i + 1 - waitHead; q > maxQ {
+			maxQ = q
 		}
 		if i >= warm {
 			l := finish - now
@@ -357,7 +355,6 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 			mean.Add(l)
 		}
 	}
-	s.waiting = waiting // keep the grown capacity for the next run
 
 	r := Result{MeanMs: mean.Mean(), MaxQueue: maxQ}
 	if hist != nil {
