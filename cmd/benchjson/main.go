@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -206,7 +207,10 @@ func parse(r io.Reader) (Report, error) {
 		return Report{}, err
 	}
 
+	// Appended runs (several go test invocations in one file) repeat a
+	// package's header; list each package once.
 	sort.Strings(rep.Packages)
+	rep.Packages = slices.Compact(rep.Packages)
 	for _, key := range order {
 		a := accums[key]
 		b := Benchmark{

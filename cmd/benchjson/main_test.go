@@ -89,6 +89,30 @@ BenchmarkSimulate-4 	 10	 300 ns/op
 	}
 }
 
+// TestParseListsRepeatedPackageOnce: two appended go test runs of the same
+// package (the fleet benches, then the scale benches) repeat its pkg:
+// header, but the package list names it once and the benchmarks stay in
+// that package.
+func TestParseListsRepeatedPackageOnce(t *testing.T) {
+	in := `pkg: stretch
+BenchmarkFleet1kCores-2 	 3	 100 ns/op
+ok  	stretch	1.0s
+pkg: stretch
+BenchmarkFleet1MCores-2 	 1	 900 ns/op
+ok  	stretch	9.0s
+`
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Packages) != 1 || rep.Packages[0] != "stretch" {
+		t.Fatalf("packages %q, want [stretch]", rep.Packages)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Pkg != "stretch" || rep.Benchmarks[1].Pkg != "stretch" {
+		t.Fatalf("benchmarks wrong: %+v", rep.Benchmarks)
+	}
+}
+
 func TestParseIgnoresNonResultLines(t *testing.T) {
 	in := `BenchmarkOdd-4 	notanumber	 12 ns/op
 Benchmark log line without fields
