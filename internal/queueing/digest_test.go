@@ -42,18 +42,14 @@ func digestCases() []digestCase {
 			QoSQuantile: s.QoSQuantile, QoSTargetMs: s.QoSTargetMs,
 		}
 	}
-	type named struct {
-		name string
-		cfg  Config
-	}
-	var base []named
+	var base []digestCase
 	for _, n := range workload.ServiceNames() {
-		base = append(base, named{n, toCfg(svcs[n])})
+		base = append(base, digestCase{n, toCfg(svcs[n])})
 	}
 	for _, w := range []int{1, 64} {
 		c := toCfg(svcs[workload.DataServing])
 		c.Workers = w
-		base = append(base, named{fmt.Sprintf("workers-%d", w), c})
+		base = append(base, digestCase{fmt.Sprintf("workers-%d", w), c})
 	}
 	var out []digestCase
 	for _, b := range base {
