@@ -21,9 +21,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/equivalence_digests.golden")
 
-// digestGolden holds one sha256 per equivalence cell, keyed by subtest
-// name. The per-core reference engine generated it before that engine was
-// deleted, so it is the oracle the cohort walk must keep reproducing; a
+// digestGolden holds two sha256 per equivalence cell, keyed by subtest
+// name: the full Result, and under <name>#nogain the Result without its
+// batch-gain fields (see withoutGain). The per-core reference engine
+// generated the full digests before that engine was deleted, and the
+// core-major aggregation generated the #nogain ones before it was
+// replaced, so they are the oracle the engine must keep reproducing; a
 // rebless needs a stated cause.
 const digestGolden = "testdata/equivalence_digests.golden"
 
@@ -74,7 +77,8 @@ func writeDigests(t *testing.T, m map[string]string) {
 	}
 	sort.Strings(names)
 	var sb strings.Builder
-	sb.WriteString("# sha256 over the JSON-encoded fleet.Result of each equivalence cell.\n")
+	sb.WriteString("# sha256 over the JSON-encoded fleet.Result of each equivalence cell;\n")
+	sb.WriteString("# <cell>#nogain digests the same Result with its batch-gain fields zeroed.\n")
 	sb.WriteString("# Regenerate: go test ./internal/fleet -run 'TestCohort' -update\n")
 	for _, n := range names {
 		fmt.Fprintf(&sb, "%s %s\n", n, m[n])
@@ -84,21 +88,40 @@ func writeDigests(t *testing.T, m map[string]string) {
 	}
 }
 
-// checkDigest compares the subtest's Result against its golden digest,
-// or records it under -update.
+// withoutGain returns a copy of r with the three batch-gain fields zeroed:
+// BatchCoreHoursGained (fleet and per client) and BatchGain. They are the
+// only floats whose summation order the aggregation may choose, so the
+// <cell>#nogain digest pins everything else bit for bit.
+func withoutGain(r Result) Result {
+	r.BatchCoreHoursGained, r.BatchGain = 0, 0
+	r.Clients = append([]ClientMetrics(nil), r.Clients...)
+	for i := range r.Clients {
+		r.Clients[i].BatchCoreHoursGained = 0
+	}
+	return r
+}
+
+// checkDigest compares the subtest's Result against its golden digests —
+// the full Result under the subtest's name and the gain-free Result under
+// <name>#nogain — or records both under -update.
 func checkDigest(t *testing.T, golden map[string]string, res Result) {
 	t.Helper()
-	got := resultDigest(t, res)
-	if *update {
-		golden[t.Name()] = got
-		return
-	}
-	want, ok := golden[t.Name()]
-	if !ok {
-		t.Fatalf("no golden digest for %s; run with -update", t.Name())
-	}
-	if got != want {
-		t.Fatalf("digest %.16s, golden %.16s", got, want)
+	for _, d := range []struct {
+		name string
+		res  Result
+	}{{t.Name(), res}, {t.Name() + "#nogain", withoutGain(res)}} {
+		got := resultDigest(t, d.res)
+		if *update {
+			golden[d.name] = got
+			continue
+		}
+		want, ok := golden[d.name]
+		if !ok {
+			t.Fatalf("no golden digest for %s; run with -update", d.name)
+		}
+		if got != want {
+			t.Fatalf("%s: digest %.16s, golden %.16s", d.name, got, want)
+		}
 	}
 }
 
