@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
 	"stretch/internal/calib"
 	"stretch/internal/loadgen"
@@ -109,6 +110,11 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Servers <= 0 || c.CoresPerServer <= 0 {
 		return fmt.Errorf("fleet: need a positive fleet size (%d servers × %d cores)", c.Servers, c.CoresPerServer)
+	}
+	// Plans store client indices as int16, with negative sentinels for
+	// idle, drained and parked cores; a wider index would wrap into them.
+	if n := len(c.Traffic.Clients); n > math.MaxInt16 {
+		return fmt.Errorf("fleet: %d clients exceed the limit of %d", n, math.MaxInt16)
 	}
 	if err := c.Traffic.Validate(); err != nil {
 		return err

@@ -3,6 +3,8 @@ package fleet
 import (
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"stretch/internal/core"
@@ -272,6 +274,32 @@ func TestFleetValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// TestValidateClientLimit: plans hold client indices as int16 with
+// negative sentinels, so Validate accepts math.MaxInt16 clients and
+// rejects one more, which would otherwise wrap into a sentinel and lose
+// its load. Validate only: a run at this width is not needed to show it.
+func TestValidateClientLimit(t *testing.T) {
+	withClients := func(n int) Config {
+		cfg := lowLoadConfig()
+		cfg.Servers, cfg.CoresPerServer = 1<<11, 16 // one core per client at the limit
+		cfg.Traffic.Clients = make([]loadgen.Client, n)
+		for i := range cfg.Traffic.Clients {
+			cfg.Traffic.Clients[i] = loadgen.Client{
+				Name: "c" + strconv.Itoa(i), Service: workload.WebSearch, Fraction: 1.0 / (1 << 15),
+				Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 1}},
+			}
+		}
+		return cfg
+	}
+	if err := withClients(math.MaxInt16).Validate(); err != nil {
+		t.Fatalf("%d clients rejected: %v", math.MaxInt16, err)
+	}
+	err := withClients(math.MaxInt16 + 1).Validate()
+	if err == nil || !strings.Contains(err.Error(), "32767") {
+		t.Fatalf("%d clients: err = %v, want the client limit", math.MaxInt16+1, err)
 	}
 }
 
