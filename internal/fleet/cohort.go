@@ -37,7 +37,6 @@
 package fleet
 
 import (
-	"math"
 	"sync"
 
 	"stretch/internal/core"
@@ -189,6 +188,7 @@ func (e *engine) leaveClass(c int, k int32, w int) {
 func (e *engine) walkWindow(w int, asg Assignment) {
 	e.worklist = e.worklist[:0]
 	e.retired = e.retired[:0]
+	e.analyticCW, e.cohortCW = 0, 0
 	for ci := range e.freshFor {
 		e.freshFor[ci] = -1
 	}
@@ -209,15 +209,10 @@ func (e *engine) walkWindow(w int, asg Assignment) {
 	for c := 0; c < e.nCores; c++ {
 		ci := asg.Client[c]
 		if ci < 0 {
+			// An idle core runs batch exactly as the equal-partitioning
+			// baseline would (no gain); drained and parked cores run
+			// nothing. None of them is recorded.
 			flush(c)
-			idx := c*e.windows + w
-			e.client[idx] = ci
-			e.tails[idx] = math.NaN()
-			if ci == coreIdle {
-				// An in-service core with no LS client runs batch exactly
-				// as the equal-partitioning baseline would: no gain.
-				e.batchRel[idx] = 1
-			}
 			if k := e.classOf[c]; k >= 0 {
 				e.leaveClass(c, k, w)
 			}
@@ -271,7 +266,9 @@ func (e *engine) walkWindow(w int, asg Assignment) {
 // (scaled by the server's generation, the engaged mode's calibrated LS
 // delta and any migration penalty), batch credit and steadiness
 // classification are computed once for the whole run: identical inputs
-// would give every member core the identical answer.
+// would give every member core the identical answer. The run's size is
+// added to the window's analytic and cohort counters and to the batch
+// count of the mode whose credit it earns.
 func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	m := int32(b - a)
 	mode := e.classes[k].ctl.Mode()
@@ -283,20 +280,17 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		perf *= 1 - e.migPenalty
 	}
 	modeB := mode == core.ModeB
-	var bRel float64
+	credit := mode
 	if modeB && mig && e.migPenalty > 0 {
-		// Warming the new client's working set eats the bonus.
-		bRel = 1
-	} else {
-		bRel = e.batchRelMode[ci][mode]
+		// Warming the new client's working set eats the bonus: the run
+		// earns the equal-partitioning baseline's credit of 1.
+		credit = core.ModeBaseline
 	}
+	bRel := e.batchRelMode[ci][credit]
+	e.batchCW[ci][credit] += int64(m)
 	for c := a; c < b; c++ {
-		idx := c*e.windows + w
-		e.client[idx] = ci
-		e.batchRel[idx] = bRel
-		if modeB {
-			e.modeB[idx] = true
-		}
+		e.batchRel[c] = bRel
+		e.modeB[c] = modeB
 	}
 
 	// The steadiness classifier. Fluid takes the analytic path wherever it
@@ -335,6 +329,15 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		coalesced = true
 	}
 
+	if analytic {
+		e.analyticCW += int(m)
+	}
+	// Discrete zero-rate windows coalesce too but are not counted,
+	// keeping discrete Results equal to their pre-walk goldens.
+	if coalesced && e.engineSel != EngineDiscrete {
+		e.cohortCW += int(m)
+	}
+
 	if coalesced {
 		// Answer the whole cohort at once. Every member observes the same
 		// tail, so the post-observation controller is one shared value:
@@ -351,11 +354,7 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 			e.mergeMap[mk] = tgt
 		}
 		for c := a; c < b; c++ {
-			idx := c*e.windows + w
-			e.tails[idx] = tail
-			if analytic {
-				e.analytic[idx] = true
-			}
+			e.tails[c] = tail
 			e.classOf[c] = tgt
 		}
 		e.classes[tgt].size += m
@@ -393,8 +392,7 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 // the claim counter.
 func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard []*stats.Histogram) {
 	c := int(it.core)
-	idx := c*e.windows + w
-	ci := e.client[idx]
+	ci := e.classes[it.class].client
 	seed := e.streams[c].Derive(uint64(w)).Uint64()
 	if err := sim.Reset(e.qcfgs[ci]); err != nil {
 		e.errs[c] = err
@@ -405,7 +403,7 @@ func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard 
 		e.errs[c] = err
 		return
 	}
-	e.tails[idx] = qr.QoSMs
+	e.tails[c] = qr.QoSMs
 	if shard != nil {
 		shard[ci].Add(qr.QoSMs)
 	}

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"reflect"
 	"sort"
@@ -120,14 +121,40 @@ func checkDigest(t *testing.T, golden map[string]string, res Result) {
 			t.Fatalf("no golden digest for %s; run with -update", d.name)
 		}
 		if got != want {
-			t.Fatalf("%s: digest %.16s, golden %.16s", d.name, got, want)
+			t.Errorf("%s: digest %.16s, golden %.16s", d.name, got, want)
 		}
+	}
+}
+
+// checkGain cross-checks the batch gain: the per-client gains must sum
+// bit-exactly to the fleet total, and the total must match the gain
+// rebuilt from WindowTrace — each window's per-core mean BatchRel times
+// its serving cores — to within 1e-9 relative.
+func checkGain(t *testing.T, r Result) {
+	t.Helper()
+	sum := 0.0
+	for _, cm := range r.Clients {
+		sum += cm.BatchCoreHoursGained
+	}
+	if sum != r.BatchCoreHoursGained {
+		t.Fatalf("client gains sum to %v, fleet gain %v", sum, r.BatchCoreHoursGained)
+	}
+	windowHours := r.WindowSec / 3600
+	want := 0.0
+	for _, o := range r.WindowTrace {
+		for _, co := range o.Clients {
+			want += (co.BatchRel - 1) * float64(co.Cores) * windowHours
+		}
+	}
+	if want == 0 || math.Abs(r.BatchCoreHoursGained-want) > 1e-9*math.Abs(want) {
+		t.Fatalf("fleet gain %v, window trace gives %v", r.BatchCoreHoursGained, want)
 	}
 }
 
 // checkWorkers runs cfg at 1, 5 and 16 workers; every run must reproduce
 // the subtest's golden digest (the one-worker run records it under
-// -update). It returns the one-worker Result.
+// -update), and the one-worker run must pass checkGain. It returns the
+// one-worker Result.
 func checkWorkers(t *testing.T, golden map[string]string, cfg Config) Result {
 	t.Helper()
 	var first Result
@@ -140,6 +167,7 @@ func checkWorkers(t *testing.T, golden map[string]string, cfg Config) Result {
 		if i == 0 {
 			first = res
 			checkDigest(t, golden, res)
+			checkGain(t, res)
 		} else if !reflect.DeepEqual(first, res) {
 			t.Fatalf("run at %d workers diverged from the one-worker run", workers)
 		}

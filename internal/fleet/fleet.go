@@ -6,7 +6,7 @@
 //
 // Execution is window-major and closed-loop (run.go): newEngine resolves
 // the run's constants, the engine advances the whole fleet one monitoring
-// window at a time, and aggregate folds the horizon into a Result. Every
+// window at a time, and aggregate turns the run totals into a Result. Every
 // engine selection runs one execution path. Within a window a serial
 // cohort walk (cohort.go) folds the fleet into spans of identical cores,
 // answers the spans it can in closed form, and hands the per-core
@@ -14,10 +14,11 @@
 // own (seed, core, window)-derived rng stream, so aggregate results are
 // bit-identical for identical seeds regardless of worker count. A barrier
 // then collects the window's measured tails, modes, violations and
-// controller slack into a WindowObservation. That observation is handed
-// to the scheduler's Step for the *next* window, which is what lets
-// latency-aware policies (PolicyFeedback) react to measured violations the
-// way §IV-C's controller reacts to measured slack; the open-loop policies
+// controller slack into a WindowObservation and folds the window into the
+// run totals. The observation is handed to the scheduler's Step for the
+// *next* window, which is what lets latency-aware policies
+// (PolicyFeedback) react to measured violations the way §IV-C's
+// controller reacts to measured slack; the open-loop policies
 // ignore it and reproduce their precomputed schedules exactly. Controller
 // state survives across windows (a core keeps its monitor, shared by
 // value with every core of identical history, until the scheduler hands
@@ -71,10 +72,8 @@ import (
 )
 
 // engine is one run's window-major execution state, built by newEngine.
-// Per-core-per-window records are kept flat (core-major: index
-// core×windows+window) so the final aggregation can replay the exact
-// accumulation order of the former core-major engine, keeping aggregate
-// floats bit-identical.
+// Nothing in it is sized cores × windows: per-core records live for one
+// window, and the barrier folds each window into run totals.
 type engine struct {
 	// cfg is the validated input; est, policy and autoPolicy are its
 	// resolved tail estimator, scheduler policy and autoscaling policy.
@@ -162,17 +161,28 @@ type engine struct {
 	fluidOK  []bool
 	unsteady [][]bool
 
+	// Per-window scratch, indexed by core and read by the barrier: each
+	// serving core's tail, batch credit and B-mode flag, and any error.
 	tails    []float64
 	batchRel []float64
 	modeB    []bool
-	analytic []bool
-	client   []int16
 	errs     []error
+
+	// analyticCW and cohortCW count the window's core-windows answered
+	// analytically and by the cohort walk; the barrier copies them into
+	// the observation. batchCW[client][mode] counts the run's serving
+	// core-windows by the mode whose batch credit they earned, which is
+	// all the batch gain needs: the credit is batchRelMode[client][mode].
+	analyticCW, cohortCW int
+	batchCW              [][3]int64
 
 	// Exact estimator: winSamples holds one reusable per-client sample for
 	// the window observation's tail quantile, filled and drained at each
-	// barrier.
-	winSamples []*stats.Sample
+	// barrier; runSamples and fleetSample keep every serving core-window
+	// tail for the per-client and fleet-wide run quantiles.
+	winSamples  []*stats.Sample
+	runSamples  []*stats.Sample
+	fleetSample *stats.Sample
 
 	// Histogram estimator: each worker records its cores' window tails
 	// into its own per-client shard (shards[worker][client]); the barrier

@@ -33,7 +33,8 @@ type ClientMetrics struct {
 	// serving core-windows: the extra batch work this client's cores
 	// produced versus equal partitioning, in the client's own calibrated
 	// speedup units (or the uniform scalars when no table is set). The
-	// per-client values sum to Result.BatchCoreHoursGained.
+	// per-client values, summed in traffic order, are exactly
+	// Result.BatchCoreHoursGained.
 	BatchCoreHoursGained float64
 }
 
@@ -140,7 +141,8 @@ type Result struct {
 	// BatchCoreHoursGained integrates (batchRel − 1) over every serving
 	// core-window: the extra batch work versus the same schedule run under
 	// equal partitioning, in core-hours. Idle and drained core-windows
-	// contribute nothing to either side.
+	// contribute nothing to either side. It is the sum, in traffic order,
+	// of the per-client ClientMetrics.BatchCoreHoursGained.
 	BatchCoreHoursGained float64
 	// BatchGain is BatchCoreHoursGained normalised by TotalCoreHours: the
 	// fleet-wide batch throughput improvement over equal partitioning.

@@ -132,11 +132,11 @@ func newEngine(cfg Config) (*engine, error) {
 		qcfgs:        qcfgs,
 		perf:         make([]float64, nCores),
 		streams:      make([]rng.Stream, nCores),
-		tails:        make([]float64, nCores*windows),
-		batchRel:     make([]float64, nCores*windows),
-		modeB:        make([]bool, nCores*windows),
-		client:       make([]int16, nCores*windows),
+		tails:        make([]float64, nCores),
+		batchRel:     make([]float64, nCores),
+		modeB:        make([]bool, nCores),
 		errs:         make([]error, nCores),
+		batchCW:      make([][3]int64, n),
 	}
 	e.initCohorts(n)
 	for c := 0; c < nCores; c++ {
@@ -154,7 +154,6 @@ func newEngine(cfg Config) (*engine, error) {
 		// comfortably steady utilization — the refusals that matter here
 		// are rate-independent caps), and the steadiness mask from the
 		// traffic shapes and scenario surges.
-		e.analytic = make([]bool, nCores*windows)
 		e.utilCoef = make([]float64, n)
 		e.unsteady = make([][]bool, n)
 		names := make([]string, n)
@@ -214,9 +213,12 @@ func newEngine(cfg Config) (*engine, error) {
 		e.fleetHist = stats.NewTailHistogram()
 	} else {
 		e.winSamples = make([]*stats.Sample, n)
+		e.runSamples = make([]*stats.Sample, n)
 		for ci := range e.winSamples {
 			e.winSamples[ci] = stats.NewSample(nCores)
+			e.runSamples[ci] = stats.NewSample(0)
 		}
+		e.fleetSample = stats.NewSample(nCores * windows)
 	}
 
 	e.winTrace = make([]WindowObservation, 0, windows)
@@ -293,100 +295,73 @@ func (e *engine) runWindow(w int) error {
 	return nil
 }
 
-// aggregate folds the finished horizon into the Result.
+// aggregate folds the finished horizon into the Result: the counts from
+// the per-window observations, the batch gain from the per-mode counts,
+// and the tails from the run histograms or samples the barriers filled.
 func (e *engine) aggregate() Result {
-	cfg, nCores, windows, n := e.cfg, e.nCores, e.windows, len(e.targets)
-	winTrace := e.winTrace
-
-	// Schedule bookkeeping falls out of the per-window observations.
-	migrations, drainedCoreWindows, parkedCoreWindows, idleCoreWindows := 0, 0, 0, 0
-	analyticCoreWindows, cohortCoreWindows := 0, 0
-	for _, o := range winTrace {
-		migrations += o.Migrations
-		drainedCoreWindows += o.DrainedCores
-		parkedCoreWindows += o.ParkedCores
-		idleCoreWindows += o.IdleCores
-		analyticCoreWindows += o.AnalyticCores
-		cohortCoreWindows += o.CohortCores
-	}
-	initialCores := make([]int, n)
-	if len(winTrace) > 0 {
-		for ci := range initialCores {
-			initialCores[ci] = winTrace[0].Clients[ci].Cores
-		}
-	}
-
-	// Deterministic aggregation in core order — the exact accumulation
-	// order of the former core-major engine, so aggregate floats (and the
-	// golden files derived from them) are bit-identical.
+	cfg, n := e.cfg, len(e.targets)
 	calibHash := ""
 	if cfg.Calibration != nil {
 		calibHash = cfg.Calibration.Hash
 	}
 	res := Result{
-		Cores: nCores, Windows: windows, WindowSec: cfg.Traffic.WindowSec,
-		Policy:              e.policy,
-		Autoscale:           e.autoPolicy,
-		TailEstimator:       e.est,
-		Engine:              cfg.Engine,
-		AnalyticCoreWindows: analyticCoreWindows,
-		AnalyticSolves:      int(e.solves.Load()),
-		CohortCoreWindows:   cohortCoreWindows,
-		CalibrationHash:     calibHash,
-		TotalCoreHours:      float64(nCores) * cfg.Traffic.Hours(),
-		Migrations:          migrations,
-		DrainedCoreWindows:  drainedCoreWindows,
-		ParkedCoreWindows:   parkedCoreWindows,
-		IdleCoreWindows:     idleCoreWindows,
-		WindowTrace:         winTrace,
-		DecisionTrace:       e.decTrace,
+		Cores: e.nCores, Windows: e.windows, WindowSec: cfg.Traffic.WindowSec,
+		Policy:          e.policy,
+		Autoscale:       e.autoPolicy,
+		TailEstimator:   e.est,
+		Engine:          cfg.Engine,
+		AnalyticSolves:  int(e.solves.Load()),
+		CalibrationHash: calibHash,
+		TotalCoreHours:  float64(e.nCores) * cfg.Traffic.Hours(),
+		WindowTrace:     e.winTrace,
+		DecisionTrace:   e.decTrace,
 	}
 	windowHours := cfg.Traffic.WindowSec / 3600
-	// Under the exact estimator the per-client and fleet-wide tails need
-	// every core-window tail retained and sorted; the histogram estimator
-	// already folded them into runHists/fleetHist at the barriers.
-	var perClient []*stats.Sample
-	var fleetSample *stats.Sample
-	if e.est == stats.EstimatorExact {
-		perClient = make([]*stats.Sample, n)
-		for ci := range perClient {
-			perClient[ci] = stats.NewSample(initialCores[ci] * windows)
-		}
-		fleetSample = stats.NewSample(nCores * windows)
-	}
 	cms := make([]ClientMetrics, n)
 	for ci, cl := range cfg.Traffic.Clients {
 		cms[ci] = ClientMetrics{
 			Client: cl.Name, Service: cl.Service, Batch: BatchPairing(cl), SLO: cl.SLO,
-			Cores: initialCores[ci], TargetMs: e.targets[ci],
+			Cores: e.winTrace[0].Clients[ci].Cores, TargetMs: e.targets[ci],
 		}
 	}
-	for c := 0; c < nCores; c++ {
-		for w := 0; w < windows; w++ {
-			idx := c*windows + w
-			ci := e.client[idx]
-			if ci < 0 {
-				continue
-			}
+	for _, o := range e.winTrace {
+		res.Migrations += o.Migrations
+		res.DrainedCoreWindows += o.DrainedCores
+		res.ParkedCoreWindows += o.ParkedCores
+		res.IdleCoreWindows += o.IdleCores
+		res.AnalyticCoreWindows += o.AnalyticCores
+		res.CohortCoreWindows += o.CohortCores
+		res.ViolationWindows += o.Violations
+		for ci, co := range o.Clients {
 			cm := &cms[ci]
-			t := e.tails[idx]
-			if perClient != nil {
-				perClient[ci].Add(t)
-				fleetSample.Add(t)
-			}
-			cm.CoreWindows++
-			if t > e.targets[ci] {
-				cm.ViolationWindows++
-			}
-			if e.modeB[idx] {
+			cm.CoreWindows += co.Cores
+			cm.ViolationWindows += co.Violations
+			// One addition per B-mode core-window: every addend is the
+			// same, so the sum's bits depend only on the count (a product
+			// float64(BCores)·windowHours would round differently).
+			for range co.BCores {
 				cm.EngagedCoreHours += windowHours
 			}
-			// The fleet-wide gain keeps its own accumulator (in core-major
-			// order, part of the byte-identical goldens contract) alongside
-			// the per-client one; per-client gains sum to the fleet total.
-			cm.BatchCoreHoursGained += (e.batchRel[idx] - 1) * windowHours
-			res.BatchCoreHoursGained += (e.batchRel[idx] - 1) * windowHours
 		}
+	}
+	for ci := range cms {
+		cm := &cms[ci]
+		for mode, k := range e.batchCW[ci] {
+			cm.BatchCoreHoursGained += float64(k) * (e.batchRelMode[ci][mode] - 1) * windowHours
+		}
+		// A client squeezed to zero core-windows has an empty sample or
+		// histogram; Quantile reports 0 for it, never NaN.
+		if e.runSamples != nil {
+			cm.P99Ms = e.runSamples[ci].Quantile(0.99)
+			cm.P999Ms = e.runSamples[ci].Quantile(0.999)
+		} else {
+			cm.P99Ms = e.runHists[ci].Quantile(0.99)
+			cm.P999Ms = e.runHists[ci].Quantile(0.999)
+		}
+		res.EngagedCoreHours += cm.EngagedCoreHours
+		res.BatchCoreHoursGained += cm.BatchCoreHoursGained
+	}
+	for c := 0; c < e.nCores; c++ {
 		// Switches banked when the core left past classes, plus its
 		// current class's live count.
 		res.Switches += e.swBase[c]
@@ -394,22 +369,9 @@ func (e *engine) aggregate() Result {
 			res.Switches += e.classes[k].ctl.Switches()
 		}
 	}
-	for ci := range cms {
-		// A client squeezed to zero core-windows has an empty sample or
-		// histogram; Quantile reports 0 for it, never NaN.
-		if perClient != nil {
-			cms[ci].P99Ms = perClient[ci].Quantile(0.99)
-			cms[ci].P999Ms = perClient[ci].Quantile(0.999)
-		} else {
-			cms[ci].P99Ms = e.runHists[ci].Quantile(0.99)
-			cms[ci].P999Ms = e.runHists[ci].Quantile(0.999)
-		}
-		res.ViolationWindows += cms[ci].ViolationWindows
-		res.EngagedCoreHours += cms[ci].EngagedCoreHours
-	}
-	if fleetSample != nil {
-		res.FleetP99Ms = fleetSample.Quantile(0.99)
-		res.FleetP999Ms = fleetSample.Quantile(0.999)
+	if e.fleetSample != nil {
+		res.FleetP99Ms = e.fleetSample.Quantile(0.99)
+		res.FleetP999Ms = e.fleetSample.Quantile(0.999)
 	} else {
 		res.FleetP99Ms = e.fleetHist.Quantile(0.99)
 		res.FleetP999Ms = e.fleetHist.Quantile(0.999)
@@ -432,9 +394,13 @@ func (e *engine) aggregate() Result {
 
 // observe collects the window's measurements behind the barrier, in core
 // order, into the observation record the scheduler sees next window. One
-// pass over the fleet fills the per-client aggregates and tail samples.
+// pass over the fleet fills the per-client aggregates and the window and
+// run tail samples; the window histograms then fold into the run ones.
 func (e *engine) observe(w int, asg Assignment) WindowObservation {
-	o := WindowObservation{Window: w, Clients: make([]ClientWindowObs, len(e.targets))}
+	o := WindowObservation{
+		Window: w, Clients: make([]ClientWindowObs, len(e.targets)),
+		AnalyticCores: e.analyticCW, CohortCores: e.cohortCW,
+	}
 	for c := 0; c < e.nCores; c++ {
 		cl := asg.Client[c]
 		switch {
@@ -446,8 +412,7 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 			o.IdleCores++
 		default:
 			co := &o.Clients[cl]
-			idx := c*e.windows + w
-			t := e.tails[idx]
+			t := e.tails[c]
 			co.Cores++
 			o.ServingCores++
 			co.OfferedRPS += asg.Rate[c]
@@ -459,27 +424,21 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 				co.Violations++
 				o.Violations++
 			}
-			if e.modeB[idx] {
+			if e.modeB[c] {
 				co.BCores++
 				o.BCores++
 			}
-			co.BatchRel += e.batchRel[idx]
+			co.BatchRel += e.batchRel[c]
 			// A class's members share their controller's exact observation
 			// history, so the class Slack IS each member's Slack.
 			co.MeanSlack += e.classes[e.classOf[c]].ctl.Slack()
 			if asg.Migrated[c] {
 				o.Migrations++
 			}
-			if e.analytic != nil && e.analytic[idx] {
-				o.AnalyticCores++
-			}
-			// Discrete zero-rate windows coalesce too but are not counted,
-			// keeping discrete Results equal to their pre-walk goldens.
-			if e.engineSel != EngineDiscrete && (e.analytic[idx] || asg.Rate[c] == 0) {
-				o.CohortCores++
-			}
 			if e.winSamples != nil {
 				e.winSamples[cl].Add(t)
+				e.runSamples[cl].Add(t)
+				e.fleetSample.Add(t)
 			}
 		}
 	}
