@@ -212,11 +212,13 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 		e.fleetHist = stats.NewTailHistogram()
 	} else {
+		// Run samples are sized for the static split; an elastic client
+		// that outgrows it appends.
 		e.winSamples = make([]*stats.Sample, n)
 		e.runSamples = make([]*stats.Sample, n)
-		for ci := range e.winSamples {
+		for ci, k := range assignCores(cfg.Traffic.Clients, nCores) {
 			e.winSamples[ci] = stats.NewSample(nCores)
-			e.runSamples[ci] = stats.NewSample(0)
+			e.runSamples[ci] = stats.NewSample(k * windows)
 		}
 		e.fleetSample = stats.NewSample(nCores * windows)
 	}
