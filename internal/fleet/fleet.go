@@ -72,8 +72,9 @@ import (
 )
 
 // engine is one run's window-major execution state, built by newEngine.
-// Nothing in it is sized cores × windows: per-core records live for one
-// window, and the barrier folds each window into run totals.
+// Per-core records live for one window, and the barrier folds each window
+// into run totals; only the exact estimator's run samples grow with
+// cores × windows, because its quantiles need every tail.
 type engine struct {
 	// cfg is the validated input; est, policy and autoPolicy are its
 	// resolved tail estimator, scheduler policy and autoscaling policy.
