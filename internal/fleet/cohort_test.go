@@ -277,6 +277,47 @@ func TestCohortEquivalenceAutoscale(t *testing.T) {
 	}
 }
 
+// TestCohortEquivalenceTraced pins decision tracing and the
+// counterfactual evaluator: one cell per policy plus the util-autoscale
+// scenario, each on the auto engine at TraceFull with two alternatives per
+// window, so the records carry the per-core assignment, the pressure
+// weights and regret from both the analytic and the discrete evaluator.
+func TestCohortEquivalenceTraced(t *testing.T) {
+	golden := readDigests(t)
+	cells := []struct {
+		name  string
+		sched SchedulerConfig
+		auto  AutoscaleConfig
+	}{
+		{"static", SchedulerConfig{Policy: PolicyStatic}, AutoscaleConfig{}},
+		{"proportional", SchedulerConfig{Policy: PolicyProportional}, AutoscaleConfig{}},
+		{"p2c", SchedulerConfig{Policy: PolicyP2C}, AutoscaleConfig{}},
+		{"feedback", SchedulerConfig{Policy: PolicyFeedback}, AutoscaleConfig{}},
+		{"util-autoscale", SchedulerConfig{Policy: PolicyProportional, NoMinCores: true},
+			AutoscaleConfig{Policy: AutoscaleUtil, MinServers: 1}},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := equivConfig()
+			cfg.Scheduler = c.sched
+			cfg.Autoscale = c.auto
+			cfg.Engine = EngineAuto
+			cfg.DecisionTrace = TraceFull
+			cfg.CounterfactualK = 2
+			res := checkWorkers(t, golden, cfg)
+			if len(res.DecisionTrace) != cfg.Traffic.Windows {
+				t.Fatalf("%d decision records for %d windows", len(res.DecisionTrace), cfg.Traffic.Windows)
+			}
+			if c.auto.Policy != AutoscaleOff && res.ParkedCoreWindows == 0 {
+				t.Fatal("autoscaler parked nothing; the cell is vacuous")
+			}
+		})
+	}
+	if *update {
+		writeDigests(t, golden)
+	}
+}
+
 // TestCohortDiscreteEngineUnaffected: the discrete engine reports no
 // cohort or analytic core-windows, even through serving windows the
 // scheduler routed no load to, and reproduces its committed digest.
