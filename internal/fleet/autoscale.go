@@ -4,11 +4,10 @@
 // the simulator from "what happens with N cores" into the capacity
 // question "how many cores do I need" (plan.go answers it offline).
 //
-// The autoscaler is a stepped interface like the scheduler's allocator:
-// once per window, before the scheduler assigns cores, it is fed the
-// previous window's measured WindowObservation plus the current window's
-// fleet state and returns the number of servers that should be up. The
-// elastic stepper owns the mechanics: it parks surplus servers (their
+// Once per window, before the scheduler assigns cores, the Autoscaler is
+// fed the previous window's measured WindowObservation plus the current
+// window's fleet state and returns the number of servers that should be
+// up. The scheduler owns the mechanics: it parks surplus servers (their
 // cores leave service like a drain, keeping their owner) and unparks them
 // on scale-out. A joining server's cores are cold — they pay the
 // scheduler's migration penalty for their first active window (reduced LS
@@ -94,13 +93,14 @@ type ScaleState struct {
 	DemandCores float64
 }
 
-// Autoscaler is the stepped scaling interface the elastic stepper drives:
-// DesiredServers is called once per window, before cores are assigned,
-// with the previous window's measured observation (nil at window 0) and
-// the current window's state; it returns how many servers should be in
-// service. The stepper clamps the answer to [MinServers,
-// AvailableServers] and parks/unparks deterministically (highest-index
-// servers park first, lowest-index unpark first).
+// Autoscaler decides the fleet size: the scheduler calls DesiredServers
+// once per window, before cores are assigned, with the previous window's
+// measured observation (nil at window 0) and the current window's state;
+// it returns how many servers should be in service. The built-in policies
+// implement it, and AutoscaleConfig.Custom plugs in a caller's own. The
+// scheduler clamps the answer to [MinServers, AvailableServers] and
+// parks/unparks deterministically (highest-index servers park first,
+// lowest-index unpark first).
 type Autoscaler interface {
 	DesiredServers(w int, obs *WindowObservation, st ScaleState) int
 }

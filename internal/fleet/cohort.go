@@ -276,12 +276,13 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 	if s := e.lsSlowMode[ci][mode]; s != 0 {
 		perf *= 1 - s
 	}
+	pen := e.st.sched.MigrationPenalty
 	if mig {
-		perf *= 1 - e.migPenalty
+		perf *= 1 - pen
 	}
 	modeB := mode == core.ModeB
 	credit := mode
-	if modeB && mig && e.migPenalty > 0 {
+	if modeB && mig && pen > 0 {
 		// Warming the new client's working set eats the bonus: the run
 		// earns the equal-partitioning baseline's credit of 1.
 		credit = core.ModeBaseline

@@ -2,7 +2,7 @@
 // replayable data record. The ROADMAP's complaint is that the scheduler's
 // per-window reasoning is opaque — we can show *that* feedback beats
 // proportional on the failover day but not *why*. Tracing answers that by
-// capturing, per window, the signal the allocator acted on (offered
+// capturing, per window, the signal the scheduler acted on (offered
 // demand, pressure weight, measured slack and violations), what it wanted
 // (desired core counts), what it did (cores gained/lost, rebalance vs
 // hysteresis suppression, migrations charged) and — optionally — what it
@@ -10,7 +10,7 @@
 // same window under the k most promising single-core moves and records
 // the regret of the chosen assignment.
 //
-// Tracing is off by default and costs nothing when off: the stepper's hot
+// Tracing is off by default and costs nothing when off: the scheduler's hot
 // path adds one level check per window, and no record is allocated. The
 // trace is part of Result, so the determinism contract extends to it —
 // records are built behind the window barrier on the engine goroutine and
@@ -82,12 +82,12 @@ func ParseTraceLevel(s string) (TraceLevel, error) {
 // ClientDecision is one client's slice of a window's scheduling decision:
 // the allocation it ended up with, how it changed, and the signals that
 // drove the change. Slack and Violations echo the *previous* window's
-// measured observation — the input the allocator actually saw — and are
+// measured observation — the input the scheduler actually saw — and are
 // zero at window 0, where no observation exists yet.
 type ClientDecision struct {
 	// Cores is the client's serving-core count this window; Gained and
 	// Lost are the deltas versus the previous window (never both
-	// positive). Desired is what the allocator asked for before
+	// positive). Desired is what the scheduler asked for before
 	// hysteresis, rebalancing and core availability had their say (equal
 	// to Cores under the static policy, which never asks).
 	Cores, Gained, Lost, Desired int
@@ -153,7 +153,7 @@ type DecisionRecord struct {
 	// and in-service-but-unassigned cores this window; Active counts
 	// in-service cores (serving + idle).
 	Drained, Parked, Idle, Active int
-	// Moves is how many cores the allocator's desired counts would have
+	// Moves is how many cores the scheduler's desired counts would have
 	// moved; Rebalanced says whether the rebalance actually ran, Forced
 	// whether a measured violation pushed it through the hysteresis
 	// threshold, and Suppressed whether hysteresis swallowed a non-zero
@@ -170,29 +170,6 @@ type DecisionRecord struct {
 	// Assignment is the TraceFull per-core snapshot (nil at TraceSummary).
 	Assignment *AssignmentRecord
 }
-
-// decisionTracer is the optional extension a Stepper implements to support
-// decision tracing; the built-in elastic stepper does. Kept separate from
-// Stepper so the stepped-scheduling interface itself stays stable.
-type decisionTracer interface {
-	SetTraceLevel(TraceLevel)
-	// LastDecision returns the record of the most recent Step call; the
-	// pointer is owned by the stepper but the record (and everything it
-	// references) is freshly allocated per Step.
-	LastDecision() *DecisionRecord
-}
-
-// weighted is the optional allocator extension exposing per-client
-// pressure weights for tracing (feedbackAlloc implements it).
-type weighted interface {
-	weights() []float64
-}
-
-// SetTraceLevel enables decision recording on the elastic stepper.
-func (e *elastic) SetTraceLevel(l TraceLevel) { e.trace = l }
-
-// LastDecision returns the record built by the most recent Step.
-func (e *elastic) LastDecision() *DecisionRecord { return e.dec }
 
 // record builds the window's DecisionRecord after the assignment is
 // final. Only called when tracing is on; the previous window's per-client
@@ -227,10 +204,6 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 	if rec.Migrations > 0 {
 		rec.MigrationPenalty = e.sched.MigrationPenalty
 	}
-	var weights []float64
-	if wa, ok := e.alloc.(weighted); ok {
-		weights = wa.weights()
-	}
 	for ci := range rec.Clients {
 		cd := &rec.Clients[ci]
 		cd.Cores = len(e.byClient[ci])
@@ -245,10 +218,7 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 			cd.Desired = cd.Cores
 		}
 		cd.OfferedRPS = e.load[ci]
-		cd.Weight = 1
-		if weights != nil {
-			cd.Weight = weights[ci]
-		}
+		cd.Weight = e.weight[ci]
 		cd.Demand = e.load[ci] / e.sat[ci] * cd.Weight
 		if obs != nil {
 			cd.Slack = obs.Clients[ci].MeanSlack
@@ -325,7 +295,7 @@ func (e *engine) counterfactual(w int, rec *DecisionRecord) error {
 	// active fleet cannot afford it — but never below one, so a move can
 	// never strip a loaded client to zero cores (whose cost the
 	// representative-core model could not express).
-	floor := e.cfMinCores
+	floor := e.st.sched.MinCores
 	if n > 0 && floor > rec.Active/n {
 		floor = rec.Active / n
 	}
@@ -427,9 +397,8 @@ func (e *engine) cfTail(w, ci, cnt int, rate float64) (float64, error) {
 }
 
 // initCounterfactual wires the evaluator's run-constant state.
-func (e *engine) initCounterfactual(k, minCores int, seed uint64) {
+func (e *engine) initCounterfactual(k int, seed uint64) {
 	e.cfK = k
-	e.cfMinCores = minCores
 	e.cfRng = rng.New(seed).Derive(cfLabel)
 	e.cfSim = new(queueing.Simulator)
 	e.cfCache = make(map[cfKey]float64)

@@ -435,3 +435,29 @@ func checkFullReplay(t *testing.T, label string, cfg Config, res Result) {
 		}
 	}
 }
+
+// TestDecisionForcedNotCarriedOver: a window with no in-service cores
+// makes no allocation decision, so it must not report the previous
+// window's Forced flag. Feedback forces a rebalance on the violating
+// traffic, then the whole fleet drains for two windows.
+func TestDecisionForcedNotCarriedOver(t *testing.T) {
+	cfg := feedbackConfig(PolicyFeedback)
+	cfg.DecisionTrace = TraceSummary
+	for s := 0; s < cfg.Servers; s++ {
+		cfg.Scenario.Events = append(cfg.Scenario.Events,
+			loadgen.Event{Kind: loadgen.EventDrain, Window: 6, Server: s},
+			loadgen.Event{Kind: loadgen.EventRestore, Window: 8, Server: s})
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.DecisionTrace[5].Forced {
+		t.Fatal("window 5 was not forced; the test is vacuous")
+	}
+	for _, r := range res.DecisionTrace[6:8] {
+		if r.Active != 0 || r.Forced {
+			t.Errorf("window %d: %d active cores, forced %v; want 0 and false", r.Window, r.Active, r.Forced)
+		}
+	}
+}

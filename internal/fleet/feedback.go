@@ -1,13 +1,14 @@
-// PolicyFeedback: the closed-loop allocator. The paper's core argument
-// (§IV-C) is that Stretch wins by reacting to *measured* tail-latency
-// slack; the open-loop policies can only react to offered load. Feedback
-// keeps a per-client pressure weight that integrates the previous window's
-// measurements — violating core-windows grow a client's weight (stealing
-// cores from the rest of the fleet), while clients whose monitors report
-// tails far below target decay toward a floor and release cores. The
-// weighted demand then flows through the same allocCounts/hysteresis/
-// rebalance machinery as PolicyProportional, so min-core floors and the
-// migration penalty apply unchanged.
+// PolicyFeedback closes the scheduler's loop on measured tails. The
+// paper's core argument (§IV-C) is that Stretch wins by reacting to
+// *measured* tail-latency slack; the open-loop policies can only react to
+// offered load. Feedback moves a per-client pressure weight that
+// integrates the previous window's measurements — violating core-windows
+// grow a client's weight (stealing cores from the rest of the fleet),
+// while clients whose monitors report tails far below target decay toward
+// a floor and release cores. The weighted demand then flows through the
+// same desired/hysteresis/rebalance machinery as PolicyProportional
+// (whose weights stay 1), so min-core floors and the migration penalty
+// apply unchanged.
 package fleet
 
 // Feedback tuning. The constants trade reaction speed against migration
@@ -34,57 +35,37 @@ const (
 	feedbackMaxWeight = 4.0
 )
 
-// feedbackAlloc holds the per-client pressure weights across windows.
-type feedbackAlloc struct {
-	weight []float64
-}
-
-// weights exposes the pressure weights to decision tracing (decision.go);
-// nil until the first desired call.
-func (f *feedbackAlloc) weights() []float64 { return f.weight }
-
-// desired updates the pressure weights from the previous window's
-// observation, then allocates cores proportionally to weighted demand.
-// A measured violation also forces the rebalance through the hysteresis
-// threshold: hysteresis damps churn from *demand drift*, but a violation
-// is direct evidence the current assignment is inadequate — exactly the
-// signal the threshold is a proxy for.
-func (f *feedbackAlloc) desired(e *elastic, _ int, obs *WindowObservation) []int {
-	if f.weight == nil {
-		f.weight = make([]float64, e.n)
-		for ci := range f.weight {
-			f.weight[ci] = 1
+// updateWeights folds the previous window's observation (nil at window
+// 0) into the pressure weights and reports whether a measured violation
+// forces the rebalance through the hysteresis threshold: hysteresis damps
+// churn from *demand drift*, but a violation is direct evidence the
+// current assignment is inadequate — exactly the signal the threshold is
+// a proxy for.
+func (e *elastic) updateWeights(obs *WindowObservation) bool {
+	if obs == nil {
+		return false
+	}
+	for ci := range e.weight {
+		o := obs.Clients[ci]
+		switch {
+		case o.Cores == 0:
+			// No measurement this window: relax toward neutral so a
+			// client squeezed to zero cores recovers its proportional
+			// share instead of starving forever.
+			e.weight[ci] += (1 - e.weight[ci]) * feedbackRelax
+		case o.Violations > 0:
+			e.weight[ci] *= 1 + e.sched.FeedbackGain*float64(o.Violations)/float64(o.Cores)
+		case o.MeanSlack > feedbackSlackRich:
+			e.weight[ci] *= e.sched.FeedbackDecay
+		default:
+			e.weight[ci] += (1 - e.weight[ci]) * feedbackRelax
+		}
+		if e.weight[ci] < feedbackMinWeight {
+			e.weight[ci] = feedbackMinWeight
+		}
+		if e.weight[ci] > feedbackMaxWeight {
+			e.weight[ci] = feedbackMaxWeight
 		}
 	}
-	if obs != nil && obs.Violations > 0 {
-		e.force = true
-	}
-	if obs != nil {
-		for ci := range f.weight {
-			o := obs.Clients[ci]
-			switch {
-			case o.Cores == 0:
-				// No measurement this window: relax toward neutral so a
-				// client squeezed to zero cores recovers its
-				// proportional share instead of starving forever.
-				f.weight[ci] += (1 - f.weight[ci]) * feedbackRelax
-			case o.Violations > 0:
-				f.weight[ci] *= 1 + e.sched.FeedbackGain*float64(o.Violations)/float64(o.Cores)
-			case o.MeanSlack > feedbackSlackRich:
-				f.weight[ci] *= e.sched.FeedbackDecay
-			default:
-				f.weight[ci] += (1 - f.weight[ci]) * feedbackRelax
-			}
-			if f.weight[ci] < feedbackMinWeight {
-				f.weight[ci] = feedbackMinWeight
-			}
-			if f.weight[ci] > feedbackMaxWeight {
-				f.weight[ci] = feedbackMaxWeight
-			}
-		}
-	}
-	for ci := range e.demand {
-		e.demand[ci] = e.load[ci] / e.sat[ci] * f.weight[ci]
-	}
-	return allocCounts(e.demand, e.fracs, e.nActive, e.sched.MinCores)
+	return obs.Violations > 0
 }

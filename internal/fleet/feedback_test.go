@@ -61,40 +61,47 @@ func TestFeedbackStealsFromSlackRich(t *testing.T) {
 	}
 }
 
-// TestFeedbackWeightsReact drives the allocator directly: violations grow
-// a client's weight, slack decays it, and both stay clamped.
+// TestFeedbackWeightsReact drives the pressure weights directly:
+// violations grow a client's weight and force the rebalance, slack decays
+// it, and both stay clamped.
 func TestFeedbackWeightsReact(t *testing.T) {
 	e := &elastic{
-		sched:  SchedulerConfig{Policy: PolicyFeedback}.withDefaults(),
-		n:      2,
-		sat:    []float64{1000, 1000},
-		fracs:  []float64{0.5, 0.5},
-		load:   []float64{500, 500},
-		demand: make([]float64, 2),
+		sched:   SchedulerConfig{Policy: PolicyFeedback}.WithDefaults(),
+		n:       2,
+		sat:     []float64{1000, 1000},
+		fracs:   []float64{0.5, 0.5},
+		load:    []float64{500, 500},
+		demand:  make([]float64, 2),
+		weight:  []float64{1, 1},
+		nActive: 8,
 	}
-	e.nActive = 8
-	f := &feedbackAlloc{}
 
-	// First call (no observation): neutral weights, proportional split.
-	got := f.desired(e, 0, nil)
+	// Window 0 (no observation): neutral weights, proportional split.
+	if e.updateWeights(nil) {
+		t.Fatal("window 0 forced a rebalance without an observation")
+	}
+	got := e.desired()
 	if got[0] != got[1] {
 		t.Fatalf("neutral weights split unevenly: %v", got)
 	}
-	if f.weight[0] != 1 || f.weight[1] != 1 {
-		t.Fatalf("initial weights %v, want 1s", f.weight)
+	if e.weight[0] != 1 || e.weight[1] != 1 {
+		t.Fatalf("weights %v moved without an observation, want 1s", e.weight)
 	}
 
 	// Client 0 violates on half its cores; client 1 is slack-rich.
-	obs := &WindowObservation{Clients: []ClientWindowObs{
+	obs := &WindowObservation{Violations: 2, Clients: []ClientWindowObs{
 		{Cores: 4, Violations: 2},
 		{Cores: 4, MeanSlack: 0.8},
 	}}
-	got = f.desired(e, 1, obs)
-	if f.weight[0] <= 1 {
-		t.Fatalf("violating client's weight %v did not grow", f.weight[0])
+	if !e.updateWeights(obs) {
+		t.Fatal("a measured violation did not force the rebalance")
 	}
-	if f.weight[1] >= 1 {
-		t.Fatalf("slack-rich client's weight %v did not decay", f.weight[1])
+	got = e.desired()
+	if e.weight[0] <= 1 {
+		t.Fatalf("violating client's weight %v did not grow", e.weight[0])
+	}
+	if e.weight[1] >= 1 {
+		t.Fatalf("slack-rich client's weight %v did not decay", e.weight[1])
 	}
 	if got[0] <= got[1] {
 		t.Fatalf("violating client got %d cores <= slack-rich client's %d", got[0], got[1])
@@ -102,13 +109,13 @@ func TestFeedbackWeightsReact(t *testing.T) {
 
 	// Sustained pressure saturates at the clamps, never beyond.
 	for i := 0; i < 100; i++ {
-		f.desired(e, i+2, obs)
+		e.updateWeights(obs)
 	}
-	if f.weight[0] != feedbackMaxWeight {
-		t.Fatalf("weight %v did not clamp at max %v", f.weight[0], feedbackMaxWeight)
+	if e.weight[0] != feedbackMaxWeight {
+		t.Fatalf("weight %v did not clamp at max %v", e.weight[0], feedbackMaxWeight)
 	}
-	if f.weight[1] != feedbackMinWeight {
-		t.Fatalf("weight %v did not clamp at min %v", f.weight[1], feedbackMinWeight)
+	if e.weight[1] != feedbackMinWeight {
+		t.Fatalf("weight %v did not clamp at min %v", e.weight[1], feedbackMinWeight)
 	}
 
 	// A client squeezed to zero cores relaxes back toward neutral rather
@@ -117,10 +124,10 @@ func TestFeedbackWeightsReact(t *testing.T) {
 		{Cores: 8, MeanSlack: 0.8},
 		{Cores: 0},
 	}}
-	before := f.weight[1]
-	f.desired(e, 200, starved)
-	if f.weight[1] <= before {
-		t.Fatalf("starved client's weight %v did not recover from %v", f.weight[1], before)
+	before := e.weight[1]
+	e.updateWeights(starved)
+	if e.weight[1] <= before {
+		t.Fatalf("starved client's weight %v did not recover from %v", e.weight[1], before)
 	}
 }
 

@@ -76,17 +76,14 @@ import (
 // into run totals; only the exact estimator's run samples grow with
 // cores × windows, because its quantiles need every tail.
 type engine struct {
-	// cfg is the validated input; est, policy and autoPolicy are its
-	// resolved tail estimator, scheduler policy and autoscaling policy.
-	cfg        Config
-	est        stats.TailEstimator
-	policy     Policy
-	autoPolicy AutoscalePolicy
+	// cfg is the validated input and est its resolved tail estimator.
+	cfg Config
+	est stats.TailEstimator
 
-	// st is the planned scheduler, stepped once per window; tracer is its
-	// decision-trace view, nil when tracing is off.
-	st     Stepper
-	tracer decisionTracer
+	// st is the scheduler, stepped once per window; it also owns the
+	// resolved scheduler tunings (migration penalty, min-core floor) and
+	// the decision record of the current window.
+	st *elastic
 
 	// The persistent worker pool and one reusable Simulator per worker.
 	pool *workerPool
@@ -98,7 +95,6 @@ type engine struct {
 	decTrace []DecisionRecord
 
 	nCores, windows, windowReq int
-	migPenalty                 float64
 	monCfg                     func(float64) monitor.Config
 	engineSel                  Engine
 
@@ -146,11 +142,11 @@ type engine struct {
 	// the Step call, so worker count cannot touch it), a per-window
 	// (client, count) → tail cache, and the per-client load scratch; its
 	// analytic solves share solveCache.
-	cfK, cfMinCores int
-	cfRng           *rng.Stream
-	cfSim           *queueing.Simulator
-	cfCache         map[cfKey]float64
-	cfLoad          []float64
+	cfK     int
+	cfRng   *rng.Stream
+	cfSim   *queueing.Simulator
+	cfCache map[cfKey]float64
+	cfLoad  []float64
 
 	// Fluid fast-path classification inputs, resolved once per run:
 	// utilCoef[ci] turns a per-core rate into a utilization (util =

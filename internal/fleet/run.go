@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -32,10 +31,9 @@ func Run(cfg Config) (Result, error) {
 }
 
 // newEngine validates cfg and resolves everything a run holds constant:
-// per-client service configs and performance deltas, the planned
-// scheduler, per-core perf factors and rng streams, the classifier
-// inputs, the estimator's shards, and the worker pool. Callers must close
-// the engine.
+// per-client service configs and performance deltas, the scheduler,
+// per-core perf factors and rng streams, the classifier inputs, the
+// estimator's shards, and the worker pool. Callers must close the engine.
 func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -58,9 +56,6 @@ func newEngine(cfg Config) (*engine, error) {
 	if est == stats.EstimatorDefault {
 		est = stats.EstimatorHistogram
 	}
-	sched := cfg.Scheduler.withDefaults()
-	auto := cfg.Autoscale.withDefaults()
-
 	timelines, err := cfg.Traffic.Timelines(cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -97,21 +92,8 @@ func newEngine(cfg Config) (*engine, error) {
 		}
 	}
 
-	st := newStepper(sched, auto)
-	var tracer decisionTracer
-	if cfg.DecisionTrace != TraceOff {
-		dt, ok := st.(decisionTracer)
-		if !ok {
-			return nil, fmt.Errorf("fleet: scheduler does not support decision tracing")
-		}
-		dt.SetTraceLevel(cfg.DecisionTrace)
-		tracer = dt
-	}
-	if err := st.Plan(PlanInput{
-		Servers: cfg.Servers, CoresPerServer: cfg.CoresPerServer,
-		Traffic: cfg.Traffic, Timelines: timelines,
-		Scenario: cfg.Scenario, Seed: cfg.Seed,
-	}); err != nil {
+	st, err := newScheduler(cfg, timelines)
+	if err != nil {
 		return nil, err
 	}
 
@@ -121,10 +103,8 @@ func newEngine(cfg Config) (*engine, error) {
 	root := rng.New(cfg.Seed).Derive(0xF1EE7)
 	perfGen := cfg.Scenario.PerfFactors(cfg.Servers)
 	e := &engine{
-		cfg: cfg, est: est, policy: sched.Policy, autoPolicy: auto.Policy,
-		st: st, tracer: tracer,
-		nCores: nCores, windows: windows, windowReq: windowReq,
-		migPenalty: sched.MigrationPenalty, monCfg: monCfg,
+		cfg: cfg, est: est, st: st,
+		nCores: nCores, windows: windows, windowReq: windowReq, monCfg: monCfg,
 		engineSel:    cfg.Engine,
 		lsSlowMode:   lsSlowMode,
 		batchRelMode: batchRelMode,
@@ -175,7 +155,7 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 
 	if cfg.CounterfactualK > 0 {
-		e.initCounterfactual(cfg.CounterfactualK, sched.MinCores, cfg.Seed)
+		e.initCounterfactual(cfg.CounterfactualK, cfg.Seed)
 	}
 
 	workers := cfg.Workers
@@ -224,7 +204,7 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 
 	e.winTrace = make([]WindowObservation, 0, windows)
-	if tracer != nil {
+	if cfg.DecisionTrace != TraceOff {
 		e.decTrace = make([]DecisionRecord, 0, windows)
 	}
 
@@ -246,12 +226,12 @@ func (e *engine) runWindow(w int) error {
 		obs = &e.winTrace[w-1]
 	}
 	asg := e.st.Step(w, obs)
-	if e.tracer != nil {
+	if e.st.trace != TraceOff {
 		// Capture (and counterfactually evaluate) the decision before
 		// the worker pool runs: the record and the evaluator live on
 		// the engine goroutine only, so the trace — like every other
 		// aggregate — cannot depend on the worker count.
-		rec := e.tracer.LastDecision()
+		rec := e.st.dec
 		if e.cfK > 0 {
 			if err := e.counterfactual(w, rec); err != nil {
 				return err
@@ -308,8 +288,8 @@ func (e *engine) aggregate() Result {
 	}
 	res := Result{
 		Cores: e.nCores, Windows: e.windows, WindowSec: cfg.Traffic.WindowSec,
-		Policy:          e.policy,
-		Autoscale:       e.autoPolicy,
+		Policy:          cfg.Scheduler.Policy,
+		Autoscale:       cfg.Autoscale.Policy,
 		TailEstimator:   e.est,
 		Engine:          cfg.Engine,
 		AnalyticSolves:  int(e.solves.Load()),

@@ -1,13 +1,13 @@
 // The fleet scheduler decides, window by window, which client each SMT
 // core serves and at what arrival rate — turning the §VI-D observation
 // that Stretch's value comes from *reacting to load* into a first-class,
-// replayable policy. Since the engine went window-major, the scheduler is a
-// stateful stepped interface (Stepper): Plan fixes the static inputs, then
-// Step is called once per window — with the previous window's *measured*
-// observation — and returns the window's assignment. The open-loop
-// policies (static, proportional, p2c) decide from offered load alone and
-// ignore the observation, so their schedules are bit-identical to the
-// former precomputed plan; PolicyFeedback (feedback.go) closes the loop on
+// replayable policy. One concrete type, elastic, serves every policy:
+// newScheduler fixes the static inputs, then the engine calls Step once
+// per window — with the previous window's *measured* observation — and
+// gets the window's assignment back. The open-loop policies (static,
+// proportional, p2c) decide from offered load alone and ignore the
+// observation, so their schedules are bit-identical to the former
+// precomputed plan; PolicyFeedback (feedback.go) closes the loop on
 // measured tails. Scheduling draws only from its own seed-derived rng
 // stream, never from simulation randomness, so results stay bit-identical
 // for identical seeds regardless of the worker count.
@@ -127,13 +127,10 @@ const (
 	defaultMigrationPenalty = 0.25
 )
 
-// WithDefaults returns the config with every zero field resolved to the
-// value a run would actually use — what newStepper sees, and what search
-// reports so tunings never show as zero placeholders.
-func (s SchedulerConfig) WithDefaults() SchedulerConfig { return s.withDefaults() }
-
-// withDefaults fills zero fields unless they are explicitly pinned to zero.
-func (s SchedulerConfig) withDefaults() SchedulerConfig {
+// WithDefaults resolves every zero field to the value a run actually
+// uses, unless a No* flag pins it to zero — what newScheduler sees, and
+// what search reports so tunings never show as zero placeholders.
+func (s SchedulerConfig) WithDefaults() SchedulerConfig {
 	if s.MinCores == 0 && !s.NoMinCores {
 		s.MinCores = defaultMinCores
 	}
@@ -204,68 +201,14 @@ type Assignment struct {
 	Migrated []bool
 }
 
-// PlanInput carries the static scheduler inputs, fixed before the first
-// window: fleet shape, traffic spec with its materialised per-client
-// timelines, scenario events and the experiment seed.
-type PlanInput struct {
-	Servers, CoresPerServer int
-	Traffic                 loadgen.Traffic
-	// Timelines maps each client name to its per-window offered load
-	// (already drawn from the seed).
-	Timelines map[string][]float64
-	Scenario  loadgen.Scenario
-	Seed      uint64
-}
-
-// Stepper is the stateful, stepped scheduling interface the window-major
-// engine drives. Plan consumes the static inputs once; Step is then called
-// for every window in order, receiving the previous window's measured
-// observation (nil at window 0), and returns the window's assignment.
-// Policies are free to ignore the observation (the open-loop policies do)
-// or to close the loop on it (PolicyFeedback).
-type Stepper interface {
-	Plan(in PlanInput) error
-	Step(w int, obs *WindowObservation) Assignment
-}
-
-// newStepper builds the Stepper for the configured policy and autoscaler.
-// Both configs must already carry defaults.
-func newStepper(sched SchedulerConfig, auto AutoscaleConfig) Stepper {
-	e := &elastic{sched: sched, auto: newAutoscaler(auto), autoMin: auto.MinServers}
-	switch sched.Policy {
-	case PolicyProportional, PolicyP2C:
-		e.alloc = demandAlloc{}
-	case PolicyFeedback:
-		e.alloc = &feedbackAlloc{}
-	}
-	return e
-}
-
-// allocator computes the per-client desired core counts for the elastic
-// policies; a nil allocator means static ownership (cores never move).
-type allocator interface {
-	desired(e *elastic, w int, obs *WindowObservation) []int
-}
-
-// demandAlloc is the open-loop proportional allocation shared by
-// PolicyProportional and PolicyP2C: cores in proportion to each client's
-// SLO-weighted offered load.
-type demandAlloc struct{}
-
-func (demandAlloc) desired(e *elastic, _ int, _ *WindowObservation) []int {
-	for ci := range e.demand {
-		e.demand[ci] = e.load[ci] / e.sat[ci]
-	}
-	return allocCounts(e.demand, e.fracs, e.nActive, e.sched.MinCores)
-}
-
-// elastic implements Stepper for every built-in policy; the policies
-// differ only in the allocator hook (and p2c's routing). All scratch state
-// is owned by the stepper, so Step performs no per-window allocations
-// beyond the allocator's count slice.
+// elastic is the fleet scheduler for every built-in policy; the policies
+// differ only in how desired core counts are weighted (PolicyFeedback's
+// pressure weights, feedback.go), whether cores move at all (not under
+// PolicyStatic) and p2c's routing. All scratch state is owned by the
+// scheduler, so Step performs no per-window allocations beyond the
+// desired count slice.
 type elastic struct {
 	sched   SchedulerConfig
-	alloc   allocator
 	auto    Autoscaler // nil when autoscaling is off
 	autoMin int        // in-service server floor for the autoscaler
 
@@ -288,14 +231,13 @@ type elastic struct {
 	joined    []bool // per-server: unparked this window (pays warm-up)
 	load      []float64
 	demand    []float64
-	cur       []int
-	byClient  [][]int
-	per       []float64 // p2c routing scratch
-	nActive   int
-	// force is set by the allocator to push the rebalance through the
-	// hysteresis threshold (PolicyFeedback on a measured violation); it is
-	// cleared every Step.
-	force bool
+	// weight is each client's pressure weight on its demand: 1 unless
+	// PolicyFeedback's closed loop moves it.
+	weight   []float64
+	cur      []int
+	byClient [][]int
+	per      []float64 // p2c routing scratch
+	nActive  int
 
 	// Decision tracing (decision.go): prevCount holds the previous
 	// window's per-client core counts for the gained/lost deltas, dec the
@@ -308,24 +250,32 @@ type elastic struct {
 	asg Assignment
 }
 
-// Plan materialises the static schedule inputs: demand normalisation, the
-// scenario's drain/surge matrices, and the window-0 ownership from the
-// static Fraction split.
-func (e *elastic) Plan(in PlanInput) error {
-	nCores := in.Servers * in.CoresPerServer
-	clients := in.Traffic.Clients
+// newScheduler builds the scheduler for cfg from the per-client offered
+// load timelines (already drawn from the seed): it resolves the scheduler
+// and autoscale defaults, the demand normalisation, the scenario's
+// drain/surge matrices, and the window-0 ownership from the static
+// Fraction split.
+func newScheduler(cfg Config, timelines map[string][]float64) (*elastic, error) {
+	auto := cfg.Autoscale.withDefaults()
+	nCores := cfg.Servers * cfg.CoresPerServer
+	clients := cfg.Traffic.Clients
 	n := len(clients)
-	e.nCores, e.coresPerServer, e.windows, e.n = nCores, in.CoresPerServer, in.Traffic.Windows, n
+	e := &elastic{
+		sched: cfg.Scheduler.WithDefaults(), auto: newAutoscaler(auto), autoMin: auto.MinServers,
+		nCores: nCores, coresPerServer: cfg.CoresPerServer, windows: cfg.Traffic.Windows, n: n,
+		trace: cfg.DecisionTrace,
+	}
 
 	names := make([]string, n)
 	e.rates = make([][]float64, n)
 	e.sat = make([]float64, n)
 	e.fracs = make([]float64, n)
+	e.weight = make([]float64, n)
 	for i, c := range clients {
 		names[i] = c.Name
-		tl, ok := in.Timelines[c.Name]
+		tl, ok := timelines[c.Name]
 		if !ok || len(tl) < e.windows {
-			return fmt.Errorf("fleet: client %q has no %d-window timeline", c.Name, e.windows)
+			return nil, fmt.Errorf("fleet: client %q has no %d-window timeline", c.Name, e.windows)
 		}
 		e.rates[i] = tl
 		svc := workload.Services()[c.Service]
@@ -335,9 +285,10 @@ func (e *elastic) Plan(in PlanInput) error {
 		// relaxed one, whose slack the batch side can harvest instead.
 		e.sat[i] = float64(svc.Workers) * 1000 / svc.MeanServiceMs * c.SLO.Scale()
 		e.fracs[i] = c.Fraction
+		e.weight[i] = 1
 	}
-	e.drained = in.Scenario.DrainMask(in.Servers, e.windows)
-	e.surge = in.Scenario.SurgeMatrix(names, e.windows)
+	e.drained = cfg.Scenario.DrainMask(cfg.Servers, e.windows)
+	e.surge = cfg.Scenario.SurgeMatrix(names, e.windows)
 
 	// Owners start from the static Fraction split; elastic policies adjust
 	// them window by window. Drained cores keep their owner so a restored
@@ -354,14 +305,14 @@ func (e *elastic) Plan(in PlanInput) error {
 		e.owner[idx] = coreIdle
 	}
 
-	e.route = rng.New(in.Seed).Derive(0x70C2)
+	e.route = rng.New(cfg.Seed).Derive(0x70C2)
 	e.active = make([]bool, nCores)
 	// The planned window-0 owners are the baseline: like window 0 itself,
 	// a core's first window on its planned client is free.
 	e.lastOwner = make([]int16, nCores)
 	copy(e.lastOwner, e.owner)
-	e.parked = make([]bool, in.Servers)
-	e.joined = make([]bool, in.Servers)
+	e.parked = make([]bool, cfg.Servers)
+	e.joined = make([]bool, cfg.Servers)
 	e.load = make([]float64, n)
 	e.demand = make([]float64, n)
 	e.cur = make([]int, n)
@@ -371,13 +322,15 @@ func (e *elastic) Plan(in PlanInput) error {
 		Rate:     make([]float64, nCores),
 		Migrated: make([]bool, nCores),
 	}
-	return nil
+	return e, nil
 }
 
-// Step decides window w: compute offered load, let the autoscaler
-// park/unpark servers, compose that with the scenario drain mask, let the
-// allocator move cores (behind the hysteresis threshold), then route each
-// client's load across its in-service cores.
+// Step decides window w from the previous window's measured observation
+// (nil at window 0): compute offered load, let the autoscaler park/unpark
+// servers, compose that with the scenario drain mask, move cores toward
+// the desired counts (behind the hysteresis threshold; never under
+// PolicyStatic), then route each client's load across its in-service
+// cores.
 func (e *elastic) Step(w int, obs *WindowObservation) Assignment {
 	nCores, n := e.nCores, e.n
 	for ci := 0; ci < n; ci++ {
@@ -403,8 +356,8 @@ func (e *elastic) Step(w int, obs *WindowObservation) Assignment {
 
 	var desired []int
 	moves := 0
-	rebalanced := false
-	if e.alloc != nil && nActive > 0 {
+	forced, rebalanced := false, false
+	if e.sched.Policy != PolicyStatic && nActive > 0 {
 		for ci := range e.cur {
 			e.cur[ci] = 0
 		}
@@ -413,14 +366,16 @@ func (e *elastic) Step(w int, obs *WindowObservation) Assignment {
 				e.cur[e.owner[c]]++
 			}
 		}
-		e.force = false
-		desired = e.alloc.desired(e, w, obs)
+		if e.sched.Policy == PolicyFeedback {
+			forced = e.updateWeights(obs)
+		}
+		desired = e.desired()
 		for ci := range desired {
 			if d := desired[ci] - e.cur[ci]; d > 0 {
 				moves += d
 			}
 		}
-		if drainChanged || (e.force && moves > 0) ||
+		if drainChanged || (forced && moves > 0) ||
 			float64(moves) > e.sched.Hysteresis*float64(nActive) {
 			rebalance(e.owner, e.active, e.cur, desired)
 			rebalanced = true
@@ -493,9 +448,19 @@ func (e *elastic) Step(w int, obs *WindowObservation) Assignment {
 		}
 	}
 	if e.trace != TraceOff {
-		e.record(w, obs, desired, moves, e.force, rebalanced, moves > 0 && !rebalanced)
+		e.record(w, obs, desired, moves, forced, rebalanced, moves > 0 && !rebalanced)
 	}
 	return e.asg
+}
+
+// desired divides the in-service cores across clients in proportion to
+// weighted demand: offered load over the per-core saturation rate, times
+// the client's pressure weight.
+func (e *elastic) desired() []int {
+	for ci := range e.demand {
+		e.demand[ci] = e.load[ci] / e.sat[ci] * e.weight[ci]
+	}
+	return allocCounts(e.demand, e.fracs, e.nActive, e.sched.MinCores)
 }
 
 // autoscale runs one scaling decision: build the fleet state, ask the

@@ -58,7 +58,7 @@ func TestSchedulerConfigValidate(t *testing.T) {
 // semantics: a zero field still defaults (so existing configs keep their
 // meaning), while the No* flags pin the zero as literal.
 func TestSchedulerConfigZeroVsUnset(t *testing.T) {
-	d := (SchedulerConfig{}).withDefaults()
+	d := (SchedulerConfig{}).WithDefaults()
 	if d.MinCores != defaultMinCores || d.Hysteresis != defaultHysteresis ||
 		d.MigrationPenalty != defaultMigrationPenalty {
 		t.Fatalf("zero config did not default: %+v", d)
@@ -67,12 +67,12 @@ func TestSchedulerConfigZeroVsUnset(t *testing.T) {
 	if err := z.Validate(); err != nil {
 		t.Fatalf("explicit-zero config rejected: %v", err)
 	}
-	zd := z.withDefaults()
+	zd := z.WithDefaults()
 	if zd.MinCores != 0 || zd.Hysteresis != 0 || zd.MigrationPenalty != 0 {
 		t.Fatalf("explicit zeros were overwritten by defaults: %+v", zd)
 	}
 	// Non-zero values pass through untouched either way.
-	nz := SchedulerConfig{MinCores: 3, Hysteresis: 0.5, MigrationPenalty: 0.4}.withDefaults()
+	nz := SchedulerConfig{MinCores: 3, Hysteresis: 0.5, MigrationPenalty: 0.4}.WithDefaults()
 	if nz.MinCores != 3 || nz.Hysteresis != 0.5 || nz.MigrationPenalty != 0.4 {
 		t.Fatalf("non-zero fields rewritten: %+v", nz)
 	}
@@ -231,7 +231,7 @@ type testPlan struct {
 	idleCoreWindows    int
 }
 
-// mustPlan drives the stepped scheduler over the whole horizon via the
+// mustPlan drives the scheduler over the whole horizon via the
 // same path Run uses (open loop: no observations) and records the result.
 func mustPlan(t *testing.T, cfg Config) *testPlan {
 	t.Helper()
@@ -242,12 +242,8 @@ func mustPlan(t *testing.T, cfg Config) *testPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newStepper(cfg.Scheduler.withDefaults(), cfg.Autoscale.withDefaults())
-	if err := st.Plan(PlanInput{
-		Servers: cfg.Servers, CoresPerServer: cfg.CoresPerServer,
-		Traffic: cfg.Traffic, Timelines: tls,
-		Scenario: cfg.Scenario, Seed: cfg.Seed,
-	}); err != nil {
+	st, err := newScheduler(cfg, tls)
+	if err != nil {
 		t.Fatal(err)
 	}
 	nCores := cfg.Servers * cfg.CoresPerServer

@@ -75,7 +75,7 @@ func SearchSchedulers(suite []Config, cands []SchedulerConfig, w FitnessWeights)
 	outs := make([]SearchOutcome, 0, len(cands))
 	for _, cand := range cands {
 		out := SearchOutcome{
-			Scheduler: cand.withDefaults(),
+			Scheduler: cand.WithDefaults(),
 			PerTrace:  make([]float64, len(suite)),
 		}
 		for ti, cfg := range suite {

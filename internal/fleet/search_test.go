@@ -19,7 +19,7 @@ func TestSearchGridContainsHandTuned(t *testing.T) {
 		}
 		// No two candidates may resolve to the same effective scheduler,
 		// or the sweep wastes runs and the ranking shows twins.
-		eff := cand.withDefaults()
+		eff := cand.WithDefaults()
 		if seen[eff] {
 			t.Fatalf("duplicate effective candidate %+v", eff)
 		}

@@ -23,7 +23,7 @@
 //     datacenter-scale simulation of thousands of controller-governed SMT
 //     cores (Fleet, FleetConfig) — the §VI-D cluster studies scaled from
 //     one core to a fleet — executed window-major with a measurement
-//     barrier per window, scheduled by a pluggable stepped policy
+//     barrier per window, scheduled by a per-window policy
 //     (Scheduler: static, elastic proportional, power-of-two-choices, and
 //     closed-loop feedback on measured tails) under replayable scenario
 //     events (FleetScenario: server drains and restores, traffic surges,
