@@ -171,8 +171,11 @@ func (a AutoscaleConfig) withDefaults() AutoscaleConfig {
 }
 
 // Validate rejects unusable tunings against a concrete fleet. Zero fields
-// are legal (defaulted).
+// are legal (defaulted); the utilisation band is checked as a run would
+// use it, after defaults, so one bound set past the other's default is
+// rejected too.
 func (a AutoscaleConfig) Validate(servers int) error {
+	d := a.withDefaults()
 	switch {
 	case a.Policy < AutoscaleOff || a.Policy > AutoscaleViolation:
 		return fmt.Errorf("fleet: unknown autoscale policy %d", int(a.Policy))
@@ -183,8 +186,8 @@ func (a AutoscaleConfig) Validate(servers int) error {
 		return nil
 	case a.MinServers < 0 || a.MinServers > servers:
 		return fmt.Errorf("fleet: autoscale min %d servers outside fleet [0,%d]", a.MinServers, servers)
-	case a.TargetLow < 0 || a.TargetHigh < 0 || (a.TargetLow != 0 && a.TargetHigh != 0 && a.TargetLow >= a.TargetHigh):
-		return fmt.Errorf("fleet: autoscale utilisation band [%v,%v] invalid", a.TargetLow, a.TargetHigh)
+	case !(0 <= d.TargetLow && d.TargetLow < d.TargetHigh):
+		return fmt.Errorf("fleet: autoscale utilisation band [%v,%v] invalid", d.TargetLow, d.TargetHigh)
 	case a.StepServers < 0 || a.Cooldown < 0 || a.ViolationOut < 0 || a.SlackWindows < 0:
 		return fmt.Errorf("fleet: negative autoscale tuning")
 	}

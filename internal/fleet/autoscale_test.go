@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -43,6 +44,10 @@ func TestAutoscaleConfigValidate(t *testing.T) {
 		{Policy: AutoscaleUtil, MinServers: 5},
 		{Policy: AutoscaleUtil, TargetLow: 0.8, TargetHigh: 0.5},
 		{Policy: AutoscaleUtil, TargetLow: -0.1},
+		{Policy: AutoscaleUtil, TargetLow: 0.9},  // past the default high of 0.75
+		{Policy: AutoscaleUtil, TargetHigh: 0.3}, // below the default low of 0.45
+		{Policy: AutoscaleUtil, TargetLow: math.NaN()},
+		{Policy: AutoscaleUtil, TargetHigh: math.NaN()},
 		{Policy: AutoscaleUtil, StepServers: -1},
 		{Policy: AutoscaleUtil, Cooldown: -1},
 		{Policy: AutoscaleViolation, ViolationOut: -1},

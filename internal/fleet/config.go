@@ -123,13 +123,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: %d clients need at least as many cores (have %d)",
 			len(c.Traffic.Clients), c.Servers*c.CoresPerServer)
 	}
-	if c.BatchSpeedupB < 0 {
-		return fmt.Errorf("fleet: negative B-mode batch speedup")
+	// The uniform deltas are checked in the NaN-rejecting form; an infinite
+	// speedup would make the batch gain, and so the Result, infinite.
+	if !(0 <= c.BatchSpeedupB && c.BatchSpeedupB < math.Inf(1)) {
+		return fmt.Errorf("fleet: B-mode batch speedup %v not finite and non-negative", c.BatchSpeedupB)
 	}
-	if c.LSSlowdownB < 0 || c.LSSlowdownB >= 1 {
+	if !(0 <= c.LSSlowdownB && c.LSSlowdownB < 1) {
 		return fmt.Errorf("fleet: B-mode LS slowdown %v out of [0,1)", c.LSSlowdownB)
 	}
-	if c.QModeBatchCost < 0 || c.QModeBatchCost >= 1 {
+	if !(0 <= c.QModeBatchCost && c.QModeBatchCost < 1) {
 		return fmt.Errorf("fleet: Q-mode batch cost %v out of [0,1)", c.QModeBatchCost)
 	}
 	if c.WindowRequests < 0 {

@@ -303,6 +303,30 @@ func TestValidateClientLimit(t *testing.T) {
 	}
 }
 
+// TestValidateUniformDeltas: the uniform B-/Q-mode deltas reject NaN,
+// and the batch speedup +Inf, instead of running to a NaN or infinite
+// batch gain.
+func TestValidateUniformDeltas(t *testing.T) {
+	if err := lowLoadConfig().Validate(); err != nil {
+		t.Fatalf("base config rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"speedup NaN", func(c *Config) { c.BatchSpeedupB = math.NaN() }},
+		{"speedup +Inf", func(c *Config) { c.BatchSpeedupB = math.Inf(1) }},
+		{"slowdown NaN", func(c *Config) { c.LSSlowdownB = math.NaN() }},
+		{"Q cost NaN", func(c *Config) { c.QModeBatchCost = math.NaN() }},
+	} {
+		cfg := lowLoadConfig()
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
 func TestAssignCores(t *testing.T) {
 	mk := func(fracs ...float64) []loadgen.Client {
 		out := make([]loadgen.Client, len(fracs))

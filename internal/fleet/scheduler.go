@@ -149,20 +149,21 @@ func (s SchedulerConfig) WithDefaults() SchedulerConfig {
 	return s
 }
 
-// Validate rejects unusable tunings. Zero fields are legal (defaulted).
+// Validate rejects unusable tunings, NaN included. Zero fields are legal
+// (defaulted).
 func (s SchedulerConfig) Validate() error {
 	switch {
 	case s.Policy < PolicyStatic || s.Policy > PolicyFeedback:
 		return fmt.Errorf("fleet: unknown scheduler policy %d", int(s.Policy))
 	case s.MinCores < 0:
 		return fmt.Errorf("fleet: negative min-core floor")
-	case s.Hysteresis < 0 || s.Hysteresis >= 1:
+	case !(0 <= s.Hysteresis && s.Hysteresis < 1):
 		return fmt.Errorf("fleet: hysteresis %v out of [0,1)", s.Hysteresis)
-	case s.MigrationPenalty < 0 || s.MigrationPenalty >= 1:
+	case !(0 <= s.MigrationPenalty && s.MigrationPenalty < 1):
 		return fmt.Errorf("fleet: migration penalty %v out of [0,1)", s.MigrationPenalty)
-	case s.FeedbackGain < 0:
-		return fmt.Errorf("fleet: negative feedback gain %v", s.FeedbackGain)
-	case s.FeedbackDecay < 0 || s.FeedbackDecay > 1:
+	case !(0 <= s.FeedbackGain):
+		return fmt.Errorf("fleet: feedback gain %v is negative or NaN", s.FeedbackGain)
+	case !(0 <= s.FeedbackDecay && s.FeedbackDecay <= 1):
 		return fmt.Errorf("fleet: feedback decay %v out of [0,1]", s.FeedbackDecay)
 	case s.NoMinCores && s.MinCores != 0:
 		return fmt.Errorf("fleet: NoMinCores contradicts MinCores=%d", s.MinCores)

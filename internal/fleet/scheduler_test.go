@@ -43,6 +43,10 @@ func TestSchedulerConfigValidate(t *testing.T) {
 		{Hysteresis: 1},
 		{MigrationPenalty: -0.5},
 		{MigrationPenalty: 1},
+		{Hysteresis: math.NaN()},
+		{MigrationPenalty: math.NaN()},
+		{FeedbackGain: math.NaN()},
+		{FeedbackDecay: math.NaN()},
 		{NoMinCores: true, MinCores: 2},
 		{NoHysteresis: true, Hysteresis: 0.2},
 		{NoMigrationPenalty: true, MigrationPenalty: 0.1},
