@@ -236,16 +236,16 @@ func BenchmarkFleet10kCores(b *testing.B) {
 }
 
 // BenchmarkFleet100kCores runs the same diurnal day at 100k cores under
-// the auto engine: steady windows answered by the analytic fluid fast
-// path, transitional ones (cold starts, mode switches, guard-band
-// excursions) on the discrete simulator.
+// the auto engine: steady windows answered by the analytic fast path,
+// transitional ones (cold starts, mode switches, excursions above the
+// solver's utilization ceiling) on the discrete simulator.
 func BenchmarkFleet100kCores(b *testing.B) {
 	cfg := benchFleetConfig(6250, EstimatorDefault) // 100000 cores
 	cfg.Engine = EngineAuto
 	benchFleet(b, cfg)
 }
 
-// BenchmarkFleet1MCores is the fluid fast path's tentpole scale target:
+// BenchmarkFleet1MCores is the analytic fast path's tentpole scale target:
 // a 1M-core × 24h fleet day under the auto engine in under a minute.
 func BenchmarkFleet1MCores(b *testing.B) {
 	cfg := benchFleetConfig(62500, EstimatorDefault) // 1000000 cores

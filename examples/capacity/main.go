@@ -102,7 +102,7 @@ func main() {
 	fmt.Printf("minimum capacity: %d servers = %d cores (%d violations ≤ %d)\n\n",
 		plan.Servers, plan.Cores, plan.ViolationWindows, plan.Budget)
 
-	// The same sizing on the fluid fast path: the auto engine answers
+	// The same sizing on the analytic fast path: the auto engine answers
 	// steady core-windows in closed form and must land on a capacity the
 	// discrete plan corroborates.
 	autoPlan, autoWall := planWith(stretch.EngineAuto)

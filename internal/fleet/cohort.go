@@ -294,27 +294,17 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 		e.modeB[c] = modeB
 	}
 
-	// The steadiness classifier. Fluid takes the analytic path wherever it
-	// is sound; auto additionally demands a steady window — settled mode,
-	// no migration cold-start, no burst/surge turbulence, and utilization
-	// inside the guard band. fluidOK is all false under the discrete
-	// engine. A solver refusal drops the whole span to the discrete
-	// residue, never errors the run.
+	// The steadiness classifier: auto takes the analytic path on a steady
+	// window — settled mode, no migration cold-start, no burst/surge
+	// turbulence, and utilization within the solver's ceiling. analyticOK
+	// is all false under the discrete engine. A solver refusal drops the
+	// whole span to the discrete residue, never errors the run.
 	tail, analytic, coalesced := 0.0, false, false
 	if rate > 0 {
-		if e.fluidOK[ci] {
-			util := rate * e.utilCoef[ci] / perf
-			var steady bool
-			if e.engineSel == EngineFluid {
-				steady = util < queueing.AnalyticMaxUtilization
-			} else {
-				steady = util <= autoSteadyMaxUtil && int8(mode) == e.classes[k].lastMode &&
-					!mig && !e.unsteady[ci][w]
-			}
-			if steady {
-				if t, ok := e.analyticTail(ci, rate, perf); ok {
-					tail, analytic, coalesced = t, true, true
-				}
+		if e.analyticOK[ci] && rate*e.utilCoef[ci]/perf <= queueing.AnalyticMaxUtilization &&
+			int8(mode) == e.classes[k].lastMode && !mig && !e.unsteady[ci][w] {
+			if t, ok := e.analyticTail(ci, rate, perf); ok {
+				tail, analytic, coalesced = t, true, true
 			}
 		}
 	} else {

@@ -218,7 +218,7 @@ func equivConfig() Config {
 func TestCohortEquivalence(t *testing.T) {
 	golden := readDigests(t)
 	policies := []Policy{PolicyStatic, PolicyProportional, PolicyP2C, PolicyFeedback}
-	engines := []Engine{EngineDiscrete, EngineAuto, EngineFluid}
+	engines := []Engine{EngineDiscrete, EngineAuto}
 	estimators := []stats.TailEstimator{stats.EstimatorHistogram, stats.EstimatorExact}
 	for _, pol := range policies {
 		for _, eng := range engines {
@@ -248,7 +248,7 @@ func TestCohortEquivalence(t *testing.T) {
 // counts, each against its committed digest.
 func TestCohortEquivalenceAutoscale(t *testing.T) {
 	golden := readDigests(t)
-	for _, eng := range []Engine{EngineDiscrete, EngineAuto, EngineFluid} {
+	for _, eng := range []Engine{EngineDiscrete, EngineAuto} {
 		for _, est := range []stats.TailEstimator{stats.EstimatorHistogram, stats.EstimatorExact} {
 			t.Run(fmt.Sprintf("%v/%v", eng, est), func(t *testing.T) {
 				cfg := equivConfig()

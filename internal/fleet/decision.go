@@ -259,9 +259,9 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 // Determinism: the evaluator draws its seed from (Seed, window, client)
 // only, reuses one dedicated Simulator, and — identical seeds per (w, ci)
 // across allocations — compares alternatives under common random numbers.
-// Under the fluid/auto engines it answers eligible (in-band utilization,
-// structurally solvable) evaluations from the analytic fast path instead,
-// exactly like the main engine's steady windows.
+// Under the auto engine it answers eligible (utilization within the
+// analytic ceiling, structurally solvable) evaluations from the analytic
+// fast path instead, exactly like the main engine's steady windows.
 
 // cfLabel derives the counterfactual evaluator's rng branch from the
 // experiment seed, disjoint from the simulation (0xF1EE7) and scheduler
@@ -371,14 +371,15 @@ func (e *engine) cfCost(w int, counts []int) (float64, error) {
 }
 
 // cfTail answers one (client, core-count) evaluation: from the window
-// cache, the analytic fast path (fluid/auto engines, in-band utilization)
-// or the dedicated discrete simulator seeded by (Seed, window, client).
+// cache, the analytic fast path (auto engine, utilization within the
+// analytic ceiling) or the dedicated discrete simulator seeded by (Seed,
+// window, client).
 func (e *engine) cfTail(w, ci, cnt int, rate float64) (float64, error) {
 	k := cfKey{ci, cnt}
 	if t, ok := e.cfCache[k]; ok {
 		return t, nil
 	}
-	if e.fluidOK[ci] && rate*e.utilCoef[ci] <= autoSteadyMaxUtil {
+	if e.analyticOK[ci] && rate*e.utilCoef[ci] <= queueing.AnalyticMaxUtilization {
 		if t, ok := e.analyticTail(int16(ci), rate, 1); ok {
 			e.cfCache[k] = t
 			return t, nil

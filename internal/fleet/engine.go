@@ -1,4 +1,4 @@
-// Engine selection: the fluid fast path. A steady core-window — stationary
+// Engine selection: the analytic fast path. A steady core-window — stationary
 // arrival rate, settled controller mode, no migration cold-start, no burst
 // or surge turbulence — is fully described by its queueing equilibrium, so
 // the engine can answer it with queueing.AnalyticTail instead of simulating
@@ -11,7 +11,7 @@
 // The engine selection changes no execution path: every engine runs the
 // cohort walk (cohort.go), and the selection only sets what its
 // steadiness classifier may answer analytically — nothing under discrete,
-// every sound window under fluid, steady windows under auto.
+// steady windows under auto.
 package fleet
 
 import (
@@ -29,17 +29,14 @@ const (
 	// EngineDiscrete runs every core-window through the event-level
 	// queueing simulator — the default, byte-identical to all results
 	// predating the engine selector.
-	EngineDiscrete Engine = iota
-	// EngineFluid forces the analytic solver wherever it is sound
-	// (utilization under the analytic ceiling, service within the
-	// solver's structural caps) and falls back to the discrete simulator
-	// only where it is not.
-	EngineFluid
+	EngineDiscrete Engine = 0
 	// EngineAuto classifies each (core, window): steady windows take the
 	// analytic fast path, transitional windows — mode switch, migration
-	// cold-start, burst or surge turbulence, utilization above the guard
-	// band — keep full discrete fidelity.
-	EngineAuto
+	// cold-start, burst or surge turbulence, utilization above
+	// queueing.AnalyticMaxUtilization — keep full discrete fidelity. Its
+	// value stays 2 although 1 is unused: Result.Engine is JSON-encoded as
+	// an int, so renumbering would change every auto Result digest.
+	EngineAuto Engine = 2
 )
 
 // String names the engine.
@@ -47,8 +44,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineDiscrete:
 		return "discrete"
-	case EngineFluid:
-		return "fluid"
 	case EngineAuto:
 		return "auto"
 	default:
@@ -59,31 +54,22 @@ func (e Engine) String() string {
 // Validate rejects unknown engine values.
 func (e Engine) Validate() error {
 	switch e {
-	case EngineDiscrete, EngineFluid, EngineAuto:
+	case EngineDiscrete, EngineAuto:
 		return nil
 	}
 	return fmt.Errorf("fleet: unknown engine %d", int(e))
 }
 
-// ParseEngine resolves an engine name (discrete|fluid|auto).
+// ParseEngine resolves an engine name (discrete|auto).
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "discrete":
 		return EngineDiscrete, nil
-	case "fluid":
-		return EngineFluid, nil
 	case "auto":
 		return EngineAuto, nil
 	}
-	return 0, fmt.Errorf("fleet: unknown engine %q (discrete|fluid|auto)", s)
+	return 0, fmt.Errorf("fleet: unknown engine %q (discrete|auto)", s)
 }
-
-// autoSteadyMaxUtil is the auto engine's guard band: at or below this
-// utilization a steady window takes the analytic path. It sits below
-// queueing.AnalyticMaxUtilization because auto promises discrete-grade
-// answers, and the solver's calibration envelope (documented by
-// queueing.TestAnalyticMatchesDiscrete) is validated through 0.85.
-const autoSteadyMaxUtil = 0.85
 
 // analyticCacheLimit bounds the run's shared solve cache; a fleet day
 // offers only as many distinct (client, rate, perf) triples as the traffic
@@ -100,10 +86,10 @@ const analyticCacheLimit = 1 << 16
 // worker counts even though the cache is shared. The sampleEquiv passed to
 // the solver makes the analytic quantile reproduce the discrete window's
 // finite-sample rank convention rather than improve on it. A solver
-// refusal (utilization raced past the ceiling between classification and
-// solve, structural caps) is cached as NaN and reported as !ok: the caller
-// falls back to the discrete path. First insertions of successful solves
-// feed Result.AnalyticSolves.
+// refusal (the solver's own utilization rounding past the ceiling the
+// classifier passed, structural caps) is cached as NaN and reported as
+// !ok: the caller falls back to the discrete path. First insertions of
+// successful solves feed Result.AnalyticSolves.
 func (e *engine) analyticTail(ci int16, rate, perf float64) (float64, bool) {
 	k := queueing.TailKey{Service: int32(ci), Rate: math.Float64bits(rate), Perf: math.Float64bits(perf)}
 	if v, hit := e.solveCache.Lookup(k); hit {

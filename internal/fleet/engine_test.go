@@ -15,7 +15,7 @@ func TestEngineParse(t *testing.T) {
 	}{
 		{"", EngineDiscrete, true},
 		{"discrete", EngineDiscrete, true},
-		{"fluid", EngineFluid, true},
+		{"fluid", 0, false},
 		{"auto", EngineAuto, true},
 		{"nope", 0, false},
 		{"Auto", 0, false},
@@ -26,11 +26,10 @@ func TestEngineParse(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	if err := Engine(99).Validate(); err == nil {
-		t.Error("Engine(99) validated")
-	}
-	if got := EngineFluid.String(); got != "fluid" {
-		t.Errorf("EngineFluid.String() = %q", got)
+	for _, e := range []Engine{1, 99} {
+		if err := e.Validate(); err == nil {
+			t.Errorf("Engine(%d) validated", int(e))
+		}
 	}
 }
 
@@ -101,7 +100,7 @@ func TestFleetAutoClassifier(t *testing.T) {
 		t.Fatalf("%d analytic core-windows exceeds the %d cold-start ceiling", auto.AnalyticCoreWindows, max)
 	}
 
-	// A recurring burst keeps its windows discrete even under fluid-eligible
+	// A recurring burst keeps its windows discrete even under solver-eligible
 	// load: bursty windows must never be answered analytically.
 	burst := autoLoadConfig()
 	burst.Traffic.Clients[0].Spec.Shape = loadgen.Burst{
@@ -123,25 +122,5 @@ func TestFleetAutoClassifier(t *testing.T) {
 	}
 	if max := auto.Cores * (burst.Traffic.Windows - unsteady - 1); bres.AnalyticCoreWindows > max {
 		t.Fatalf("%d analytic core-windows exceeds the %d steady-window ceiling", bres.AnalyticCoreWindows, max)
-	}
-}
-
-// TestFleetFluidForcesAnalytic: the fluid engine answers every sound
-// serving window analytically — only the utilization ceiling and solver
-// refusals fall back — so on an in-envelope constant load the analytic
-// share must be total.
-func TestFleetFluidForcesAnalytic(t *testing.T) {
-	cfg := lowLoadConfig()
-	cfg.Engine = EngineFluid
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serving := res.Cores*cfg.Traffic.Windows - res.DrainedCoreWindows - res.ParkedCoreWindows - res.IdleCoreWindows
-	if res.AnalyticCoreWindows != serving {
-		t.Fatalf("fluid answered %d of %d serving core-windows analytically", res.AnalyticCoreWindows, serving)
-	}
-	if res.Clients[0].P99Ms <= 0 {
-		t.Fatalf("fluid run produced no tail: %+v", res.Clients[0])
 	}
 }

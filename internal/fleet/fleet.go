@@ -148,15 +148,15 @@ type engine struct {
 	cfCache map[cfKey]float64
 	cfLoad  []float64
 
-	// Fluid fast-path classification inputs, resolved once per run:
+	// Analytic fast-path classification inputs, resolved once per run:
 	// utilCoef[ci] turns a per-core rate into a utilization (util =
-	// rate·utilCoef/perf), fluidOK[ci] records whether the client's
+	// rate·utilCoef/perf), analyticOK[ci] records whether the client's
 	// service is inside the analytic solver's structural caps, and
 	// unsteady[ci][w] flags windows with burst or surge turbulence, which
 	// auto keeps on the discrete path.
-	utilCoef []float64
-	fluidOK  []bool
-	unsteady [][]bool
+	utilCoef   []float64
+	analyticOK []bool
+	unsteady   [][]bool
 
 	// Per-window scratch, indexed by core and read by the barrier: each
 	// serving core's tail, batch credit and B-mode flag, and any error.

@@ -106,7 +106,7 @@ type Result struct {
 	TailEstimator stats.TailEstimator
 	// Engine echoes the engine the run used; AnalyticCoreWindows counts
 	// the core-windows it answered analytically (zero under discrete —
-	// and the fraction of the horizon the fluid fast path absorbed
+	// and the fraction of the horizon the analytic fast path absorbed
 	// otherwise, which is what the speedup is proportional to).
 	Engine              Engine
 	AnalyticCoreWindows int

@@ -123,10 +123,10 @@ func newEngine(cfg Config) (*engine, error) {
 		e.perf[c] = perfGen[c/cfg.CoresPerServer]
 		e.streams[c] = *root.Derive(uint64(c))
 	}
-	// fluidOK gates the steadiness classifier; all false under the
+	// analyticOK gates the steadiness classifier; all false under the
 	// discrete engine, so the cohort walk sends every positive-rate span
 	// to the discrete residue.
-	e.fluidOK = make([]bool, n)
+	e.analyticOK = make([]bool, n)
 	if cfg.Engine != EngineDiscrete {
 		e.solveCache = queueing.NewTailCache(analyticCacheLimit)
 		// Resolve the classification inputs: per-client utilization
@@ -145,7 +145,7 @@ func newEngine(cfg Config) (*engine, error) {
 			e.utilCoef[ci] = queueing.Utilization(qcfgs[ci], 1, 1)
 			if e.utilCoef[ci] > 0 && !math.IsInf(e.utilCoef[ci], 0) {
 				_, err := queueing.Analytic(qcfgs[ci], 0.1/e.utilCoef[ci], 1)
-				e.fluidOK[ci] = err == nil
+				e.analyticOK[ci] = err == nil
 			}
 			e.unsteady[ci] = make([]bool, windows)
 			for w := 0; w < windows; w++ {
@@ -167,7 +167,7 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	// One reusable Simulator per worker: the queueing heaps and sample
 	// buffers live across the whole horizon. Analytic solves under the
-	// fluid/auto engines go through the shared striped cache wired above.
+	// auto engine go through the shared striped cache wired above.
 	e.sims = make([]*queueing.Simulator, workers)
 	for i := range e.sims {
 		e.sims[i] = new(queueing.Simulator)

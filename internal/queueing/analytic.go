@@ -1,6 +1,6 @@
-// Analytic is the fluid fast path behind the fleet engine's Engine
-// selector: a closed-form steady-state solution of the same bursty M/G/k
-// system Simulate realises event by event. It exists because a steady
+// Analytic is the fast path behind the fleet's auto engine: a closed-form
+// steady-state solution of the same bursty M/G/k system Simulate realises
+// event by event. It exists because a steady
 // window — stationary arrival rate, fixed mode, no warm-up — is fully
 // described by its queueing equilibrium, so simulating hundreds of
 // requests per core-window to estimate a tail quantile is wasted work at
@@ -39,10 +39,14 @@ import (
 
 const (
 	// AnalyticMaxUtilization is the soundness ceiling of the closed-form
-	// solver: above it the heavy-traffic approximations degrade and the
-	// equilibrium itself takes longer than a window to reach, so callers
-	// (the fleet's fluid/auto engines) must keep the discrete simulator.
-	AnalyticMaxUtilization = 0.95
+	// solver, and the one utilization limit of the fleet's auto engine:
+	// its steadiness classifier and counterfactual evaluator answer
+	// analytically only at or below it. The solver's accuracy envelope
+	// (TestAnalyticMatchesDiscrete) is validated through this point; above
+	// it the heavy-traffic approximations degrade and the equilibrium
+	// itself takes longer than a window to reach, so the solver refuses
+	// and callers keep the discrete simulator.
+	AnalyticMaxUtilization = 0.85
 	// maxAnalyticWorkers bounds the Erlang busy-distribution recurrence:
 	// beyond it the a^i/i! terms approach float64 overflow and the O(k)
 	// solve stops being cheap. Larger pools fall back to the simulator.
@@ -87,8 +91,8 @@ type expComp struct {
 
 // Utilization returns the offered request load over service capacity,
 // ρ = λ·E[S]/k, for the configured service at the given arrival rate and
-// perf factor — the steadiness signal the fleet's engine classifier
-// compares against its guard band and AnalyticMaxUtilization.
+// perf factor — the steadiness signal the fleet's auto classifier
+// compares against AnalyticMaxUtilization.
 func Utilization(cfg Config, ratePerSec, perfFactor float64) float64 {
 	if cfg.Workers <= 0 || perfFactor <= 0 {
 		return math.Inf(1)
@@ -108,7 +112,7 @@ func Utilization(cfg Config, ratePerSec, perfFactor float64) float64 {
 // analytically filled stats.Histogram with the standard tail geometry
 // regardless of cfg.Estimator, so they sit on the same bucket-midpoint
 // grid as a histogram-estimator simulation. It errors when the system is
-// outside the solver's soundness envelope (utilization at or above
+// outside the solver's soundness envelope (utilization above
 // AnalyticMaxUtilization, oversized worker pools or bursts, service CV
 // beyond the calibrated range): those regimes need the discrete
 // simulator.
@@ -188,8 +192,8 @@ func analyticSolve(cfg Config, ratePerSec, perfFactor float64) (*stats.Histogram
 	lam := ratePerSec / 1000 * eg        // request arrival rate, per ms
 	rho := lam * es / float64(k)         // utilization
 	kmu := float64(k) / es               // service-pool drain rate, per ms
-	if rho >= AnalyticMaxUtilization {
-		return nil, 0, fmt.Errorf("queueing: utilization %.3f at or above analytic ceiling %v", rho, AnalyticMaxUtilization)
+	if rho > AnalyticMaxUtilization {
+		return nil, 0, fmt.Errorf("queueing: utilization %.3f above analytic ceiling %v", rho, AnalyticMaxUtilization)
 	}
 
 	// Erlang-B recurrence on the offered request load a = kρ, then
