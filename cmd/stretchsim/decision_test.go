@@ -37,10 +37,13 @@ func TestSearchGolden(t *testing.T) {
 		t.Skip("21-candidate sweep over the 7-day trace")
 	}
 	p := searchParams{
-		traces: weekTracePath, servers: 4, cores: 4,
-		estimator: "histogram", engine: "discrete",
-		hours: 24, wph: 4, windowReq: 60, seed: 1,
-		bSpeedup: 0.13, lsSlowdown: 0.07,
+		fleetParams: fleetParams{
+			servers: 4, cores: 4,
+			estimator: "histogram", engine: "discrete",
+			hours: 24, wph: 4, windowReq: 60, seed: 1,
+			bSpeedup: 0.13, lsSlowdown: 0.07,
+		},
+		traces: weekTracePath,
 	}
 	weights, err := fleet.ParseFitnessWeights(p.weights)
 	if err != nil {

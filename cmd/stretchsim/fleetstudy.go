@@ -4,6 +4,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -18,7 +19,8 @@ import (
 	"stretch/internal/workload"
 )
 
-// fleetParams mirrors the -fleet flag set.
+// fleetParams mirrors the -fleet flag set; plan and search embed it for
+// the run flags they share.
 type fleetParams struct {
 	servers, cores  int
 	trace           string
@@ -39,6 +41,20 @@ type fleetParams struct {
 	cohortStats     bool
 	traceLevel      string
 	counterfactualK int
+}
+
+// addRunFlags registers the run flags -fleet, plan and search share into
+// p; windowReq is the -window-requests default.
+func addRunFlags(fs *flag.FlagSet, p *fleetParams, windowReq int) {
+	fs.StringVar(&p.estimator, "tail-estimator", "histogram", "tail quantile estimator (histogram|exact)")
+	fs.StringVar(&p.engine, "engine", "discrete", "window engine — discrete event simulation, or per-window auto classification that answers steady windows analytically (discrete|auto)")
+	fs.StringVar(&p.calib, "calib", "", "per-(service,batch,mode) calibration from the cycle-level model: \"default\" for the committed table, a .json path for an on-disk cache (built on miss), empty for uniform scalars")
+	fs.StringVar(&p.events, "events", "", "scenario events overriding the trace's embedded or default annotations, e.g. \"drain:24:0,restore:72:0,surge:30-40:video:1.8,perf:3:0.85\"")
+	fs.IntVar(&p.windowReq, "window-requests", windowReq, "simulated requests per core-window")
+	fs.Uint64Var(&p.seed, "seed", 1, "experiment seed")
+	fs.IntVar(&p.workers, "fleet-workers", 0, "goroutine pool size per run (0 = GOMAXPROCS)")
+	fs.Float64Var(&p.bSpeedup, "b-speedup", 0.13, "measured B-mode batch speedup")
+	fs.Float64Var(&p.lsSlowdown, "ls-slowdown", 0.07, "measured B-mode LS slowdown")
 }
 
 // fleetTraces lists the named traffic specs.
@@ -192,6 +208,9 @@ func buildFleetConfig(p *fleetParams) (fleet.Config, error) {
 	traceLevel, err := fleet.ParseTraceLevel(p.traceLevel)
 	if err != nil {
 		return fleet.Config{}, err
+	}
+	if p.windowReq <= 0 {
+		return fleet.Config{}, fmt.Errorf("non-positive -window-requests %d", p.windowReq)
 	}
 	if p.counterfactualK < 0 {
 		return fleet.Config{}, fmt.Errorf("negative -counterfactual-k %d", p.counterfactualK)
@@ -356,7 +375,7 @@ func formatFleetResult(p fleetParams, cfg fleet.Config, res fleet.Result) string
 		fmt.Fprintf(&b, "fleet-wide tail over all serving core-windows: p99 %.1f ms, p99.9 %.1f ms (histogram estimator)\n",
 			res.FleetP99Ms, res.FleetP999Ms)
 	}
-	// The engine line only appears on fluid/auto runs, so discrete golden
+	// The engine line only appears on auto runs, so discrete golden
 	// files keep reproducing byte-identically.
 	if res.Engine != fleet.EngineDiscrete {
 		serving := res.Cores*res.Windows - res.DrainedCoreWindows - res.ParkedCoreWindows - res.IdleCoreWindows

@@ -8,26 +8,26 @@
 //	stretchsim -experiment fig9 [-scale full]
 //	stretchsim -experiment all [-scale quick]
 //	stretchsim -fleet [-servers 64] [-cores 16] [-trace mixed|<file>]
-//	           [-policy static|proportional|p2c|feedback] [-events "drain:24:0,..."]
+//	           [-policy static|proportional|p2c|feedback]
 //	           [-autoscale off|util|violation] [-autoscale-min 1]
-//	           [-tail-estimator histogram|exact] [-engine discrete|fluid|auto]
-//	           [-calib default|<path.json>]
-//	           [-hours 24] [-windows-per-hour 4] [-window-requests 400]
-//	           [-seed 1] [-fleet-workers 0] [-window-trace]
+//	           [-hours 24] [-windows-per-hour 4] [-window-trace] [-cohort-stats]
 //	           [-trace-level off|summary|full] [-counterfactual-k 0]
-//	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [run flags]
 //	stretchsim synth [-spec mixed] [-servers 64] [-cores 16] [-hours 168]
 //	           [-windows-per-hour 4] [-seed 1] [-arrival gamma:1.5]
 //	           [-cohorts 4:1:6] [-events "..."] [-format csv|jsonl] [-o week.trace.csv]
 //	stretchsim plan -trace week.trace.csv [-budget 0] [-cores 16]
-//	           [-min-servers 1] [-max-servers 64] [-policy feedback]
-//	           [-tail-estimator histogram|exact] [-engine discrete|fluid|auto]
-//	           [-calib default|<path.json>]
-//	           [-window-requests 400] [-seed 1] [-fleet-workers 0]
+//	           [-min-servers 1] [-max-servers 64] [-policy feedback] [run flags]
 //	stretchsim search [-traces week.trace.csv,failover] [-servers 4] [-cores 4]
 //	           [-weights viol=1,batch=0.5,migr=0.05,fair=25] [-top 0]
-//	           [-tail-estimator histogram|exact] [-hours 24]
-//	           [-windows-per-hour 4] [-window-requests 150] [-seed 1]
+//	           [-hours 24] [-windows-per-hour 4] [run flags]
+//
+// The run flags are shared by -fleet, plan and search (addRunFlags):
+//
+//	[-tail-estimator histogram|exact] [-engine discrete|auto]
+//	[-calib default|<path.json>] [-events "drain:24:0,..."]
+//	[-window-requests 400 (search: 150)] [-seed 1] [-fleet-workers 0]
+//	[-b-speedup 0.13] [-ls-slowdown 0.07]
 //
 // A -trace value that is not a named spec is replayed from that trace
 // file (as written by synth or by fleet tooling recording production
@@ -69,31 +69,24 @@ func main() {
 		exp   = flag.String("experiment", "all", "experiment id (e.g. fig9) or 'all'")
 		scale = flag.String("scale", "quick", "experiment scale: quick or full")
 
-		fleetMode  = flag.Bool("fleet", false, "run a datacenter-scale fleet study instead of experiments")
-		servers    = flag.Int("servers", 64, "fleet: number of servers")
-		cores      = flag.Int("cores", 16, "fleet: SMT cores per server")
-		traceName  = flag.String("trace", "mixed", "fleet: traffic source — a named spec (websearch|video|mixed|failover) or a trace file path to replay")
-		policy     = flag.String("policy", "static", "fleet: scheduler policy (static|proportional|p2c|feedback)")
-		autoscale  = flag.String("autoscale", "off", "fleet: autoscaling policy (off|util|violation) — servers join/leave the fleet between windows")
-		autoMin    = flag.Int("autoscale-min", 0, "fleet: autoscaler's in-service server floor (0 = default 1)")
-		estimator  = flag.String("tail-estimator", "histogram", "fleet: tail quantile estimator (histogram|exact)")
-		engine     = flag.String("engine", "discrete", "fleet: window engine — discrete event simulation, the analytic fluid fast path, or per-window auto classification (discrete|fluid|auto)")
-		calibFlag  = flag.String("calib", "", "fleet: per-(service,batch,mode) calibration from the cycle-level model: \"default\" for the committed table, a .json path for an on-disk cache (built on miss), empty for uniform scalars")
-		events     = flag.String("events", "", "fleet: scenario events, e.g. \"drain:24:0,restore:72:0,surge:30-40:video:1.8,perf:3:0.85\" (failover trace has a built-in default)")
-		hours      = flag.Float64("hours", 24, "fleet: horizon in hours")
-		wph        = flag.Int("windows-per-hour", 4, "fleet: monitoring windows per hour")
-		windowReq  = flag.Int("window-requests", 400, "fleet: simulated requests per core-window")
-		seed       = flag.Uint64("seed", 1, "fleet: experiment seed")
-		fleetWork  = flag.Int("fleet-workers", 0, "fleet: goroutine pool size (0 = GOMAXPROCS)")
-		bSpeedup   = flag.Float64("b-speedup", 0.13, "fleet: measured B-mode batch speedup")
-		lsSlowdown = flag.Float64("ls-slowdown", 0.07, "fleet: measured B-mode LS slowdown")
-		winTrace   = flag.Bool("window-trace", false, "fleet: print the per-window fleet series (cores, tails, violations per client)")
-		cohStats   = flag.Bool("cohort-stats", false, "fleet: add the cohort fast-path line (coalesced core-windows, hit rate, distinct analytic solves) to the report")
-		traceLevel = flag.String("trace-level", "off", "fleet: decision-trace level (off|summary|full) — records every scheduling decision and prints the decision-trace report")
-		cfK        = flag.Int("counterfactual-k", 0, "fleet: evaluate up to K alternative assignments per traced window and report the chosen assignment's regret (needs -trace-level)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file before exiting")
+		fleetMode = flag.Bool("fleet", false, "run a datacenter-scale fleet study instead of experiments")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file before exiting")
 	)
+	var fp fleetParams
+	flag.IntVar(&fp.servers, "servers", 64, "fleet: number of servers")
+	flag.IntVar(&fp.cores, "cores", 16, "fleet: SMT cores per server")
+	flag.StringVar(&fp.trace, "trace", "mixed", "fleet: traffic source — a named spec (websearch|video|mixed|failover) or a trace file path to replay")
+	flag.StringVar(&fp.policy, "policy", "static", "fleet: scheduler policy (static|proportional|p2c|feedback)")
+	flag.StringVar(&fp.autoscale, "autoscale", "off", "fleet: autoscaling policy (off|util|violation) — servers join/leave the fleet between windows")
+	flag.IntVar(&fp.autoMin, "autoscale-min", 0, "fleet: autoscaler's in-service server floor (0 = default 1)")
+	flag.Float64Var(&fp.hours, "hours", 24, "fleet: horizon in hours")
+	flag.IntVar(&fp.wph, "windows-per-hour", 4, "fleet: monitoring windows per hour")
+	flag.BoolVar(&fp.windowTrace, "window-trace", false, "fleet: print the per-window fleet series (cores, tails, violations per client)")
+	flag.BoolVar(&fp.cohortStats, "cohort-stats", false, "fleet: add the cohort fast-path line (coalesced core-windows, hit rate, distinct analytic solves) to the report")
+	flag.StringVar(&fp.traceLevel, "trace-level", "off", "fleet: decision-trace level (off|summary|full) — records every scheduling decision and prints the decision-trace report")
+	flag.IntVar(&fp.counterfactualK, "counterfactual-k", 0, "fleet: evaluate up to K alternative assignments per traced window and report the chosen assignment's regret (needs -trace-level)")
+	addRunFlags(flag.CommandLine, &fp, 400)
 	flag.Parse()
 
 	if *cpuProf != "" {
@@ -124,17 +117,7 @@ func main() {
 	}
 
 	if *fleetMode {
-		runFleet(fleetParams{
-			servers: *servers, cores: *cores, trace: *traceName,
-			policy: *policy, autoscale: *autoscale, autoMin: *autoMin,
-			events: *events, estimator: *estimator, engine: *engine,
-			calib: *calibFlag,
-			hours: *hours, wph: *wph, windowReq: *windowReq,
-			seed: *seed, workers: *fleetWork,
-			bSpeedup: *bSpeedup, lsSlowdown: *lsSlowdown,
-			windowTrace: *winTrace, cohortStats: *cohStats,
-			traceLevel: *traceLevel, counterfactualK: *cfK,
-		})
+		runFleet(fp)
 		return
 	}
 

@@ -16,22 +16,12 @@ import (
 	"stretch/internal/fleet"
 )
 
-// planParams mirrors the plan flag set.
+// planParams mirrors the plan flag set: the shared run flags plus the
+// search range and the SLO budget.
 type planParams struct {
-	trace                  string
-	cores                  int
+	fleetParams
 	minServers, maxServers int
 	budget                 int
-	policy                 string
-	estimator              string
-	engine                 string
-	calib                  string
-	events                 string
-	windowReq              int
-	seed                   uint64
-	workers                int
-	bSpeedup               float64
-	lsSlowdown             float64
 }
 
 // buildPlanSpec materialises the plan parameters into a capacity spec,
@@ -46,13 +36,8 @@ func buildPlanSpec(p planParams) (fleet.CapacitySpec, float64, error) {
 		return fleet.CapacitySpec{}, 0, fmt.Errorf(
 			"plan needs a recorded trace file; spec %q sizes its load to the fleet (synth it first)", p.trace)
 	}
-	fp := fleetParams{
-		servers: p.maxServers, cores: p.cores, trace: p.trace,
-		policy: p.policy, events: p.events, estimator: p.estimator,
-		engine: p.engine, calib: p.calib, windowReq: p.windowReq,
-		seed: p.seed, workers: p.workers,
-		bSpeedup: p.bSpeedup, lsSlowdown: p.lsSlowdown,
-	}
+	fp := p.fleetParams
+	fp.servers = p.maxServers
 	cfg, err := buildFleetConfig(&fp)
 	if err != nil {
 		return fleet.CapacitySpec{}, 0, err
@@ -102,15 +87,7 @@ func runPlan(args []string) {
 	fs.IntVar(&p.maxServers, "max-servers", 64, "search ceiling: largest fleet considered")
 	fs.IntVar(&p.budget, "budget", 0, "SLO budget: largest tolerable count of QoS-violating core-windows over the horizon")
 	fs.StringVar(&p.policy, "policy", "feedback", "scheduler policy each probe runs (static|proportional|p2c|feedback)")
-	fs.StringVar(&p.estimator, "tail-estimator", "histogram", "tail quantile estimator (histogram|exact)")
-	fs.StringVar(&p.engine, "engine", "discrete", "window engine each probe runs (discrete|fluid|auto)")
-	fs.StringVar(&p.calib, "calib", "", "per-(service,batch,mode) calibration: \"default\", a .json cache path, or empty for uniform scalars")
-	fs.StringVar(&p.events, "events", "", "scenario events overriding the trace's embedded annotations")
-	fs.IntVar(&p.windowReq, "window-requests", 400, "simulated requests per core-window")
-	fs.Uint64Var(&p.seed, "seed", 1, "experiment seed (the planned capacity is seed-independent for recorded traces)")
-	fs.IntVar(&p.workers, "fleet-workers", 0, "goroutine pool size (0 = GOMAXPROCS)")
-	fs.Float64Var(&p.bSpeedup, "b-speedup", 0.13, "measured B-mode batch speedup")
-	fs.Float64Var(&p.lsSlowdown, "ls-slowdown", 0.07, "measured B-mode LS slowdown")
+	addRunFlags(fs, &p.fleetParams, 400)
 	fs.Parse(args)
 
 	if p.trace == "" {

@@ -16,11 +16,13 @@ import (
 // per window; the 1-server point sits below that regime.
 func weekPlanParams() planParams {
 	return planParams{
-		trace: weekTracePath, cores: 4,
+		fleetParams: fleetParams{
+			trace: weekTracePath, cores: 4,
+			policy: "feedback", estimator: "histogram",
+			windowReq: 150, seed: 1,
+			bSpeedup: 0.13, lsSlowdown: 0.07,
+		},
 		minServers: 2, maxServers: 8, budget: 150,
-		policy: "feedback", estimator: "histogram",
-		windowReq: 150, seed: 1,
-		bSpeedup: 0.13, lsSlowdown: 0.07,
 	}
 }
 

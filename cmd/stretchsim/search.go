@@ -17,22 +17,13 @@ import (
 	"stretch/internal/fleet"
 )
 
-// searchParams mirrors the search flag set.
+// searchParams mirrors the search flag set: the shared run flags, the
+// fleet shape and horizon, plus the trace suite and the report knobs.
 type searchParams struct {
-	traces         string
-	servers, cores int
-	weights        string
-	top            int
-	estimator      string
-	engine         string
-	calib          string
-	events         string
-	hours          float64
-	wph, windowReq int
-	seed           uint64
-	workers        int
-	bSpeedup       float64
-	lsSlowdown     float64
+	fleetParams
+	traces  string
+	weights string
+	top     int
 }
 
 // buildSearchSuite materialises the comma-separated trace list into one
@@ -47,14 +38,8 @@ func buildSearchSuite(p searchParams) ([]fleet.Config, []string, error) {
 		if name == "" {
 			return nil, nil, fmt.Errorf("empty entry in trace suite %q", p.traces)
 		}
-		fp := fleetParams{
-			servers: p.servers, cores: p.cores, trace: name,
-			policy: "static", events: p.events, estimator: p.estimator,
-			engine: p.engine, calib: p.calib,
-			hours: p.hours, wph: p.wph, windowReq: p.windowReq,
-			seed: p.seed, workers: p.workers,
-			bSpeedup: p.bSpeedup, lsSlowdown: p.lsSlowdown,
-		}
+		fp := p.fleetParams
+		fp.trace, fp.policy = name, "static"
 		cfg, err := buildFleetConfig(&fp)
 		if err != nil {
 			return nil, nil, err
@@ -132,17 +117,9 @@ func runSearch(args []string) {
 	fs.IntVar(&p.cores, "cores", 4, "SMT cores per server")
 	fs.StringVar(&p.weights, "weights", "", "fitness weight spec, e.g. \"viol=1,batch=0.5,migr=0.05,fair=25\" (empty = defaults)")
 	fs.IntVar(&p.top, "top", 0, "print only the top N candidates (0 = all)")
-	fs.StringVar(&p.estimator, "tail-estimator", "histogram", "tail quantile estimator (histogram|exact)")
-	fs.StringVar(&p.engine, "engine", "discrete", "window engine each run uses (discrete|fluid|auto)")
-	fs.StringVar(&p.calib, "calib", "", "per-(service,batch,mode) calibration: \"default\", a .json cache path, or empty for uniform scalars")
-	fs.StringVar(&p.events, "events", "", "scenario events overriding each trace's embedded/default annotations")
 	fs.Float64Var(&p.hours, "hours", 24, "horizon for named generative specs (trace files bring their own)")
 	fs.IntVar(&p.wph, "windows-per-hour", 4, "monitoring windows per hour for named specs")
-	fs.IntVar(&p.windowReq, "window-requests", 150, "simulated requests per core-window")
-	fs.Uint64Var(&p.seed, "seed", 1, "experiment seed")
-	fs.IntVar(&p.workers, "fleet-workers", 0, "goroutine pool size per run (0 = GOMAXPROCS)")
-	fs.Float64Var(&p.bSpeedup, "b-speedup", 0.13, "measured B-mode batch speedup")
-	fs.Float64Var(&p.lsSlowdown, "ls-slowdown", 0.07, "measured B-mode LS slowdown")
+	addRunFlags(fs, &p.fleetParams, 150)
 	fs.Parse(args)
 
 	weights, err := fleet.ParseFitnessWeights(p.weights)
