@@ -9,9 +9,9 @@
 // redundancy instead: each window is walked once, in core order, as
 // run-length spans of the plan keyed by (client, rate, perf bits,
 // migrated, controller class). A span whose classification is steady is
-// answered once — one analytic solve, one Histogram.AddN deposit of the
-// span's whole count, a bulk fill of the window slices, and one
-// representative controller per equivalence class. Under the discrete
+// answered once — one analytic solve, one AddN deposit of the span's
+// whole count into each tail store, a bulk fill of the window slices, and
+// one representative controller per equivalence class. Under the discrete
 // engine classification is off: only zero-rate spans coalesce, and every
 // other core-window is discrete residue.
 //
@@ -42,7 +42,6 @@ import (
 	"stretch/internal/core"
 	"stretch/internal/monitor"
 	"stretch/internal/queueing"
-	"stretch/internal/stats"
 )
 
 // claimChunk is the number of work units a pool worker claims per atomic
@@ -349,9 +348,7 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 			e.classOf[c] = tgt
 		}
 		e.classes[tgt].size += m
-		if e.cohortShard != nil {
-			e.cohortShard[ci].AddN(tail, uint64(m))
-		}
+		e.deposit(ci, tail, m)
 		return
 	}
 
@@ -377,11 +374,11 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 
 // runWorkItem is phase two's unit of work: one discrete-residue
 // core-window, simulated through the worker's reusable Simulator on the
-// core's own (seed, core, window)-derived stream, its tail deposited into
-// the worker's shard and observed by the core's singleton class. Items
-// touch disjoint cores and classes, so the pool needs no locking beyond
-// the claim counter.
-func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard []*stats.Histogram) {
+// core's own (seed, core, window)-derived stream, its tail written to the
+// core's slot and observed by the core's singleton class (runWindow
+// deposits it after the pool joins). Items touch disjoint cores and
+// classes, so the pool needs no locking beyond the claim counter.
+func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator) {
 	c := int(it.core)
 	ci := e.classes[it.class].client
 	seed := e.streams[c].Derive(uint64(w)).Uint64()
@@ -395,8 +392,5 @@ func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator, shard 
 		return
 	}
 	e.tails[c] = qr.QoSMs
-	if shard != nil {
-		shard[ci].Add(qr.QoSMs)
-	}
 	e.classes[it.class].ctl.Observe(monitor.Observation{TailMs: qr.QoSMs})
 }

@@ -58,15 +58,15 @@ type Config struct {
 	// TailEstimator selects how tail quantiles are estimated, at every
 	// level: per-request latencies inside each core-window simulation,
 	// per-client window tails at the barrier, and the per-client and
-	// fleet-wide aggregates. stats.EstimatorHistogram (the default —
-	// stats.EstimatorDefault resolves to it here) records into fixed
-	// log-bucketed histograms that merge across worker shards: O(1) per
-	// observation, memory independent of the request count, quantile error
-	// bounded by the bucket resolution. stats.EstimatorExact retains every
-	// observation and sorts per query — exact, but memory and tail-query
-	// cost grow linearly with requests; use it for small runs and accuracy
-	// comparisons. Either way results are bit-identical across worker
-	// counts for identical seeds.
+	// fleet-wide aggregates; stats.NewTail builds every store.
+	// stats.EstimatorHistogram (the default — stats.EstimatorDefault
+	// resolves to it here) records into fixed log-bucketed histograms:
+	// O(1) per observation, memory independent of the request count,
+	// quantile error bounded by the bucket resolution.
+	// stats.EstimatorExact retains every observation and sorts per query
+	// — exact, but memory and tail-query cost grow linearly with requests;
+	// use it for small runs and accuracy comparisons. Either way results
+	// are bit-identical across worker counts for identical seeds.
 	TailEstimator stats.TailEstimator
 
 	// Engine selects how per-core window tails are computed: the discrete

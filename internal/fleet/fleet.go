@@ -44,16 +44,17 @@
 // equal-partitioning deployment, and the per-window fleet series in
 // Result.WindowTrace.
 //
-// Tail quantiles are estimated by Config.TailEstimator. The default is
-// the mergeable log-bucketed histogram (stats.Histogram): each worker
-// records its cores' window tails into per-client shards, and the barrier
-// merges shards into per-client window, per-client run and fleet-wide
-// histograms — integer bucket counts merge associatively, so the
-// nondeterministic core-to-worker mapping cannot perturb any aggregate,
-// and memory stays constant in the request count (the enabler for
-// 10k+-core runs). The exact estimator retains every core-window tail in
-// sorted samples instead; it reproduces the pre-histogram golden files
-// byte-identically and serves as the accuracy reference.
+// Tail quantiles are estimated by Config.TailEstimator, whose store
+// stats.NewTail builds. The default is the log-bucketed histogram
+// (stats.Histogram), whose memory stays constant in the request count
+// (the enabler for 10k+-core runs). The exact estimator retains every
+// core-window tail in sorted samples instead; it reproduces the
+// pre-histogram golden files byte-identically and serves as the accuracy
+// reference. Each serving core-window's tail is deposited once, on the
+// engine goroutine, into its client's window and run stores and the
+// fleet store: coalesced spans during the walk, the discrete residue
+// after the pool joins. Either store's quantiles depend only on the
+// multiset of tails, so that deposit order cannot perturb any aggregate.
 //
 // Which client a core serves each window — and at what rate — is decided
 // by the scheduler (see scheduler.go): the static Fraction split, elastic
@@ -73,7 +74,7 @@ import (
 
 // engine is one run's window-major execution state, built by newEngine.
 // Per-core records live for one window, and the barrier folds each window
-// into run totals; only the exact estimator's run samples grow with
+// into run totals; only the exact estimator's run stores grow with
 // cores × windows, because its quantiles need every tail.
 type engine struct {
 	// cfg is the validated input and est its resolved tail estimator.
@@ -124,17 +125,14 @@ type engine struct {
 	// controller-equivalence class in classes (−1: none), swBase banks
 	// switch counts a core accrued in classes it has left, and freshFor/
 	// mergeMap/worklist/retired are per-window scratch for the span walk.
-	// Under the histogram estimator cohortShard collects the coalesced
-	// AddN deposits for the barrier merge.
-	classOf     []int32
-	classes     []cohortClass
-	freeClass   []int32
-	retired     []int32
-	swBase      []uint64
-	mergeMap    map[mergeKey]int32
-	freshFor    []int32
-	worklist    []workItem
-	cohortShard []*stats.Histogram
+	classOf   []int32
+	classes   []cohortClass
+	freeClass []int32
+	retired   []int32
+	swBase    []uint64
+	mergeMap  map[mergeKey]int32
+	freshFor  []int32
+	worklist  []workItem
 
 	// Counterfactual evaluator state (decision.go), wired by
 	// initCounterfactual when Config.CounterfactualK > 0: a dedicated
@@ -173,22 +171,12 @@ type engine struct {
 	analyticCW, cohortCW int
 	batchCW              [][3]int64
 
-	// Exact estimator: winSamples holds one reusable per-client sample for
-	// the window observation's tail quantile, filled and drained at each
-	// barrier; runSamples and fleetSample keep every serving core-window
-	// tail for the per-client and fleet-wide run quantiles.
-	winSamples  []*stats.Sample
-	runSamples  []*stats.Sample
-	fleetSample *stats.Sample
-
-	// Histogram estimator: each worker records its cores' window tails
-	// into its own per-client shard (shards[worker][client]); the barrier
-	// merges shards into winHists for the window quantile, then folds them
-	// into the per-client runHists and the fleet-wide fleetHist. All share
-	// one geometry, and integer bucket counts merge associatively, so the
-	// aggregate is bit-identical regardless of how cores land on workers.
-	shards    [][]*stats.Histogram
-	winHists  []*stats.Histogram
-	runHists  []*stats.Histogram
-	fleetHist *stats.Histogram
+	// Tail stores of the resolved estimator, filled by deposit:
+	// winTails holds each client's tails for the window observation's
+	// quantile and is drained at each barrier; runTails and fleetTail keep
+	// every serving core-window tail for the per-client and fleet-wide run
+	// quantiles.
+	winTails  []stats.Tail
+	runTails  []stats.Tail
+	fleetTail stats.Tail
 }

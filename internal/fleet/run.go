@@ -33,7 +33,7 @@ func Run(cfg Config) (Result, error) {
 // newEngine validates cfg and resolves everything a run holds constant:
 // per-client service configs and performance deltas, the scheduler,
 // per-core perf factors and rng streams, the classifier inputs, the
-// estimator's shards, and the worker pool. Callers must close the engine.
+// tail stores, and the worker pool. Callers must close the engine.
 func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -172,36 +172,15 @@ func newEngine(cfg Config) (*engine, error) {
 	for i := range e.sims {
 		e.sims[i] = new(queueing.Simulator)
 	}
-	if est == stats.EstimatorHistogram {
-		e.cohortShard = make([]*stats.Histogram, n)
-		for ci := range e.cohortShard {
-			e.cohortShard[ci] = stats.NewTailHistogram()
-		}
-		e.shards = make([][]*stats.Histogram, workers)
-		for wk := range e.shards {
-			e.shards[wk] = make([]*stats.Histogram, n)
-			for ci := range e.shards[wk] {
-				e.shards[wk][ci] = stats.NewTailHistogram()
-			}
-		}
-		e.winHists = make([]*stats.Histogram, n)
-		e.runHists = make([]*stats.Histogram, n)
-		for ci := 0; ci < n; ci++ {
-			e.winHists[ci] = stats.NewTailHistogram()
-			e.runHists[ci] = stats.NewTailHistogram()
-		}
-		e.fleetHist = stats.NewTailHistogram()
-	} else {
-		// Run samples are sized for the static split; an elastic client
-		// that outgrows it appends.
-		e.winSamples = make([]*stats.Sample, n)
-		e.runSamples = make([]*stats.Sample, n)
-		for ci, k := range assignCores(cfg.Traffic.Clients, nCores) {
-			e.winSamples[ci] = stats.NewSample(nCores)
-			e.runSamples[ci] = stats.NewSample(k * windows)
-		}
-		e.fleetSample = stats.NewSample(nCores * windows)
+	// Exact run stores are sized for the static split; an elastic client
+	// that outgrows it appends. The histogram ignores the hints.
+	e.winTails = make([]stats.Tail, n)
+	e.runTails = make([]stats.Tail, n)
+	for ci, k := range assignCores(cfg.Traffic.Clients, nCores) {
+		e.winTails[ci] = stats.NewTail(est, nCores)
+		e.runTails[ci] = stats.NewTail(est, k*windows)
 	}
+	e.fleetTail = stats.NewTail(est, nCores*windows)
 
 	e.winTrace = make([]WindowObservation, 0, windows)
 	if cfg.DecisionTrace != TraceOff {
@@ -249,10 +228,6 @@ func (e *engine) runWindow(w int) error {
 		var next atomic.Int64
 		e.pool.run(len(e.sims), func(wk int) {
 			sim := e.sims[wk]
-			var shard []*stats.Histogram
-			if e.shards != nil {
-				shard = e.shards[wk]
-			}
 			for {
 				lo := int(next.Add(claimChunk)) - claimChunk
 				if lo >= work {
@@ -263,7 +238,7 @@ func (e *engine) runWindow(w int) error {
 					hi = work
 				}
 				for _, it := range e.worklist[lo:hi] {
-					e.runWorkItem(it, w, sim, shard)
+					e.runWorkItem(it, w, sim)
 				}
 			}
 		})
@@ -273,13 +248,27 @@ func (e *engine) runWindow(w int) error {
 			return err
 		}
 	}
+	// The walk deposited the coalesced spans; the residue's tails are
+	// deposited here, after the pool joins, so every store stays on the
+	// engine goroutine.
+	for _, it := range e.worklist {
+		e.deposit(e.classes[it.class].client, e.tails[it.core], 1)
+	}
 	e.winTrace = append(e.winTrace, e.observe(w, asg))
 	return nil
 }
 
+// deposit records m serving core-windows of client ci with tail t in the
+// client's window and run stores and in the fleet store.
+func (e *engine) deposit(ci int16, t float64, m int32) {
+	e.winTails[ci].AddN(t, uint64(m))
+	e.runTails[ci].AddN(t, uint64(m))
+	e.fleetTail.AddN(t, uint64(m))
+}
+
 // aggregate folds the finished horizon into the Result: the counts from
 // the per-window observations, the batch gain from the per-mode counts,
-// and the tails from the run histograms or samples the barriers filled.
+// and the tails from the run and fleet stores.
 func (e *engine) aggregate() Result {
 	cfg, n := e.cfg, len(e.targets)
 	calibHash := ""
@@ -331,15 +320,10 @@ func (e *engine) aggregate() Result {
 		for mode, k := range e.batchCW[ci] {
 			cm.BatchCoreHoursGained += float64(k) * (e.batchRelMode[ci][mode] - 1) * windowHours
 		}
-		// A client squeezed to zero core-windows has an empty sample or
-		// histogram; Quantile reports 0 for it, never NaN.
-		if e.runSamples != nil {
-			cm.P99Ms = e.runSamples[ci].Quantile(0.99)
-			cm.P999Ms = e.runSamples[ci].Quantile(0.999)
-		} else {
-			cm.P99Ms = e.runHists[ci].Quantile(0.99)
-			cm.P999Ms = e.runHists[ci].Quantile(0.999)
-		}
+		// A client squeezed to zero core-windows has an empty store;
+		// Quantile reports 0 for it, never NaN.
+		cm.P99Ms = e.runTails[ci].Quantile(0.99)
+		cm.P999Ms = e.runTails[ci].Quantile(0.999)
 		res.EngagedCoreHours += cm.EngagedCoreHours
 		res.BatchCoreHoursGained += cm.BatchCoreHoursGained
 	}
@@ -351,13 +335,8 @@ func (e *engine) aggregate() Result {
 			res.Switches += e.classes[k].ctl.Switches()
 		}
 	}
-	if e.fleetSample != nil {
-		res.FleetP99Ms = e.fleetSample.Quantile(0.99)
-		res.FleetP999Ms = e.fleetSample.Quantile(0.999)
-	} else {
-		res.FleetP99Ms = e.fleetHist.Quantile(0.99)
-		res.FleetP999Ms = e.fleetHist.Quantile(0.999)
-	}
+	res.FleetP99Ms = e.fleetTail.Quantile(0.99)
+	res.FleetP999Ms = e.fleetTail.Quantile(0.999)
 	res.Clients = cms
 	res.BatchGain = res.BatchCoreHoursGained / res.TotalCoreHours
 	// Jain fairness over per-client SLO fulfilment: the non-violating
@@ -375,9 +354,8 @@ func (e *engine) aggregate() Result {
 }
 
 // observe collects the window's measurements behind the barrier, in core
-// order, into the observation record the scheduler sees next window. One
-// pass over the fleet fills the per-client aggregates and the window and
-// run tail samples; the window histograms then fold into the run ones.
+// order, into the observation record the scheduler sees next window, then
+// reads each client's window p99 from its window store and resets it.
 func (e *engine) observe(w int, asg Assignment) WindowObservation {
 	o := WindowObservation{
 		Window: w, Clients: make([]ClientWindowObs, len(e.targets)),
@@ -417,52 +395,17 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 			if asg.Migrated[c] {
 				o.Migrations++
 			}
-			if e.winSamples != nil {
-				e.winSamples[cl].Add(t)
-				e.runSamples[cl].Add(t)
-				e.fleetSample.Add(t)
-			}
-		}
-	}
-	if e.shards != nil {
-		// Merge the workers' per-client shards (in worker order — though
-		// integer counts make any order equivalent) into the window
-		// histograms, fold those into the horizon aggregates, and hand the
-		// cleared shards back to the next window.
-		for _, shard := range e.shards {
-			for ci, h := range shard {
-				e.winHists[ci].Merge(h)
-				h.Reset()
-			}
-		}
-		// The coalesced AddN deposits merge like one more worker shard:
-		// integer counts, so placement in the merge order cannot perturb
-		// the histograms.
-		for ci, h := range e.cohortShard {
-			e.winHists[ci].Merge(h)
-			h.Reset()
 		}
 	}
 	for ci := range o.Clients {
 		co := &o.Clients[ci]
-		if e.winHists != nil {
-			if co.Cores > 0 {
-				co.TailP99Ms = e.winHists[ci].Quantile(0.99)
-			}
-			e.runHists[ci].Merge(e.winHists[ci])
-			e.fleetHist.Merge(e.winHists[ci])
-			e.winHists[ci].Reset()
+		if co.Cores > 0 {
+			co.MeanTailMs /= float64(co.Cores)
+			co.MeanSlack /= float64(co.Cores)
+			co.BatchRel /= float64(co.Cores)
+			co.TailP99Ms = e.winTails[ci].Quantile(0.99)
 		}
-		if co.Cores == 0 {
-			continue
-		}
-		co.MeanTailMs /= float64(co.Cores)
-		co.MeanSlack /= float64(co.Cores)
-		co.BatchRel /= float64(co.Cores)
-		if e.winSamples != nil {
-			co.TailP99Ms = e.winSamples[ci].Quantile(0.99)
-			e.winSamples[ci].Reset()
-		}
+		e.winTails[ci].Reset()
 	}
 	return o
 }

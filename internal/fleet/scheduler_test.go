@@ -550,9 +550,7 @@ func TestProportionalBeatsStaticOnMixedDay(t *testing.T) {
 
 // --- Determinism: full-Result DeepEqual (including WindowTrace) across
 // worker counts for every policy — closed-loop feedback included — with
-// and without scenario events, under both tail estimators. The histogram
-// estimator's sharded barrier merge must be exactly as worker-count-
-// independent as the exact estimator's core-ordered sample.
+// and without scenario events, under both tail estimators.
 
 func TestSchedulerDeterministicAcrossWorkerCounts(t *testing.T) {
 	scenario := loadgen.Scenario{Events: []loadgen.Event{

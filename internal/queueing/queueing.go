@@ -15,11 +15,11 @@
 //
 // Invariants: a simulation is a pure function of (Config, rate, nRequests,
 // perfFactor, seed) — bit-identical on every run, with Simulator state
-// never leaking between calls. Config.Estimator selects the latency
-// quantile estimator: exact (sorted sample) or the mergeable log-bucketed
-// histogram whose error is bounded by the bucket resolution
-// (stats.Histogram); the choice never perturbs the simulated event
-// sequence, only how its measurements are summarised.
+// never leaking between calls. Config.Estimator selects the latency store
+// through stats.NewTail: an exact sorted sample or a log-bucketed
+// histogram whose error is bounded by the bucket resolution. The choice
+// never perturbs the simulated event sequence, only how its measurements
+// are summarised.
 package queueing
 
 import (
@@ -54,13 +54,13 @@ type Config struct {
 	// QoSQuantile and QoSTargetMs define the QoS constraint.
 	QoSQuantile float64
 	QoSTargetMs float64
-	// Estimator selects how latency quantiles are computed:
+	// Estimator selects the latency store stats.NewTail builds:
 	// stats.EstimatorExact retains and sorts every measured latency;
 	// stats.EstimatorHistogram records into a fixed log-bucketed histogram
-	// (O(1) add, bounded relative error, mergeable). The zero value
-	// (stats.EstimatorDefault) resolves to exact here — standalone queueing
-	// callers are the paper's figures, where fidelity wins; the fleet
-	// engine passes an explicit estimator.
+	// (O(1) add, bounded relative error). The zero value
+	// (stats.EstimatorDefault) is exact — standalone queueing callers are
+	// the paper's figures, where fidelity wins; the fleet engine passes an
+	// explicit estimator.
 	Estimator stats.TailEstimator
 }
 
@@ -153,8 +153,8 @@ func (w *workerRing) replaceMin(v float64) {
 }
 
 // Simulator runs request-level simulations with reusable state: the worker
-// ring, the per-request service, arrival and start-time buffers, the
-// arrival draw blocks and the latency store persist across runs, so a
+// ring, the per-request service, arrival, start-time and latency buffers,
+// the arrival draw blocks and the latency store persist across runs, so a
 // caller stepping many monitoring windows (the fleet engine's hot loop)
 // pays no per-window allocations. The zero value is ready after Reset. A
 // Simulator is not safe for concurrent use; share one per goroutine.
@@ -166,8 +166,9 @@ type Simulator struct {
 	// must still be rejected until a Validate has actually run.
 	validated bool
 	workers   workerRing
-	lat       *stats.Sample
-	hist      *stats.Histogram
+	// lat is the latency store cfg.Estimator selects (stats.NewTail),
+	// rebuilt only when a Reset changes the estimator.
+	lat stats.Tail
 	// arrGaps/arrHeads buffer batched (inter-arrival gap, burst head) draw
 	// pairs from the arrival stream, refilled in blocks so the arrival
 	// pass amortises the per-draw call overhead. Consumption order is
@@ -177,10 +178,11 @@ type Simulator struct {
 	// svcMs and arrivalMs hold one run's per-request service times and
 	// arrival instants, filled by the first two passes of Simulate and
 	// consumed by the queue pass, which records each request's start time
-	// in startMs.
+	// in startMs and each post-warm-up latency in latMs.
 	svcMs     []float64
 	arrivalMs []float64
 	startMs   []float64
+	latMs     []float64
 }
 
 // arrivalBatch is the block size of buffered arrival draws. Over-drawing
@@ -209,6 +211,9 @@ func (s *Simulator) Reset(cfg Config) error {
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	if s.lat == nil || cfg.Estimator != s.cfg.Estimator {
+		s.lat = stats.NewTail(cfg.Estimator, 0)
 	}
 	s.cfg = cfg
 	s.validated = true
@@ -297,32 +302,16 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 
 	// Pass 3: the FCFS k-server queue in arrival order. With identical
 	// workers, assigning each request to the earliest-free worker in
-	// arrival order is exactly FCFS. The measured-latency store is an
-	// exact sorted sample or the mergeable log-bucketed histogram (O(1)
-	// add, O(buckets) quantile — no per-window sort on the fleet hot
-	// path); either is reused across Simulate calls.
+	// arrival order is exactly FCFS. The post-warm-up latencies go to
+	// latMs and reach the store in one AddAll after the loop, so the
+	// per-request loop makes no interface call.
 	warm := nRequests / 10
-	var lat *stats.Sample
-	var hist *stats.Histogram
-	if cfg.Estimator == stats.EstimatorHistogram {
-		if s.hist == nil {
-			s.hist = stats.NewTailHistogram()
-		} else {
-			s.hist.Reset()
-		}
-		hist = s.hist
-	} else {
-		if s.lat == nil {
-			s.lat = stats.NewSample(nRequests - warm)
-		} else {
-			s.lat.Reset()
-		}
-		lat = s.lat
-	}
 	s.workers.reset(cfg.Workers)
 	workers := &s.workers
 	s.startMs = resize(s.startMs, nRequests)
 	startMs := s.startMs
+	s.latMs = resize(s.latMs, nRequests-warm)
+	latMs := s.latMs
 	waitHead := 0 // first request not yet started at the current arrival
 	var mean stats.Running
 	maxQ := 0
@@ -347,26 +336,18 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 		}
 		if i >= warm {
 			l := finish - now
-			if hist != nil {
-				hist.Add(l)
-			} else {
-				lat.Add(l)
-			}
+			latMs[i-warm] = l
 			mean.Add(l)
 		}
 	}
 
-	r := Result{MeanMs: mean.Mean(), MaxQueue: maxQ}
-	if hist != nil {
-		r.P95Ms = hist.Quantile(0.95)
-		r.P99Ms = hist.Quantile(0.99)
-		r.QoSMs = hist.Quantile(cfg.QoSQuantile)
-		r.Requests = hist.N()
-	} else {
-		r.P95Ms = lat.Quantile(0.95)
-		r.P99Ms = lat.Quantile(0.99)
-		r.QoSMs = lat.Quantile(cfg.QoSQuantile)
-		r.Requests = lat.N()
+	lat := s.lat
+	lat.Reset()
+	lat.AddAll(latMs)
+	r := Result{
+		MeanMs: mean.Mean(), MaxQueue: maxQ,
+		P95Ms: lat.Quantile(0.95), P99Ms: lat.Quantile(0.99), QoSMs: lat.Quantile(cfg.QoSQuantile),
+		Requests: lat.N(),
 	}
 	r.MeetsQoS = r.QoSMs <= cfg.QoSTargetMs
 	return r, nil

@@ -10,10 +10,10 @@ type TailEstimator int
 
 // Tail estimators.
 const (
-	// EstimatorDefault lets each consumer pick its own default: the fleet
-	// engine resolves it to EstimatorHistogram (mergeable, O(1) memory in
-	// the request count), the standalone queueing experiments resolve it
-	// to EstimatorExact (full fidelity for the paper's figures).
+	// EstimatorDefault is exact in NewTail (full fidelity for the
+	// paper's figures, which run the queueing model standalone); the
+	// fleet engine resolves it to EstimatorHistogram (O(1) memory in the
+	// request count) before building any store.
 	EstimatorDefault TailEstimator = iota
 	// EstimatorExact retains every observation in a Sample and sorts per
 	// quantile query: exact, but memory and time scale with the number of
@@ -21,10 +21,34 @@ const (
 	EstimatorExact
 	// EstimatorHistogram records observations into a fixed log-bucketed
 	// Histogram: quantiles carry a bounded relative error (the bucket
-	// resolution) but Add is O(1), memory is O(buckets), and histograms
-	// from different shards merge associatively.
+	// resolution) but Add is O(1) and memory is O(buckets).
 	EstimatorHistogram
 )
+
+// Tail is a tail-latency store: the one interface behind which both
+// estimators' stores sit. Either store's quantiles depend only on the
+// multiset of values added, never on their order or on how they were
+// batched into Add, AddN and AddAll calls.
+type Tail interface {
+	Add(x float64)
+	AddN(x float64, n uint64)
+	AddAll(xs []float64)
+	Quantile(q float64) float64
+	N() int
+	Reset()
+}
+
+// NewTail returns the store est selects, and is the one place an
+// estimator maps to a store: a Histogram with the default latency geometry
+// for EstimatorHistogram, otherwise an exact Sample with capacity hint
+// capHint. EstimatorDefault therefore means exact here; a consumer with a
+// different default (the fleet engine) resolves it before calling.
+func NewTail(est TailEstimator, capHint int) Tail {
+	if est == EstimatorHistogram {
+		return NewTailHistogram()
+	}
+	return NewSample(capHint)
+}
 
 // String names the estimator.
 func (e TailEstimator) String() string {
@@ -80,9 +104,9 @@ const (
 //
 // Invariants that make it the fleet's scalable tail estimator:
 //
-//   - Counts are integers, so merging is associative and commutative:
-//     sharding observations across any number of workers and merging at a
-//     barrier yields bit-identical counts regardless of the sharding.
+//   - Counts are integers, so the counts — and every quantile — depend
+//     only on the multiset of values recorded, not on their order, and
+//     merging is associative and commutative.
 //   - The bucket boundaries are fixed by the constructor parameters alone
 //     (never adapted to data), so histograms built independently are always
 //     mergeable and quantiles are reproducible.
@@ -184,6 +208,14 @@ func (h *Histogram) AddN(x float64, n uint64) {
 	}
 	h.counts[h.bucket(x)] += n
 	h.total += n
+}
+
+// AddAll records every value of xs.
+func (h *Histogram) AddAll(xs []float64) {
+	for _, x := range xs {
+		h.counts[h.bucket(x)]++
+	}
+	h.total += uint64(len(xs))
 }
 
 // NumBuckets returns the number of buckets, including the underflow

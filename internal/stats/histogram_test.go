@@ -50,10 +50,10 @@ func TestHistogramQuantileMatchesSample(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEqualsSequential locks the sharding independence the
-// fleet barrier relies on: splitting a stream of observations across any
-// number of shard histograms and merging must reproduce the single-
-// histogram counts exactly.
+// TestHistogramMergeEqualsSequential locks Merge's sharding independence:
+// splitting a stream of observations across any number of shard
+// histograms and merging must reproduce the single-histogram counts
+// exactly.
 func TestHistogramMergeEqualsSequential(t *testing.T) {
 	src := rng.New(7)
 	one := NewTailHistogram()
@@ -72,6 +72,72 @@ func TestHistogramMergeEqualsSequential(t *testing.T) {
 	}
 	if merged.N() != one.N() || merged.Quantile(0.99) != one.Quantile(0.99) {
 		t.Fatal("merge perturbed count or quantile")
+	}
+}
+
+// TestNewTailMultisetOnly locks the property the fleet engine's deposits
+// rely on: for either estimator, a Tail's count and quantiles depend only
+// on the multiset of values added — not on their order, nor on how they
+// are batched into Add, AddN and AddAll calls. EstimatorDefault maps to
+// the exact store.
+func TestNewTailMultisetOnly(t *testing.T) {
+	// Runs of repeated values, as a coalesced span deposits them, plus
+	// idle windows' zero tails.
+	src := rng.New(11)
+	type run struct {
+		x float64
+		n uint64
+	}
+	runs := []run{{0, 7}}
+	for i := 0; i < 300; i++ {
+		runs = append(runs, run{src.LogNormal(20, 1.5), uint64(1 + src.Intn(5))})
+	}
+	var all []float64
+	for _, r := range runs {
+		for k := uint64(0); k < r.n; k++ {
+			all = append(all, r.x)
+		}
+	}
+	shuffled := append([]float64(nil), all...)
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := src.Intn(i + 1)
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+
+	if _, ok := NewTail(EstimatorDefault, 0).(*Sample); !ok {
+		t.Fatal("EstimatorDefault must map to the exact Sample")
+	}
+	if _, ok := NewTail(EstimatorHistogram, 0).(*Histogram); !ok {
+		t.Fatal("EstimatorHistogram must map to a Histogram")
+	}
+	for _, est := range []TailEstimator{EstimatorDefault, EstimatorExact, EstimatorHistogram} {
+		t.Run(est.String(), func(t *testing.T) {
+			one := NewTail(est, len(all))
+			for _, x := range all {
+				one.Add(x)
+			}
+			byRun := NewTail(est, 0)
+			for i := len(runs) - 1; i >= 0; i-- {
+				byRun.AddN(runs[i].x, runs[i].n)
+			}
+			// The bulk store is reused after a Reset, as the engine's
+			// window stores are.
+			bulk := NewTail(est, 0)
+			bulk.AddAll(all[:10])
+			bulk.Quantile(0.5)
+			bulk.Reset()
+			bulk.AddAll(shuffled)
+			for _, tl := range []Tail{byRun, bulk} {
+				if tl.N() != len(all) || one.N() != len(all) {
+					t.Fatalf("N = %d and %d, want %d", one.N(), tl.N(), len(all))
+				}
+				for _, q := range []float64{0, 0.5, 0.99, 0.999, 1} {
+					if got, want := tl.Quantile(q), one.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("q=%v: %v, want %v", q, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

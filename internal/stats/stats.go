@@ -1,16 +1,17 @@
 // Package stats provides the small statistical toolkit used throughout the
 // simulator: running moments (Running), exact percentiles over bounded
 // samples (Sample), mergeable log-bucketed tail-latency histograms
-// (Histogram) behind the TailEstimator selector, fixed-width census bins
-// (LinearHistogram) and the five-number "violin" summaries the paper's
-// figures report.
+// (Histogram), fixed-width census bins (LinearHistogram) and the
+// five-number "violin" summaries the paper's figures report. Sample and
+// Histogram are the two Tail stores, and NewTail maps a TailEstimator to
+// one of them.
 //
 // Invariants: every estimator here is deterministic — identical inputs in
-// identical order produce bit-identical outputs — and the log-bucketed
-// Histogram is additionally order- and sharding-independent, because its
-// integer bucket counts merge associatively and commutatively. That is
-// what lets the fleet engine shard observations across any number of
-// workers and still reproduce results bit-identically.
+// identical order produce bit-identical outputs — and both Tail stores'
+// quantiles are additionally order-independent: Sample sorts before it
+// answers one, and Histogram keeps integer bucket counts. So the fleet
+// engine may deposit a window's coalesced spans and its discrete residue
+// in separate passes, not in core order, without changing a bit.
 package stats
 
 import (
@@ -83,6 +84,20 @@ func NewSample(n int) *Sample {
 // Add appends x.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
+	s.sorted = false
+}
+
+// AddN appends n copies of x.
+func (s *Sample) AddN(x float64, n uint64) {
+	for ; n > 0; n-- {
+		s.xs = append(s.xs, x)
+	}
+	s.sorted = false
+}
+
+// AddAll appends every value of xs.
+func (s *Sample) AddAll(xs []float64) {
+	s.xs = append(s.xs, xs...)
 	s.sorted = false
 }
 
