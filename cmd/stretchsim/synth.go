@@ -61,8 +61,13 @@ func parseCohorts(s string) (loadgen.CohortSpec, error) {
 }
 
 // buildSynthTrace materialises the synth parameters into a trace, pure of
-// any I/O so the golden tests can drive it directly.
+// any I/O so the golden tests can drive it directly. It also rejects an
+// unknown -format, so a typo never reaches os.Create and truncates the
+// -o file.
 func buildSynthTrace(p synthParams) (*tracefile.Trace, error) {
+	if p.format != "csv" && p.format != "jsonl" {
+		return nil, fmt.Errorf("unknown format %q (csv|jsonl)", p.format)
+	}
 	windows := int(p.hours * float64(p.wph))
 	windowSec := 3600.0 / float64(p.wph)
 	if windows <= 0 {

@@ -264,6 +264,7 @@ func TestSynthRejectsBadInput(t *testing.T) {
 		func(p *synthParams) { p.cohorts = "2:x" },
 		func(p *synthParams) { p.cohorts = "2:1:1:1" },
 		func(p *synthParams) { p.events = "drain:banana" },
+		func(p *synthParams) { p.format = "xml" },
 	}
 	for i, mutate := range bad {
 		p := weekSynthParams()
