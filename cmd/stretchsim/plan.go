@@ -30,8 +30,17 @@ type planParams struct {
 // report header. Named generative specs are rejected: their rates are
 // anchored to the fleet size, so shrinking the fleet would shrink the
 // demand and the "minimum capacity" would be meaningless — synth the spec
-// into a trace file first.
+// into a trace file first. A negative budget or a search floor outside
+// [1, max-servers] is rejected here too, so it exits as a usage error
+// rather than as a failed search.
 func buildPlanSpec(p planParams) (fleet.CapacitySpec, float64, error) {
+	if p.budget < 0 {
+		return fleet.CapacitySpec{}, 0, fmt.Errorf("negative SLO budget %d", p.budget)
+	}
+	if p.minServers < 1 || p.minServers > p.maxServers {
+		return fleet.CapacitySpec{}, 0, fmt.Errorf(
+			"search range [%d,%d] invalid: need 1 ≤ min-servers ≤ max-servers", p.minServers, p.maxServers)
+	}
 	if isNamedTrace(p.trace) {
 		return fleet.CapacitySpec{}, 0, fmt.Errorf(
 			"plan needs a recorded trace file; spec %q sizes its load to the fleet (synth it first)", p.trace)

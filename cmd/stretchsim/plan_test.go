@@ -130,13 +130,28 @@ func TestPlanMonotoneOnWeekTrace(t *testing.T) {
 
 // TestBuildPlanSpecRejectsBadInput: named generative specs are rejected
 // (their offered load is anchored to the fleet size, so a capacity search
-// over them is circular), as are unreadable trace paths.
+// over them is circular), as are unreadable trace paths, a negative SLO
+// budget and a search floor outside [1, max-servers] — all before any
+// probe runs, so the CLI reports them as usage errors.
 func TestBuildPlanSpecRejectsBadInput(t *testing.T) {
 	for _, trace := range []string{"mixed", "failover", "testdata/definitely-missing.trace.csv"} {
 		p := weekPlanParams()
 		p.trace = trace
 		if _, _, err := buildPlanSpec(p); err == nil {
 			t.Errorf("trace %q accepted", trace)
+		}
+	}
+	bad := map[string]func(*planParams){
+		"negative budget":     func(p *planParams) { p.budget = -1 },
+		"floor above ceiling": func(p *planParams) { p.minServers, p.maxServers = 70, 64 },
+		"negative floor":      func(p *planParams) { p.minServers = -3 },
+		"zero floor":          func(p *planParams) { p.minServers = 0 },
+	}
+	for name, mutate := range bad {
+		p := weekPlanParams()
+		mutate(&p)
+		if _, _, err := buildPlanSpec(p); err == nil {
+			t.Errorf("%s accepted", name)
 		}
 	}
 }

@@ -71,20 +71,22 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("fleet: unknown engine %q (discrete|auto)", s)
 }
 
-// analyticCacheLimit bounds the run's shared solve cache; a fleet day
-// offers only as many distinct (client, rate, perf) triples as the traffic
-// has rate plateaus, so the limit exists purely as a safety valve against
+// analyticCacheLimit bounds the run's solve cache; a fleet day offers only
+// as many distinct (client, rate, perf) triples as the traffic has rate
+// plateaus, so the limit exists purely as a safety valve against
 // pathological per-core rate diversity (e.g. p2c routing). Eviction is
-// per-stripe and generational (queueing.TailCache), not a wholesale clear:
-// hot plateau entries that keep being hit survive any churn of cold keys.
+// generational (queueing.TailCache), not a wholesale clear: hot plateau
+// entries that keep being hit survive any churn of cold keys.
 const analyticCacheLimit = 1 << 16
 
-// analyticTail answers one steady core-window from the run's shared solve
-// cache, solving on a miss. Keys carry the exact bit patterns of rate and
-// perf, and the solver is a pure function: equal bits give equal results
-// on every worker — which is what keeps auto runs bit-identical across
-// worker counts even though the cache is shared. The sampleEquiv passed to
-// the solver makes the analytic quantile reproduce the discrete window's
+// analyticTail answers one steady core-window from the run's solve cache,
+// solving on a miss. Keys carry the exact bit patterns of rate and perf,
+// and the solver is a pure function, so a hit is the same float a solve
+// would give. Only the engine goroutine calls it (the cohort walk and the
+// counterfactual evaluator); pool workers never touch the cache or the
+// solve counter, so auto runs are bit-identical across worker counts and
+// AnalyticSolves follows walk order. The sampleEquiv passed to the solver
+// makes the analytic quantile reproduce the discrete window's
 // finite-sample rank convention rather than improve on it. A solver
 // refusal (the solver's own utilization rounding past the ceiling the
 // classifier passed, structural caps) is cached as NaN and reported as
@@ -101,7 +103,7 @@ func (e *engine) analyticTail(ci int16, rate, perf float64) (float64, bool) {
 		return 0, false
 	}
 	if e.solveCache.Insert(k, t) {
-		e.solves.Add(1)
+		e.solves++
 	}
 	return t, true
 }

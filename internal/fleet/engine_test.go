@@ -47,28 +47,37 @@ func autoLoadConfig() Config {
 }
 
 // TestFleetAutoIndependentOfWorkerCount: the analytic fast path is a pure
-// function of (client, rate, perf), so sharding cores across goroutines —
-// each with its own solve cache — must not perturb a single bit of the
-// result. The -race CI job runs this, covering the per-worker cache under
-// the race detector.
+// function of (client, rate, perf) and runs on the engine goroutine, so
+// sharding the discrete residue across goroutines must not perturb a
+// single bit of the result. The wide fleet's cold-start window puts
+// several claimChunk blocks of residue on the pool, so workers really run
+// concurrently; under the -race CI job that catches any solve, or any
+// other touch of the single-owner solve cache, from a pool worker.
 func TestFleetAutoIndependentOfWorkerCount(t *testing.T) {
-	run := func(workers int) Result {
-		t.Helper()
-		cfg := autoLoadConfig()
-		cfg.Workers = workers
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
+	wide := autoLoadConfig()
+	wide.Servers = 3 * claimChunk / wide.CoresPerServer
+	wide.Traffic.Clients[0].Spec.Shape = loadgen.Diurnal{ // same per-core load
+		HourLoad: loadgen.WebSearchDay(), PeakRPS: 600 * 3 * claimChunk, WindowsPerDay: 12,
+	}
+	wide.WindowRequests = 100
+	for name, cfg := range map[string]Config{"small": autoLoadConfig(), "wide": wide} {
+		run := func(workers int) Result {
+			t.Helper()
+			cfg.Workers = workers
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	base := run(1)
-	if base.AnalyticCoreWindows == 0 {
-		t.Fatal("auto engine answered no windows analytically; the test is vacuous")
-	}
-	for _, workers := range []int{5, 16} {
-		if got := run(workers); !reflect.DeepEqual(base, got) {
-			t.Fatalf("auto run with %d workers diverged from 1 worker", workers)
+		base := run(1)
+		if base.AnalyticCoreWindows == 0 {
+			t.Fatalf("%s: auto engine answered no windows analytically; the test is vacuous", name)
+		}
+		for _, workers := range []int{5, 16} {
+			if got := run(workers); !reflect.DeepEqual(base, got) {
+				t.Fatalf("%s: auto run with %d workers diverged from 1 worker", name, workers)
+			}
 		}
 	}
 }

@@ -64,8 +64,6 @@
 package fleet
 
 import (
-	"sync/atomic"
-
 	"stretch/internal/monitor"
 	"stretch/internal/queueing"
 	"stretch/internal/rng"
@@ -113,13 +111,12 @@ type engine struct {
 	perf    []float64
 	streams []rng.Stream
 
-	// solveCache is the lock-striped analytic solve cache shared by every
-	// worker and the counterfactual evaluator (the solver is pure, so
-	// sharing cannot perturb results — it stops W workers re-solving the
-	// same rate plateau W times); solves counts its distinct successful
+	// solveCache memoises analytic solves for the cohort walk and the
+	// counterfactual evaluator, both of which run on the engine goroutine
+	// (pool workers only simulate); solves counts its distinct successful
 	// first insertions, surfaced as Result.AnalyticSolves.
 	solveCache *queueing.TailCache
-	solves     atomic.Int64
+	solves     int
 
 	// Cohort walk state (cohort.go). classOf maps each core to its
 	// controller-equivalence class in classes (−1: none), swBase banks
@@ -139,7 +136,8 @@ type engine struct {
 	// Simulator and rng branch (the evaluator runs single-threaded behind
 	// the Step call, so worker count cannot touch it), a per-window
 	// (client, count) → tail cache, and the per-client load scratch; its
-	// analytic solves share solveCache.
+	// analytic solves go through solveCache on the engine goroutine, before
+	// the window's pool work starts.
 	cfK     int
 	cfRng   *rng.Stream
 	cfSim   *queueing.Simulator

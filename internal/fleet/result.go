@@ -111,11 +111,12 @@ type Result struct {
 	Engine              Engine
 	AnalyticCoreWindows int
 	// AnalyticSolves counts distinct successful analytic solves — first
-	// insertions into the shared solve cache. The gap between
+	// insertions into the run's solve cache. The gap between
 	// AnalyticCoreWindows and AnalyticSolves is the work the solve cache
-	// (and, per window, the cohort coalescing) absorbed. Deterministic
-	// across worker counts as long as the cache is not thrashing
-	// (re-solving an evicted key recounts it).
+	// (and, per window, the cohort coalescing) absorbed. Every solve runs
+	// in walk order on the engine goroutine, so the count is deterministic
+	// across worker counts; re-solving a key the cache has evicted
+	// recounts it.
 	AnalyticSolves int
 	// CohortCoreWindows sums WindowObservation.CohortCores over the
 	// horizon: core-windows the cohort walk answers without per-core

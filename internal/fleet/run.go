@@ -167,7 +167,7 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	// One reusable Simulator per worker: the queueing heaps and sample
 	// buffers live across the whole horizon. Analytic solves under the
-	// auto engine go through the shared striped cache wired above.
+	// auto engine stay on the engine goroutine (the cache wired above).
 	e.sims = make([]*queueing.Simulator, workers)
 	for i := range e.sims {
 		e.sims[i] = new(queueing.Simulator)
@@ -281,7 +281,7 @@ func (e *engine) aggregate() Result {
 		Autoscale:       cfg.Autoscale.Policy,
 		TailEstimator:   e.est,
 		Engine:          cfg.Engine,
-		AnalyticSolves:  int(e.solves.Load()),
+		AnalyticSolves:  e.solves,
 		CalibrationHash: calibHash,
 		TotalCoreHours:  float64(e.nCores) * cfg.Traffic.Hours(),
 		WindowTrace:     e.winTrace,

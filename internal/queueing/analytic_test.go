@@ -147,9 +147,9 @@ func TestUtilization(t *testing.T) {
 }
 
 // BenchmarkAnalyticTail prices one cold analytic solve — the unit the
-// fleet engine's per-worker solve cache amortises. The analytic fast path
-// only wins when (cache hits × discrete window cost) outruns
-// (distinct keys × this number), so keep it well under a millisecond:
+// fleet engine's solve cache amortises. The analytic fast path only
+// wins when (cache hits × discrete window cost) outruns (distinct keys ×
+// this number), so keep it well under a millisecond:
 // the monotone atom-to-bucket merge walk in depositAnalytic exists
 // because a per-atom binary search through Histogram.UpperBound made
 // this benchmark ~2× slower and dragged small auto fleets below

@@ -1,112 +1,72 @@
-// Shared analytic solve cache: one lock-striped, two-generation map that
-// every fleet worker (and the counterfactual evaluator) reads and writes,
-// replacing the former per-worker caches. The solver is a pure function of
-// its key, so sharing results across goroutines cannot perturb any value —
-// it only stops W workers from re-solving the same rate plateau W times.
+// Analytic solve cache: one bounded, two-generation map owned by the fleet
+// engine's goroutine. The solver is a pure function of its key, so a
+// cached answer is the same float the solve would have produced.
 //
-// Eviction is per-stripe and generational rather than a wholesale clear:
-// when a stripe's current generation fills, it becomes the previous
-// generation and a fresh map takes over; a hit in the previous generation
-// promotes the entry back into the current one. A hot key that keeps being
-// looked up therefore survives any number of eviction storms (pathological
-// per-core rate diversity, e.g. p2c routing), while cold keys age out two
-// generations after they stop being touched.
+// Eviction is generational rather than a wholesale clear: when the current
+// generation fills, it becomes the previous generation and a fresh map
+// takes over; a hit in the previous generation promotes the entry back
+// into the current one. A hot key that keeps being looked up therefore
+// survives any number of eviction storms (pathological per-core rate
+// diversity, e.g. p2c routing), while cold keys age out two generations
+// after they stop being touched.
 package queueing
-
-import "sync"
 
 // TailKey identifies one solved steady state: a caller-scoped service
 // index plus the exact bit patterns of the arrival rate and perf factor.
 // Keying by bits (not float values) is what makes cache hits reproduce the
-// solver bit-for-bit: equal bits give equal results on every goroutine.
+// solver bit-for-bit.
 type TailKey struct {
 	Service    int32
 	Rate, Perf uint64
 }
 
-// tailCacheStripes is the number of independently locked stripes. A power
-// of two so stripe selection is a mask, sized well past any plausible
-// worker count so stripe collisions under concurrent lookup stay rare.
-const tailCacheStripes = 64
-
-// TailCache is a concurrency-safe solve cache. The zero value is not
-// usable; build one with NewTailCache.
+// TailCache is a bounded solve cache. It is not safe for concurrent use:
+// one goroutine owns it. The zero value is not usable; build one with
+// NewTailCache.
 type TailCache struct {
-	perStripe int
-	stripes   [tailCacheStripes]tailStripe
-}
-
-type tailStripe struct {
-	mu        sync.Mutex
 	limit     int
 	cur, prev map[TailKey]float64
 }
 
-// NewTailCache builds a cache bounded at roughly capacity entries across
-// all stripes: each stripe rotates generations at capacity/stripes entries
-// and holds at most two generations, so the hard ceiling is 2× capacity.
+// NewTailCache builds a cache that rotates generations at capacity
+// entries and holds at most two generations, so the hard ceiling is
+// 2× capacity. The maps grow on demand: a capacity-sized map would cost
+// megabytes per run, and no ordinary run fills a generation.
 func NewTailCache(capacity int) *TailCache {
-	per := capacity / tailCacheStripes
-	if per < 1 {
-		per = 1
-	}
-	c := &TailCache{perStripe: per}
-	for i := range c.stripes {
-		c.stripes[i].limit = per
-	}
-	return c
-}
-
-func (k TailKey) stripe() uint64 {
-	h := k.Rate*0x9e3779b97f4a7c15 ^ k.Perf*0xbf58476d1ce4e5b9 ^ uint64(uint32(k.Service))*0x94d049bb133111eb
-	h ^= h >> 33
-	return h & (tailCacheStripes - 1)
+	return &TailCache{limit: max(capacity, 1), cur: make(map[TailKey]float64)}
 }
 
 // Lookup returns the cached solve for k. A hit in the previous generation
 // is promoted into the current one, which is what keeps hot keys resident
 // across rotations.
 func (c *TailCache) Lookup(k TailKey) (float64, bool) {
-	s := &c.stripes[k.stripe()]
-	s.mu.Lock()
-	if v, ok := s.cur[k]; ok {
-		s.mu.Unlock()
+	if v, ok := c.cur[k]; ok {
 		return v, true
 	}
-	if v, ok := s.prev[k]; ok {
-		s.insertLocked(k, v)
-		s.mu.Unlock()
+	if v, ok := c.prev[k]; ok {
+		c.put(k, v)
 		return v, true
 	}
-	s.mu.Unlock()
 	return 0, false
 }
 
 // Insert records a solve for k and reports whether the key was previously
-// unknown to the cache (absent from both generations). Concurrent solvers
-// of the same key therefore count one first insert between them, which
-// keeps solve counters deterministic across worker counts.
+// unknown to the cache (absent from both generations). A key evicted by
+// two rotations counts as new again.
 func (c *TailCache) Insert(k TailKey, v float64) bool {
-	s := &c.stripes[k.stripe()]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.cur[k]; ok {
+	if _, ok := c.cur[k]; ok {
 		return false
 	}
-	_, stale := s.prev[k]
-	s.insertLocked(k, v)
+	_, stale := c.prev[k]
+	c.put(k, v)
 	return !stale
 }
 
-// insertLocked adds k to the current generation, rotating generations
-// first when the current one is full. Called with s.mu held.
-func (s *tailStripe) insertLocked(k TailKey, v float64) {
-	if s.cur == nil {
-		s.cur = make(map[TailKey]float64)
+// put adds k to the current generation, rotating generations first when
+// the current one is full.
+func (c *TailCache) put(k TailKey, v float64) {
+	if len(c.cur) >= c.limit {
+		c.prev, c.cur = c.cur, make(map[TailKey]float64)
 	}
-	if len(s.cur) >= s.limit {
-		s.prev = s.cur
-		s.cur = make(map[TailKey]float64, s.limit)
-	}
-	s.cur[k] = v
+	c.cur[k] = v
 }
