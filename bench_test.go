@@ -187,10 +187,10 @@ func benchFleet(b *testing.B, cfg FleetConfig) {
 }
 
 // BenchmarkFleet1kCores is the fleet-scale perf trajectory under the
-// default (histogram) tail estimator: ~1k cores, one diurnal day.
-// The persistent worker pool (one goroutine set per run instead of
-// workers×windows spawns behind the window barrier) plus the shared
-// striped solve cache dropped this case from 236 to ~225 allocs/op.
+// default (histogram) tail estimator on the discrete engine, which builds
+// no solve cache: ~1k cores, one diurnal day. The persistent worker pool
+// (one goroutine set per run instead of workers×windows spawns behind the
+// window barrier) is what dropped this case from 236 to ~225 allocs/op.
 func BenchmarkFleet1kCores(b *testing.B) {
 	benchFleet(b, benchFleetConfig(63, EstimatorDefault)) // 1008 cores
 }

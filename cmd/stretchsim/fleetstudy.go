@@ -183,7 +183,8 @@ func namedSpecClients(name string, servers, cores, windows, wph int, seed uint64
 // scenario annotations. The failover spec ships a default scenario — a
 // quarter of the servers fail mid-day and return later, on a fleet whose
 // last quarter of servers is an older hardware generation. -events
-// overrides either source of events.
+// overrides either source of events. The config is validated here, so a
+// bad flag combination exits as a usage error on every subcommand.
 func buildFleetConfig(p *fleetParams) (fleet.Config, error) {
 	policy, err := fleet.ParsePolicy(p.policy)
 	if err != nil {
@@ -263,7 +264,7 @@ func buildFleetConfig(p *fleetParams) (fleet.Config, error) {
 		return fleet.Config{}, err
 	}
 
-	return fleet.Config{
+	cfg := fleet.Config{
 		Servers: p.servers, CoresPerServer: p.cores,
 		Traffic:       loadgen.Traffic{Clients: clients, Windows: windows, WindowSec: windowSec},
 		Calibration:   table,
@@ -276,7 +277,8 @@ func buildFleetConfig(p *fleetParams) (fleet.Config, error) {
 		CounterfactualK: p.counterfactualK,
 		Autoscale:       fleet.AutoscaleConfig{Policy: autoPolicy, MinServers: p.autoMin},
 		Scenario:        scenario,
-	}, nil
+	}
+	return cfg, cfg.Validate()
 }
 
 // resolveCalibration materialises the -calib flag: empty keeps the uniform

@@ -79,7 +79,7 @@ func main() {
 	flag.StringVar(&fp.trace, "trace", "mixed", "fleet: traffic source — a named spec (websearch|video|mixed|failover) or a trace file path to replay")
 	flag.StringVar(&fp.policy, "policy", "static", "fleet: scheduler policy (static|proportional|p2c|feedback)")
 	flag.StringVar(&fp.autoscale, "autoscale", "off", "fleet: autoscaling policy (off|util|violation) — servers join/leave the fleet between windows")
-	flag.IntVar(&fp.autoMin, "autoscale-min", 0, "fleet: autoscaler's in-service server floor (0 = default 1)")
+	flag.IntVar(&fp.autoMin, "autoscale-min", 0, "fleet: autoscaler's in-service server floor (0 = default 1; needs -autoscale util|violation)")
 	flag.Float64Var(&fp.hours, "hours", 24, "fleet: horizon in hours")
 	flag.IntVar(&fp.wph, "windows-per-hour", 4, "fleet: monitoring windows per hour")
 	flag.BoolVar(&fp.windowTrace, "window-trace", false, "fleet: print the per-window fleet series (cores, tails, violations per client)")

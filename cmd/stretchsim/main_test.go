@@ -244,6 +244,12 @@ func TestBuildFleetConfigRejectsBadInput(t *testing.T) {
 		func(p *fleetParams) { p.traceLevel = "nope" },
 		func(p *fleetParams) { p.counterfactualK = -1 },
 		func(p *fleetParams) { p.counterfactualK = 2 }, // needs -trace-level
+		func(p *fleetParams) { p.servers = 0 },
+		func(p *fleetParams) { p.bSpeedup = -0.1 },
+		func(p *fleetParams) { p.lsSlowdown = 1.5 },
+		func(p *fleetParams) { p.servers, p.autoscale, p.autoMin = 2, "util", 3 },
+		func(p *fleetParams) { p.autoMin = 3 },  // with autoscaling off
+		func(p *fleetParams) { p.autoMin = -1 }, // likewise
 	}
 	for i, mutate := range bad {
 		p := goldenParams("mixed", "static")

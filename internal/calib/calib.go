@@ -148,7 +148,8 @@ func (in Inputs) Fingerprint() (string, error) {
 	fmt.Fprintf(h, "calib-v%d\n", fingerprintVersion)
 	fmt.Fprintf(h, "spec %+v\n", in.Spec)
 	for _, cfg := range []core.Config{
-		colocate.BaselineConfig(), skewConfig(in.BSkew), skewConfig(in.QSkew), core.Solo(),
+		colocate.BaselineConfig(), colocate.SkewConfig(in.BSkew), colocate.SkewConfig(in.QSkew),
+		core.Solo(),
 	} {
 		fmt.Fprintf(h, "config %+v\n", cfg)
 	}
@@ -165,16 +166,6 @@ func (in Inputs) Fingerprint() (string, error) {
 		fmt.Fprintf(h, "batch %s %+v\n", b, all[b])
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// skewConfig builds the partitioned configuration for an already-validated
-// skew.
-func skewConfig(rob0 int) core.Config {
-	cfg := core.Default()
-	if err := cfg.SetSkew(rob0); err != nil {
-		panic(err) // validated by Inputs.Validate
-	}
-	return cfg
 }
 
 // Table maps every calibrated (service, batch) pair to its per-mode
@@ -263,11 +254,11 @@ func Build(in Inputs) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bGrid, err := colocate.Grid(in.Services, in.Batches, skewConfig(in.BSkew), in.Spec)
+	bGrid, err := colocate.Grid(in.Services, in.Batches, colocate.SkewConfig(in.BSkew), in.Spec)
 	if err != nil {
 		return nil, err
 	}
-	qGrid, err := colocate.Grid(in.Services, in.Batches, skewConfig(in.QSkew), in.Spec)
+	qGrid, err := colocate.Grid(in.Services, in.Batches, colocate.SkewConfig(in.QSkew), in.Spec)
 	if err != nil {
 		return nil, err
 	}

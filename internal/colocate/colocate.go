@@ -54,10 +54,12 @@ func BaselineConfig() core.Config { return core.Default() }
 
 // SkewConfig returns a Stretch configuration with rob0 ROB entries for
 // thread 0 (the LS thread by convention) and the rest for thread 1.
+// rob0 must be a valid skew: an experiment constant or a skew checked by
+// calib.Inputs.Validate.
 func SkewConfig(rob0 int) core.Config {
 	cfg := core.Default()
 	if err := cfg.SetSkew(rob0); err != nil {
-		panic(err) // skews are compile-time experiment constants
+		panic(err)
 	}
 	return cfg
 }

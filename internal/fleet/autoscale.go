@@ -11,7 +11,7 @@
 // cores leave service like a drain, keeping their owner) and unparks them
 // on scale-out. A joining server's cores are cold — they pay the
 // scheduler's migration penalty for their first active window (reduced LS
-// performance, no B-mode batch bonus), the configured warm-up cost.
+// performance, no B-mode batch bonus) as their warm-up cost.
 // Scenario drains compose: a scenario-drained server is never eligible,
 // and the autoscaler sees only the remaining availability, so a mid-day
 // failure can trigger a compensating scale-out.
@@ -33,16 +33,14 @@ const (
 	AutoscaleOff AutoscalePolicy = iota
 	// AutoscaleUtil tracks offered load: it keeps fleet utilisation —
 	// demand in cores' worth (offered load normalised by per-core
-	// saturation rate) over in-service cores — inside the
-	// [TargetLow, TargetHigh] band, stepping toward the mid-band size
-	// when it drifts out. Window 0 sizes the fleet to the first window's
-	// demand directly.
+	// saturation rate) over in-service cores — inside the [0.45, 0.75]
+	// band, stepping one server toward the mid-band size when it drifts
+	// out. Window 0 sizes the fleet to the first window's demand directly.
 	AutoscaleUtil
 	// AutoscaleViolation tracks measured QoS: it scales out when the
-	// previous window recorded at least ViolationOut violating
-	// core-windows, and scales in only after SlackWindows consecutive
-	// windows with no violations and utilisation below TargetLow. It
-	// starts with every available server up.
+	// previous window recorded a violating core-window, and scales in
+	// only after 8 consecutive windows with no violations and utilisation
+	// below 0.45. It starts with every available server up.
 	AutoscaleViolation
 )
 
@@ -105,91 +103,60 @@ type Autoscaler interface {
 	DesiredServers(w int, obs *WindowObservation, st ScaleState) int
 }
 
-// AutoscaleConfig tunes the autoscaling layer. The zero value disables it.
+// AutoscaleConfig selects the autoscaling layer. The zero value disables
+// it.
 type AutoscaleConfig struct {
 	// Policy selects the built-in policy (default off).
 	Policy AutoscalePolicy
 	// MinServers is the floor of in-service servers (default 1); the
 	// ceiling is Config.Servers, the physical fleet.
 	MinServers int
-	// TargetLow and TargetHigh bound the utilisation band (defaults
-	// 0.45 and 0.75). AutoscaleUtil scales to stay inside it;
-	// AutoscaleViolation uses TargetLow as its scale-in slack threshold.
-	TargetLow, TargetHigh float64
-	// StepServers caps how many servers one decision moves (default 1).
-	StepServers int
-	// Cooldown is the number of windows a decision blocks the next one
-	// (default 4), damping oscillation around the band edges.
-	Cooldown int
-	// ViolationOut is the violating-core-window count that triggers an
-	// AutoscaleViolation scale-out (default 1).
-	ViolationOut int
-	// SlackWindows is how many consecutive no-violation, low-utilisation
-	// windows AutoscaleViolation requires before scaling in (default 8).
-	SlackWindows int
 	// Custom overrides the built-in policies with a caller-supplied
 	// Autoscaler; Policy must still be non-off so the engine knows
 	// autoscaling is active.
 	Custom Autoscaler
 }
 
-// Autoscale defaults used when the corresponding field is zero.
+// Built-in policy tunings. The utilisation band [autoTargetLow,
+// autoTargetHigh] is what AutoscaleUtil holds and autoTargetLow is
+// AutoscaleViolation's scale-in slack threshold; one decision moves at
+// most autoStepServers servers and blocks the next for autoCooldown
+// windows, damping oscillation around the band edges. AutoscaleViolation
+// scales out on autoViolationOut violating core-windows and scales in
+// after autoSlackWindows consecutive quiet, low-utilisation windows.
 const (
-	defaultAutoMinServers   = 1
-	defaultAutoTargetLow    = 0.45
-	defaultAutoTargetHigh   = 0.75
-	defaultAutoStepServers  = 1
-	defaultAutoCooldown     = 4
-	defaultAutoViolationOut = 1
-	defaultAutoSlackWindows = 8
+	autoTargetLow    = 0.45
+	autoTargetHigh   = 0.75
+	autoStepServers  = 1
+	autoCooldown     = 4
+	autoViolationOut = 1
+	autoSlackWindows = 8
 )
 
-// withDefaults fills zero fields.
+// defaultAutoMinServers is the in-service floor when MinServers is zero.
+const defaultAutoMinServers = 1
+
+// withDefaults fills a zero MinServers.
 func (a AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if a.MinServers == 0 {
 		a.MinServers = defaultAutoMinServers
 	}
-	if a.TargetLow == 0 {
-		a.TargetLow = defaultAutoTargetLow
-	}
-	if a.TargetHigh == 0 {
-		a.TargetHigh = defaultAutoTargetHigh
-	}
-	if a.StepServers == 0 {
-		a.StepServers = defaultAutoStepServers
-	}
-	if a.Cooldown == 0 {
-		a.Cooldown = defaultAutoCooldown
-	}
-	if a.ViolationOut == 0 {
-		a.ViolationOut = defaultAutoViolationOut
-	}
-	if a.SlackWindows == 0 {
-		a.SlackWindows = defaultAutoSlackWindows
-	}
 	return a
 }
 
-// Validate rejects unusable tunings against a concrete fleet. Zero fields
-// are legal (defaulted); the utilisation band is checked as a run would
-// use it, after defaults, so one bound set past the other's default is
-// rejected too.
+// Validate rejects unusable configurations against a concrete fleet. With
+// autoscaling off, MinServers and Custom must stay unset: nothing would
+// read them.
 func (a AutoscaleConfig) Validate(servers int) error {
-	d := a.withDefaults()
 	switch {
 	case a.Policy < AutoscaleOff || a.Policy > AutoscaleViolation:
 		return fmt.Errorf("fleet: unknown autoscale policy %d", int(a.Policy))
-	case a.Policy == AutoscaleOff:
-		if a.Custom != nil {
-			return fmt.Errorf("fleet: custom autoscaler needs a non-off policy")
-		}
-		return nil
+	case a.Policy == AutoscaleOff && a.Custom != nil:
+		return fmt.Errorf("fleet: custom autoscaler needs a non-off policy")
+	case a.Policy == AutoscaleOff && a.MinServers != 0:
+		return fmt.Errorf("fleet: autoscale min %d servers needs a non-off policy", a.MinServers)
 	case a.MinServers < 0 || a.MinServers > servers:
 		return fmt.Errorf("fleet: autoscale min %d servers outside fleet [0,%d]", a.MinServers, servers)
-	case !(0 <= d.TargetLow && d.TargetLow < d.TargetHigh):
-		return fmt.Errorf("fleet: autoscale utilisation band [%v,%v] invalid", d.TargetLow, d.TargetHigh)
-	case a.StepServers < 0 || a.Cooldown < 0 || a.ViolationOut < 0 || a.SlackWindows < 0:
-		return fmt.Errorf("fleet: negative autoscale tuning")
 	}
 	return nil
 }
@@ -205,9 +172,9 @@ func newAutoscaler(a AutoscaleConfig) Autoscaler {
 	}
 	switch a.Policy {
 	case AutoscaleUtil:
-		return &utilAuto{cfg: a}
+		return &utilAuto{}
 	case AutoscaleViolation:
-		return &violationAuto{cfg: a}
+		return &violationAuto{}
 	}
 	return nil
 }
@@ -215,14 +182,13 @@ func newAutoscaler(a AutoscaleConfig) Autoscaler {
 // utilAuto implements AutoscaleUtil: hold utilisation inside the band by
 // stepping toward the mid-band fleet size whenever it drifts out.
 type utilAuto struct {
-	cfg  AutoscaleConfig
 	cool int
 }
 
 // needServers is the fleet size that puts utilisation at the middle of
 // the band for the given demand (at least one server for any demand).
-func (a *utilAuto) needServers(st ScaleState) int {
-	target := (a.cfg.TargetLow + a.cfg.TargetHigh) / 2
+func (*utilAuto) needServers(st ScaleState) int {
+	target := (autoTargetLow + autoTargetHigh) / 2
 	perServer := target * float64(st.CoresPerServer)
 	n := int(st.DemandCores/perServer) + 1
 	if st.DemandCores == 0 {
@@ -247,12 +213,12 @@ func (a *utilAuto) DesiredServers(w int, obs *WindowObservation, st ScaleState) 
 		util = st.DemandCores / capacity
 	}
 	switch {
-	case util > a.cfg.TargetHigh && need > st.UpServers:
-		a.cool = a.cfg.Cooldown
-		return st.UpServers + min(a.cfg.StepServers, need-st.UpServers)
-	case util < a.cfg.TargetLow && need < st.UpServers:
-		a.cool = a.cfg.Cooldown
-		return st.UpServers - min(a.cfg.StepServers, st.UpServers-need)
+	case util > autoTargetHigh && need > st.UpServers:
+		a.cool = autoCooldown
+		return st.UpServers + min(autoStepServers, need-st.UpServers)
+	case util < autoTargetLow && need < st.UpServers:
+		a.cool = autoCooldown
+		return st.UpServers - min(autoStepServers, st.UpServers-need)
 	}
 	return st.UpServers
 }
@@ -260,7 +226,6 @@ func (a *utilAuto) DesiredServers(w int, obs *WindowObservation, st ScaleState) 
 // violationAuto implements AutoscaleViolation: scale out on measured
 // QoS-violation core-windows, scale in only on sustained slack.
 type violationAuto struct {
-	cfg      AutoscaleConfig
 	slackRun int
 	cool     int
 }
@@ -273,24 +238,24 @@ func (a *violationAuto) DesiredServers(w int, obs *WindowObservation, st ScaleSt
 	if a.cool > 0 {
 		a.cool--
 	}
-	if obs.Violations >= a.cfg.ViolationOut {
+	if obs.Violations >= autoViolationOut {
 		a.slackRun = 0
 		if a.cool == 0 {
-			a.cool = a.cfg.Cooldown
-			return st.UpServers + a.cfg.StepServers
+			a.cool = autoCooldown
+			return st.UpServers + autoStepServers
 		}
 		return st.UpServers
 	}
 	capacity := float64(st.UpServers * st.CoresPerServer)
-	if capacity > 0 && st.DemandCores/capacity < a.cfg.TargetLow {
+	if capacity > 0 && st.DemandCores/capacity < autoTargetLow {
 		a.slackRun++
 	} else {
 		a.slackRun = 0
 	}
-	if a.slackRun >= a.cfg.SlackWindows && a.cool == 0 {
+	if a.slackRun >= autoSlackWindows && a.cool == 0 {
 		a.slackRun = 0
-		a.cool = a.cfg.Cooldown
-		return st.UpServers - a.cfg.StepServers
+		a.cool = autoCooldown
+		return st.UpServers - autoStepServers
 	}
 	return st.UpServers
 }

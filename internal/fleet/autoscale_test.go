@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -42,16 +41,8 @@ func TestAutoscaleConfigValidate(t *testing.T) {
 		{Custom: fixedScale(1)}, // custom scaler with the off policy
 		{Policy: AutoscaleUtil, MinServers: -1},
 		{Policy: AutoscaleUtil, MinServers: 5},
-		{Policy: AutoscaleUtil, TargetLow: 0.8, TargetHigh: 0.5},
-		{Policy: AutoscaleUtil, TargetLow: -0.1},
-		{Policy: AutoscaleUtil, TargetLow: 0.9},  // past the default high of 0.75
-		{Policy: AutoscaleUtil, TargetHigh: 0.3}, // below the default low of 0.45
-		{Policy: AutoscaleUtil, TargetLow: math.NaN()},
-		{Policy: AutoscaleUtil, TargetHigh: math.NaN()},
-		{Policy: AutoscaleUtil, StepServers: -1},
-		{Policy: AutoscaleUtil, Cooldown: -1},
-		{Policy: AutoscaleViolation, ViolationOut: -1},
-		{Policy: AutoscaleViolation, SlackWindows: -1},
+		{MinServers: 3},  // a floor with the off policy
+		{MinServers: -1}, // likewise, and negative
 	}
 	for i, a := range bad {
 		if err := a.Validate(4); err == nil {
@@ -150,7 +141,7 @@ func TestAutoscaleComposesWithScenarioDrain(t *testing.T) {
 
 // TestUtilAutoscaler unit-tests the util policy's stepping logic directly.
 func TestUtilAutoscaler(t *testing.T) {
-	a := &utilAuto{cfg: AutoscaleConfig{Policy: AutoscaleUtil, Cooldown: 2}.withDefaults()}
+	a := &utilAuto{}
 	st := func(up int, demand float64) ScaleState {
 		return ScaleState{AvailableServers: 8, UpServers: up, CoresPerServer: 4, DemandCores: demand}
 	}
@@ -171,51 +162,57 @@ func TestUtilAutoscaler(t *testing.T) {
 		t.Fatalf("cooldown violated: %d, want 4", got)
 	}
 	// Zero demand holds at least one server once the cooldown clears.
-	b := &utilAuto{cfg: AutoscaleConfig{Policy: AutoscaleUtil}.withDefaults()}
+	b := &utilAuto{}
 	if got := b.DesiredServers(0, nil, st(8, 0)); got != 1 {
 		t.Fatalf("zero-demand sizing: %d, want 1", got)
 	}
 	// Below the band: one step in.
-	c := &utilAuto{cfg: AutoscaleConfig{Policy: AutoscaleUtil}.withDefaults()}
+	c := &utilAuto{}
 	if got := c.DesiredServers(1, nil, st(4, 1)); got != 3 {
 		t.Fatalf("scale-in: %d, want 3", got)
 	}
 }
 
-// TestViolationAutoscaler unit-tests the violation policy directly.
+// TestViolationAutoscaler unit-tests the violation policy directly, at
+// its fixed cooldown (autoCooldown, 4 windows) and slack run
+// (autoSlackWindows, 8 windows).
 func TestViolationAutoscaler(t *testing.T) {
-	a := &violationAuto{cfg: AutoscaleConfig{
-		Policy: AutoscaleViolation, Cooldown: 2, SlackWindows: 2,
-	}.withDefaults()}
-	st := func(up int, demand float64) ScaleState {
-		return ScaleState{AvailableServers: 8, UpServers: up, CoresPerServer: 4, DemandCores: demand}
+	a := &violationAuto{}
+	viol, quiet := &WindowObservation{Violations: 3}, &WindowObservation{}
+	w := 0
+	step := func(obs *WindowObservation, up int, demand float64, want int, what string) {
+		t.Helper()
+		st := ScaleState{AvailableServers: 8, UpServers: up, CoresPerServer: 4, DemandCores: demand}
+		if got := a.DesiredServers(w, obs, st); got != want {
+			t.Fatalf("window %d (%s): %d servers, want %d", w, what, got, want)
+		}
+		w++
 	}
 	// No measurement yet: start with everything available.
-	if got := a.DesiredServers(0, nil, st(0, 10)); got != 8 {
-		t.Fatalf("initial sizing: %d, want 8", got)
+	step(nil, 0, 10, 8, "initial sizing")
+	// A violating window scales out; the cooldown blocks a repeat until
+	// autoCooldown windows have passed since the decision.
+	step(viol, 4, 10, 5, "violation scale-out")
+	for i := 1; i < autoCooldown; i++ {
+		step(viol, 5, 10, 5, "cooldown")
 	}
-	// A violating window scales out; the cooldown blocks an immediate repeat.
-	if got := a.DesiredServers(1, &WindowObservation{Violations: 3}, st(4, 10)); got != 5 {
-		t.Fatalf("violation scale-out: %d, want 5", got)
+	step(viol, 5, 10, 6, "scale-out after cooldown")
+	// Scale-in needs autoSlackWindows consecutive quiet, underutilised
+	// windows.
+	for i := 1; i < autoSlackWindows; i++ {
+		step(quiet, 6, 1, 6, "slack run")
 	}
-	if got := a.DesiredServers(2, &WindowObservation{Violations: 3}, st(5, 10)); got != 5 {
-		t.Fatalf("cooldown violated: %d, want 5", got)
+	step(quiet, 6, 1, 5, "slack scale-in")
+	// A violation resets the slack run: the quiet windows before it no
+	// longer count, so a full run is needed again after it.
+	for i := 1; i < autoSlackWindows; i++ {
+		step(quiet, 5, 1, 5, "slack run")
 	}
-	// Scale-in needs SlackWindows consecutive quiet, underutilised windows.
-	quiet := &WindowObservation{}
-	if got := a.DesiredServers(3, quiet, st(5, 1)); got != 5 {
-		t.Fatalf("slack window 1 already scaled in: %d", got)
+	step(viol, 5, 1, 6, "violation ends the slack run")
+	for i := 1; i < autoSlackWindows; i++ {
+		step(quiet, 6, 1, 6, "slack run after the reset")
 	}
-	if got := a.DesiredServers(4, quiet, st(5, 1)); got != 4 {
-		t.Fatalf("slack scale-in: %d, want 4", got)
-	}
-	// A violation resets the slack run.
-	if got := a.DesiredServers(5, quiet, st(4, 1)); got != 4 {
-		t.Fatalf("slack window 1 after reset scaled in: %d", got)
-	}
-	if got := a.DesiredServers(6, &WindowObservation{Violations: 1}, st(4, 1)); got != 5 {
-		t.Fatalf("post-cooldown violation did not scale out: %d", got)
-	}
+	step(quiet, 6, 1, 5, "scale-in after the reset")
 }
 
 // TestAutoscaleRunParksOffPeak: a full closed-loop run under the util

@@ -43,20 +43,20 @@ func syntheticTable(cells map[string]map[string]calib.PairPerf) *calib.Table {
 
 // TestUniformFallbackEquivalence is the refactor's safety proof: a
 // calibration table whose cells encode exactly the old uniform scalars —
-// B-mode {LSSlowdownB, BatchSpeedupB}, Q-mode {0, −QModeBatchCost} — must
+// B-mode {LSSlowdownB, BatchSpeedupB}, Q-mode {0, −qModeBatchCost} — must
 // reproduce the scalar run's Result bit-for-bit (modulo the fields that
 // echo which source was used), because the engine's per-mode arrays resolve
 // to the same floats either way.
 func TestUniformFallbackEquivalence(t *testing.T) {
-	const bGain, lsSlow, qCost = 0.13, 0.07, 0.15
+	const bGain, lsSlow = 0.13, 0.07
 	base := lowLoadConfig()
-	base.BatchSpeedupB, base.LSSlowdownB, base.QModeBatchCost = bGain, lsSlow, qCost
+	base.BatchSpeedupB, base.LSSlowdownB = bGain, lsSlow
 
 	calibrated := base
 	calibrated.Calibration = syntheticTable(map[string]map[string]calib.PairPerf{
 		workload.WebSearch: {DefaultBatchPairing: {
 			B: calib.Cell{LSSlowdown: lsSlow, BatchSpeedup: bGain},
-			Q: calib.Cell{LSSlowdown: 0, BatchSpeedup: -qCost},
+			Q: calib.Cell{LSSlowdown: 0, BatchSpeedup: -qModeBatchCost},
 		}},
 	})
 

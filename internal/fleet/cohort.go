@@ -228,7 +228,7 @@ func (e *engine) walkWindow(w int, asg Assignment) {
 			k = e.freshFor[ci]
 			if k < 0 {
 				k = e.newClass(cohortClass{client: ci, lastMode: -1, born: int32(w)})
-				if err := e.classes[k].ctl.Reset(e.monCfg(e.targets[ci])); err != nil {
+				if err := e.classes[k].ctl.Reset(monitor.DefaultConfig(e.targets[ci])); err != nil {
 					e.errs[c] = err
 					continue
 				}
@@ -275,13 +275,12 @@ func (e *engine) subRun(w int, k int32, a, b int, ci int16, rate, rawPerf float6
 	if s := e.lsSlowMode[ci][mode]; s != 0 {
 		perf *= 1 - s
 	}
-	pen := e.st.sched.MigrationPenalty
 	if mig {
-		perf *= 1 - pen
+		perf *= 1 - migrationPenalty
 	}
 	modeB := mode == core.ModeB
 	credit := mode
-	if modeB && mig && pen > 0 {
+	if modeB && mig {
 		// Warming the new client's working set eats the bonus: the run
 		// earns the equal-partitioning baseline's credit of 1.
 		credit = core.ModeBaseline

@@ -6,7 +6,6 @@ import (
 
 	"stretch/internal/calib"
 	"stretch/internal/loadgen"
-	"stretch/internal/monitor"
 	"stretch/internal/queueing"
 	"stretch/internal/stats"
 	"stretch/internal/workload"
@@ -33,11 +32,9 @@ type Config struct {
 
 	// BatchSpeedupB and LSSlowdownB are the uniform measured B-mode deltas
 	// versus equal partitioning (e.g. from the 56-136 skew grid), applied
-	// to every client alike. Ignored when Calibration is set.
+	// to every client alike; Q-mode costs every client qModeBatchCost.
+	// Ignored when Calibration is set.
 	BatchSpeedupB, LSSlowdownB float64
-	// QModeBatchCost is the uniform batch throughput lost while Q-mode is
-	// engaged (default 0.15 when zero). Ignored when Calibration is set.
-	QModeBatchCost float64
 
 	// WindowRequests is the per-core request budget sampling each window's
 	// steady state (default 800 when zero).
@@ -50,10 +47,6 @@ type Config struct {
 	// Seed is the experiment seed; identical seeds reproduce identical
 	// aggregate metrics.
 	Seed uint64
-
-	// Monitor builds each core's controller tuning from its client's
-	// (SLO-scaled) tail target; nil uses monitor.DefaultConfig.
-	Monitor func(targetMs float64) monitor.Config
 
 	// TailEstimator selects how tail quantiles are estimated, at every
 	// level: per-request latencies inside each core-window simulation,
@@ -131,9 +124,6 @@ func (c Config) Validate() error {
 	if !(0 <= c.LSSlowdownB && c.LSSlowdownB < 1) {
 		return fmt.Errorf("fleet: B-mode LS slowdown %v out of [0,1)", c.LSSlowdownB)
 	}
-	if !(0 <= c.QModeBatchCost && c.QModeBatchCost < 1) {
-		return fmt.Errorf("fleet: Q-mode batch cost %v out of [0,1)", c.QModeBatchCost)
-	}
 	if c.WindowRequests < 0 {
 		return fmt.Errorf("fleet: negative window request budget")
 	}
@@ -189,6 +179,10 @@ func (c Config) Validate() error {
 	}
 	return c.Scenario.Validate(c.Traffic.Windows, c.Servers, c.Traffic.Clients)
 }
+
+// qModeBatchCost is the uniform batch throughput lost while Q-mode is
+// engaged, for runs without a calibration table.
+const qModeBatchCost = 0.15
 
 // DefaultBatchPairing is the batch workload assumed to colocate with a
 // client whose Batch field is empty: the paper's high-MLP exemplar

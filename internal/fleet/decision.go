@@ -161,7 +161,8 @@ type DecisionRecord struct {
 	Moves                          int
 	Forced, Rebalanced, Suppressed bool
 	// Migrations counts cores paying the migration penalty this window;
-	// MigrationPenalty echoes the per-core penalty rate charged to them.
+	// MigrationPenalty echoes the per-core penalty rate charged to them
+	// (the fixed 0.25; zero in a window without migrations).
 	Migrations       int
 	MigrationPenalty float64
 	// Counterfactual is the window's alternative-assignment evaluation
@@ -202,7 +203,7 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 		}
 	}
 	if rec.Migrations > 0 {
-		rec.MigrationPenalty = e.sched.MigrationPenalty
+		rec.MigrationPenalty = migrationPenalty
 	}
 	for ci := range rec.Clients {
 		cd := &rec.Clients[ci]
@@ -268,6 +269,12 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 // (0x70C2) branches.
 const cfLabel = 0xCF0F
 
+// cfMinCores is the per-client floor every alternative respects: a move
+// never strips a loaded client to zero cores, whose cost the
+// representative-core model could not express. The scheduler's floor
+// (minCores, or zero under NoMinCores) never exceeds it.
+const cfMinCores = 1
+
 // cfKey caches one window's evaluated (client, core-count) tail: within a
 // window the seed and load are fixed, so equal counts give equal rates and
 // equal tails on every evaluated allocation.
@@ -290,25 +297,13 @@ func (e *engine) counterfactual(w int, rec *DecisionRecord) error {
 	}
 	cf := &Counterfactual{K: e.cfK, ChosenCost: chosen, BestCost: chosen}
 
-	// The per-client floor alternatives must respect: the configured
-	// min-core floor, degraded the way allocCounts degrades it when the
-	// active fleet cannot afford it — but never below one, so a move can
-	// never strip a loaded client to zero cores (whose cost the
-	// representative-core model could not express).
-	floor := e.st.sched.MinCores
-	if n > 0 && floor > rec.Active/n {
-		floor = rec.Active / n
-	}
-	if floor < 1 {
-		floor = 1
-	}
 	type cand struct {
 		donor, receiver int
 		score           float64
 	}
 	var cands []cand
 	for d := 0; d < n; d++ {
-		if counts[d] <= floor {
+		if counts[d] <= cfMinCores {
 			continue
 		}
 		dc := &rec.Clients[d]

@@ -142,9 +142,9 @@ func checkDecisionTrace(t *testing.T, label string, cfg Config, res Result) {
 		if rec.Migrations != obs.Migrations {
 			t.Fatalf("%s: window %d migrations %d != window trace %d", label, w, rec.Migrations, obs.Migrations)
 		}
-		if rec.Migrations > 0 && rec.MigrationPenalty <= 0 && !cfg.Scheduler.NoMigrationPenalty {
-			t.Fatalf("%s: window %d charged %d migrations at penalty %v",
-				label, w, rec.Migrations, rec.MigrationPenalty)
+		if rec.Migrations > 0 && rec.MigrationPenalty != migrationPenalty {
+			t.Fatalf("%s: window %d charged %d migrations at penalty %v, want %v",
+				label, w, rec.Migrations, rec.MigrationPenalty, migrationPenalty)
 		}
 		if cfg.Scheduler.Policy == PolicyStatic {
 			if rec.Moves != 0 || rec.Rebalanced || rec.Suppressed || rec.Forced {

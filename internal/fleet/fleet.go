@@ -34,11 +34,11 @@
 // (Config.Calibration) derived from the cycle-level core model, which makes
 // both the LS slowdown and the batch credit specific to the client's
 // (service, batch-pairing) colocation in every mode — or, when no table is
-// supplied, the legacy uniform scalars (BatchSpeedupB, LSSlowdownB,
-// QModeBatchCost) applied identically to every client, which reproduces
-// pre-calibration results byte-identically. Either way the per-window hot
-// path only indexes a per-client array; no table lookup or map access sits
-// on the per-request path. Results (result.go) aggregate into per-client
+// supplied, the legacy uniform scalars (BatchSpeedupB, LSSlowdownB and
+// the fixed Q-mode batch cost) applied identically to every client, which
+// reproduces pre-calibration results byte-identically. Either way the
+// per-window hot path only indexes a per-client array; no table lookup or
+// map access sits on the per-request path. Results (result.go) aggregate into per-client
 // and fleet-wide tails (p99/p99.9 over core-window tails), QoS-violation
 // window counts, engaged-core-hours, batch core-hours gained versus an
 // equal-partitioning deployment, and the per-window fleet series in
@@ -64,7 +64,6 @@
 package fleet
 
 import (
-	"stretch/internal/monitor"
 	"stretch/internal/queueing"
 	"stretch/internal/rng"
 	"stretch/internal/stats"
@@ -80,8 +79,8 @@ type engine struct {
 	est stats.TailEstimator
 
 	// st is the scheduler, stepped once per window; it also owns the
-	// resolved scheduler tunings (migration penalty, min-core floor) and
-	// the decision record of the current window.
+	// resolved scheduler tunings and the decision record of the current
+	// window.
 	st *elastic
 
 	// The persistent worker pool and one reusable Simulator per worker.
@@ -94,7 +93,6 @@ type engine struct {
 	decTrace []DecisionRecord
 
 	nCores, windows, windowReq int
-	monCfg                     func(float64) monitor.Config
 	engineSel                  Engine
 
 	// lsSlowMode and batchRelMode are the per-client per-mode performance

@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"stretch/internal/core"
 	"stretch/internal/loadgen"
-	"stretch/internal/monitor"
 	"stretch/internal/stats"
 	"stretch/internal/workload"
 )
@@ -259,11 +257,9 @@ func TestFleetValidation(t *testing.T) {
 		func(c *Config) { c.Traffic.Clients = nil },
 		func(c *Config) { c.BatchSpeedupB = -0.1 },
 		func(c *Config) { c.LSSlowdownB = 1 },
-		func(c *Config) { c.QModeBatchCost = -0.2 },
 		func(c *Config) { c.BatchSpeedupB = math.NaN() },
 		func(c *Config) { c.BatchSpeedupB = math.Inf(1) },
 		func(c *Config) { c.LSSlowdownB = math.NaN() },
-		func(c *Config) { c.QModeBatchCost = math.NaN() },
 		func(c *Config) { c.WindowRequests = -5 },
 		func(c *Config) { c.Traffic.Clients[0].Service = "no-such-service" },
 		func(c *Config) {
@@ -332,54 +328,6 @@ func TestAssignCores(t *testing.T) {
 	got = assignCores(mk(0.25), 8)
 	if got[0] != 2 {
 		t.Fatalf("under-subscribed: %v", got)
-	}
-}
-
-func TestThresholdTimeline(t *testing.T) {
-	loads := []float64{0.2, 0.9, 0.84, 0.86}
-	modes, rel, engaged, err := ThresholdTimeline(loads, 0.85, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantModes := []core.Mode{core.ModeB, core.ModeBaseline, core.ModeB, core.ModeBaseline}
-	if !reflect.DeepEqual(modes, wantModes) {
-		t.Fatalf("modes %v", modes)
-	}
-	if rel[0] != 1.10 || rel[1] != 1 || engaged != 2 {
-		t.Fatalf("rel %v engaged %d", rel, engaged)
-	}
-	if _, _, _, err := ThresholdTimeline(loads, 0, 0.1); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if _, _, _, err := ThresholdTimeline(loads, 0.85, -1); err == nil {
-		t.Error("negative speedup accepted")
-	}
-}
-
-func TestControlledTimelineValidation(t *testing.T) {
-	ctl, err := monitor.New(monitor.DefaultConfig(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := func(load float64, mode core.Mode) float64 { return 10 }
-	if _, _, err := ControlledTimeline([]float64{0.5}, ctl, 0, tail); err == nil {
-		t.Error("zero subwindows accepted")
-	}
-	if _, _, err := ControlledTimeline([]float64{0.5}, nil, 1, tail); err == nil {
-		t.Error("nil controller accepted")
-	}
-	if _, _, err := ControlledTimeline([]float64{0.5}, ctl, 1, nil); err == nil {
-		t.Error("nil tail model accepted")
-	}
-	modes, frac, err := ControlledTimeline([]float64{0.2, 0.2, 0.2, 0.2}, ctl, 4, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(modes) != 4 || len(frac) != 4 {
-		t.Fatalf("shape %d/%d", len(modes), len(frac))
-	}
-	if modes[3] != core.ModeB || frac[3] != 1 {
-		t.Fatalf("sustained slack did not engage B: %v %v", modes, frac)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"stretch/internal/core"
 	"stretch/internal/loadgen"
-	"stretch/internal/monitor"
 	"stretch/internal/queueing"
 	"stretch/internal/rng"
 	"stretch/internal/stats"
@@ -43,14 +42,6 @@ func newEngine(cfg Config) (*engine, error) {
 	windowReq := cfg.WindowRequests
 	if windowReq == 0 {
 		windowReq = 800
-	}
-	qCost := cfg.QModeBatchCost
-	if qCost == 0 {
-		qCost = 0.15
-	}
-	monCfg := cfg.Monitor
-	if monCfg == nil {
-		monCfg = monitor.DefaultConfig
 	}
 	est := cfg.TailEstimator
 	if est == stats.EstimatorDefault {
@@ -88,7 +79,7 @@ func newEngine(cfg Config) (*engine, error) {
 			batchRelMode[ci] = [3]float64{1, 1 + pb.BatchSpeedup, 1 + pq.BatchSpeedup}
 		} else {
 			lsSlowMode[ci] = [3]float64{0, cfg.LSSlowdownB, 0}
-			batchRelMode[ci] = [3]float64{1, 1 + cfg.BatchSpeedupB, 1 - qCost}
+			batchRelMode[ci] = [3]float64{1, 1 + cfg.BatchSpeedupB, 1 - qModeBatchCost}
 		}
 	}
 
@@ -104,7 +95,7 @@ func newEngine(cfg Config) (*engine, error) {
 	perfGen := cfg.Scenario.PerfFactors(cfg.Servers)
 	e := &engine{
 		cfg: cfg, est: est, st: st,
-		nCores: nCores, windows: windows, windowReq: windowReq, monCfg: monCfg,
+		nCores: nCores, windows: windows, windowReq: windowReq,
 		engineSel:    cfg.Engine,
 		lsSlowMode:   lsSlowMode,
 		batchRelMode: batchRelMode,

@@ -87,58 +87,45 @@ func ParsePolicy(s string) (Policy, error) {
 type SchedulerConfig struct {
 	// Policy selects the allocation/routing policy (default static).
 	Policy Policy
-	// MinCores is the per-client core floor the elastic policies respect
-	// (default 1; a degraded fleet with fewer in-service cores than
-	// clients×MinCores lowers the floor).
-	MinCores int
 	// Hysteresis is the fraction of in-service cores that would have to
 	// move before a rebalance is worth its migration cost; smaller demand
 	// drifts keep the current assignment (zero defaults to 0.1). Drains
 	// and restores always force a rebalance.
 	Hysteresis float64
-	// MigrationPenalty models the cost of moving a core to a new client:
-	// for its first window on the new client the core runs the LS service
-	// at (1-MigrationPenalty) of its performance and forfeits its B-mode
-	// batch bonus (cold caches, state handoff). Default 0.25.
-	MigrationPenalty float64
 
 	// FeedbackGain and FeedbackDecay tune PolicyFeedback's closed loop
 	// (see feedback.go): gain scales how fast a violating client's
 	// pressure weight grows, decay shrinks a slack-rich client's weight
 	// each window. Zero means the hand-tuned defaults (1.5 and 0.92);
 	// both are ignored by the open-loop policies. These are the knobs the
-	// search driver (search.go) sweeps.
+	// search driver (search.go) sweeps, together with Hysteresis.
 	FeedbackGain, FeedbackDecay float64
 
-	// NoMinCores, NoHysteresis and NoMigrationPenalty make the
-	// corresponding zero value literal instead of "use the default": a
-	// plain zero struct still gets the defaults above (so existing configs
-	// keep working), while e.g. NoHysteresis genuinely disables rebalance
-	// damping and NoMigrationPenalty makes core moves free. Setting a flag
-	// together with a non-zero value of its field is rejected.
-	NoMinCores, NoHysteresis, NoMigrationPenalty bool
+	// NoMinCores drops the elastic policies' per-client floor of one core
+	// (minCores), so a client without demand can lose every core.
+	NoMinCores bool
 }
 
-// Defaults used when the corresponding SchedulerConfig field is zero and
-// not explicitly disabled.
-const (
-	defaultMinCores         = 1
-	defaultHysteresis       = 0.1
-	defaultMigrationPenalty = 0.25
-)
+// minCores is the per-client core floor the elastic policies respect
+// unless NoMinCores is set; a degraded fleet with fewer in-service cores
+// than clients×minCores lowers the floor.
+const minCores = 1
+
+// migrationPenalty models the cost of moving a core to a new client: for
+// its first window on the new client the core runs the LS service at
+// (1-migrationPenalty) of its performance and forfeits its B-mode batch
+// bonus (cold caches, state handoff).
+const migrationPenalty = 0.25
+
+// defaultHysteresis is the rebalance threshold when Hysteresis is zero.
+const defaultHysteresis = 0.1
 
 // WithDefaults resolves every zero field to the value a run actually
-// uses, unless a No* flag pins it to zero — what newScheduler sees, and
-// what search reports so tunings never show as zero placeholders.
+// uses — what newScheduler sees, and what search reports so tunings
+// never show as zero placeholders.
 func (s SchedulerConfig) WithDefaults() SchedulerConfig {
-	if s.MinCores == 0 && !s.NoMinCores {
-		s.MinCores = defaultMinCores
-	}
-	if s.Hysteresis == 0 && !s.NoHysteresis {
+	if s.Hysteresis == 0 {
 		s.Hysteresis = defaultHysteresis
-	}
-	if s.MigrationPenalty == 0 && !s.NoMigrationPenalty {
-		s.MigrationPenalty = defaultMigrationPenalty
 	}
 	if s.FeedbackGain == 0 {
 		s.FeedbackGain = feedbackGain
@@ -155,22 +142,12 @@ func (s SchedulerConfig) Validate() error {
 	switch {
 	case s.Policy < PolicyStatic || s.Policy > PolicyFeedback:
 		return fmt.Errorf("fleet: unknown scheduler policy %d", int(s.Policy))
-	case s.MinCores < 0:
-		return fmt.Errorf("fleet: negative min-core floor")
 	case !(0 <= s.Hysteresis && s.Hysteresis < 1):
 		return fmt.Errorf("fleet: hysteresis %v out of [0,1)", s.Hysteresis)
-	case !(0 <= s.MigrationPenalty && s.MigrationPenalty < 1):
-		return fmt.Errorf("fleet: migration penalty %v out of [0,1)", s.MigrationPenalty)
 	case !(0 <= s.FeedbackGain):
 		return fmt.Errorf("fleet: feedback gain %v is negative or NaN", s.FeedbackGain)
 	case !(0 <= s.FeedbackDecay && s.FeedbackDecay <= 1):
 		return fmt.Errorf("fleet: feedback decay %v out of [0,1]", s.FeedbackDecay)
-	case s.NoMinCores && s.MinCores != 0:
-		return fmt.Errorf("fleet: NoMinCores contradicts MinCores=%d", s.MinCores)
-	case s.NoHysteresis && s.Hysteresis != 0:
-		return fmt.Errorf("fleet: NoHysteresis contradicts Hysteresis=%v", s.Hysteresis)
-	case s.NoMigrationPenalty && s.MigrationPenalty != 0:
-		return fmt.Errorf("fleet: NoMigrationPenalty contradicts MigrationPenalty=%v", s.MigrationPenalty)
 	}
 	return nil
 }
@@ -461,7 +438,11 @@ func (e *elastic) desired() []int {
 	for ci := range e.demand {
 		e.demand[ci] = e.load[ci] / e.sat[ci] * e.weight[ci]
 	}
-	return allocCounts(e.demand, e.fracs, e.nActive, e.sched.MinCores)
+	floor := minCores
+	if e.sched.NoMinCores {
+		floor = 0
+	}
+	return allocCounts(e.demand, e.fracs, e.nActive, floor)
 }
 
 // autoscale runs one scaling decision: build the fleet state, ask the

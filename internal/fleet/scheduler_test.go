@@ -38,18 +38,11 @@ func TestSchedulerConfigValidate(t *testing.T) {
 	bad := []SchedulerConfig{
 		{Policy: Policy(9)},
 		{Policy: Policy(-1)},
-		{MinCores: -1},
 		{Hysteresis: -0.1},
 		{Hysteresis: 1},
-		{MigrationPenalty: -0.5},
-		{MigrationPenalty: 1},
 		{Hysteresis: math.NaN()},
-		{MigrationPenalty: math.NaN()},
 		{FeedbackGain: math.NaN()},
 		{FeedbackDecay: math.NaN()},
-		{NoMinCores: true, MinCores: 2},
-		{NoHysteresis: true, Hysteresis: 0.2},
-		{NoMigrationPenalty: true, MigrationPenalty: 0.1},
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
@@ -58,64 +51,36 @@ func TestSchedulerConfigValidate(t *testing.T) {
 	}
 }
 
-// TestSchedulerConfigZeroVsUnset pins the explicit zero-vs-unset
-// semantics: a zero field still defaults (so existing configs keep their
-// meaning), while the No* flags pin the zero as literal.
+// TestSchedulerConfigZeroVsUnset pins what the zero values mean: a zero
+// Hysteresis gets its default, and NoMinCores is the only way to a zero
+// core floor.
 func TestSchedulerConfigZeroVsUnset(t *testing.T) {
-	d := (SchedulerConfig{}).WithDefaults()
-	if d.MinCores != defaultMinCores || d.Hysteresis != defaultHysteresis ||
-		d.MigrationPenalty != defaultMigrationPenalty {
-		t.Fatalf("zero config did not default: %+v", d)
+	if d := (SchedulerConfig{}).WithDefaults(); d.Hysteresis != defaultHysteresis {
+		t.Fatalf("zero hysteresis did not default: %+v", d)
 	}
-	z := SchedulerConfig{NoMinCores: true, NoHysteresis: true, NoMigrationPenalty: true}
-	if err := z.Validate(); err != nil {
-		t.Fatalf("explicit-zero config rejected: %v", err)
+	if nz := (SchedulerConfig{Hysteresis: 0.5}).WithDefaults(); nz.Hysteresis != 0.5 {
+		t.Fatalf("non-zero hysteresis rewritten: %+v", nz)
 	}
-	zd := z.WithDefaults()
-	if zd.MinCores != 0 || zd.Hysteresis != 0 || zd.MigrationPenalty != 0 {
-		t.Fatalf("explicit zeros were overwritten by defaults: %+v", zd)
+	// One idle client beside a loaded one: only the floor keeps it a core.
+	floorOf := func(sc SchedulerConfig) int {
+		cfg := planConfig(PolicyProportional)
+		cfg.Scheduler = sc
+		tl := map[string][]float64{"a": make([]float64, 10), "b": make([]float64, 10)}
+		for w := range tl["b"] {
+			tl["b"][w] = 5000
+		}
+		st, err := newScheduler(cfg, tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Step(0, nil)
+		return st.desired()[0]
 	}
-	// Non-zero values pass through untouched either way.
-	nz := SchedulerConfig{MinCores: 3, Hysteresis: 0.5, MigrationPenalty: 0.4}.WithDefaults()
-	if nz.MinCores != 3 || nz.Hysteresis != 0.5 || nz.MigrationPenalty != 0.4 {
-		t.Fatalf("non-zero fields rewritten: %+v", nz)
+	if got := floorOf(SchedulerConfig{Policy: PolicyProportional}); got != minCores {
+		t.Fatalf("default floor gave the idle client %d cores, want %d", got, minCores)
 	}
-}
-
-// TestNoHysteresisFollowsEveryDrift checks that a genuinely disabled
-// hysteresis rebalances on any demand drift (the former Hysteresis: 0
-// silently re-enabled the 0.1 default).
-func TestNoHysteresisFollowsEveryDrift(t *testing.T) {
-	cfg := planConfig(PolicyProportional)
-	cfg.Scheduler.NoHysteresis = true
-	p := mustPlan(t, cfg)
-	if p.migrations == 0 {
-		t.Fatal("no migrations with hysteresis explicitly disabled")
-	}
-}
-
-// TestNoMigrationPenaltyIsFree checks a migrated core under an explicitly
-// disabled penalty runs at full performance and keeps its B-mode bonus:
-// the run must harvest at least the batch core-hours of the default
-// penalty config.
-func TestNoMigrationPenaltyIsFree(t *testing.T) {
-	base := planConfig(PolicyProportional)
-	withPenalty, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := planConfig(PolicyProportional)
-	free.Scheduler.NoMigrationPenalty = true
-	noPenalty, err := Run(free)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noPenalty.Migrations == 0 {
-		t.Fatal("no migrations scheduled; penalty comparison is vacuous")
-	}
-	if noPenalty.BatchCoreHoursGained < withPenalty.BatchCoreHoursGained {
-		t.Fatalf("free migrations gained %.3f batch core-hours < penalised %.3f",
-			noPenalty.BatchCoreHoursGained, withPenalty.BatchCoreHoursGained)
+	if got := floorOf(SchedulerConfig{Policy: PolicyProportional, NoMinCores: true}); got != 0 {
+		t.Fatalf("NoMinCores gave the idle client %d cores, want 0", got)
 	}
 }
 
@@ -362,7 +327,6 @@ func TestMinCoreFloorHolds(t *testing.T) {
 	// Client a's demand is dwarfed by b's: floor must still hold.
 	cfg.Traffic.Clients[0].Spec.Shape = loadgen.Constant{Rate: 1}
 	cfg.Traffic.Clients[1].Spec.Shape = loadgen.Constant{Rate: 5000}
-	cfg.Scheduler.MinCores = 2
 	p := mustPlan(t, cfg)
 	for w := 0; w < 10; w++ {
 		n := 0
@@ -371,9 +335,19 @@ func TestMinCoreFloorHolds(t *testing.T) {
 				n++
 			}
 		}
-		if n < 2 {
-			t.Fatalf("window %d: client a holds %d cores < floor 2", w, n)
+		if n < minCores {
+			t.Fatalf("window %d: client a holds %d cores < floor %d", w, n, minCores)
 		}
+	}
+	// A wider floor is allocCounts' business alone: a negligible client
+	// still gets two of eight cores, and every core is handed out.
+	got := allocCounts([]float64{1e-6, 1}, []float64{0.5, 0.5}, 8, 2)
+	if got[0] != 2 || got[0]+got[1] != 8 {
+		t.Fatalf("allocCounts with floor 2 = %v, want [2 6]", got)
+	}
+	// A degraded fleet lowers the floor to what it can afford.
+	if got := allocCounts([]float64{1e-6, 1}, []float64{0.5, 0.5}, 3, 2); got[0] != 1 || got[0]+got[1] != 3 {
+		t.Fatalf("allocCounts with floor 2 on 3 cores = %v, want [1 2]", got)
 	}
 }
 

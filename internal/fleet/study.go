@@ -1,11 +1,10 @@
 // The §VI-D impact case studies (Fig. 14), folded into the fleet package
-// as the 1-core, hour-grain special case of the fleet engine: a Web Search
+// as a 1-core, hour-grain model of one cluster's day: a Web Search
 // cluster and a YouTube-like video cluster with diurnal load, where
 // Stretch B-mode is engaged during the hours the service runs below the
 // engage threshold, and batch throughput is integrated over 24 hours. The
-// diurnal day profiles live in internal/loadgen and the windowed mode
-// integration in timeline.go; this file keeps the paper-facing Study
-// vocabulary on top.
+// diurnal day profiles live in internal/loadgen. The studies run on their
+// own single-core loops, not on the fleet engine.
 package fleet
 
 import (
@@ -72,16 +71,26 @@ type StudyResult struct {
 // Run integrates the study over 24 hours. Hour-grain mode selection mirrors
 // the coarse exploitation the paper evaluates ("both cases are doing a very
 // coarse exploitation of the capabilities of Stretch").
+// B-mode is engaged in every hour whose load sits below EngageBelow,
+// crediting the batch thread 1+BatchSpeedupB relative to equal
+// partitioning.
 func (s Study) Run() (StudyResult, error) {
-	modes, rel, engaged, err := ThresholdTimeline(s.Trace.HourLoad[:], s.EngageBelow, s.BatchSpeedupB)
-	if err != nil {
-		return StudyResult{}, err
+	if s.EngageBelow <= 0 || s.EngageBelow > 1 {
+		return StudyResult{}, fmt.Errorf("fleet: engage threshold %v out of (0,1]", s.EngageBelow)
 	}
-	res := StudyResult{EngagedHours: engaged}
+	if s.BatchSpeedupB < 0 {
+		return StudyResult{}, fmt.Errorf("fleet: negative batch speedup")
+	}
+	var res StudyResult
 	var sum float64
 	for h, load := range s.Trace.HourLoad {
-		res.Hours = append(res.Hours, HourResult{Hour: h, Load: load, Mode: modes[h], BatchRel: rel[h]})
-		sum += rel[h]
+		hr := HourResult{Hour: h, Load: load, Mode: core.ModeBaseline, BatchRel: 1}
+		if load < s.EngageBelow {
+			hr.Mode, hr.BatchRel = core.ModeB, 1+s.BatchSpeedupB
+			res.EngagedHours++
+		}
+		sum += hr.BatchRel
+		res.Hours = append(res.Hours, hr)
 	}
 	res.ClusterGain = sum/24 - 1
 	return res, nil
@@ -91,23 +100,32 @@ func (s Study) Run() (StudyResult, error) {
 // the given monitoring granularity (windows per hour), feeding it the tail
 // latency that the queueing model predicts for each window's load and the
 // currently engaged mode. tailAt maps (loadFrac, mode) to the window's tail
-// latency in ms. It returns per-hour modal decisions plus the controller's
-// switch count — demonstrating that hysteresis keeps flips infrequent even
-// at fine granularity.
+// latency in ms. Each hour records the controller's mode at the hour's end
+// and credits the batch thread for the fraction of its windows spent in
+// B-mode; an hour counts as engaged when that fraction passes one half.
+// The controller's switch count shows that hysteresis keeps flips
+// infrequent even at fine granularity.
 func (s Study) RunWithController(ctl *monitor.Controller, windowsPerHour int,
 	tailAt func(load float64, mode core.Mode) float64) (StudyResult, error) {
 	if windowsPerHour <= 0 {
 		return StudyResult{}, fmt.Errorf("fleet: need at least one window per hour")
 	}
-	modes, frac, err := ControlledTimeline(s.Trace.HourLoad[:], ctl, windowsPerHour, tailAt)
-	if err != nil {
-		return StudyResult{}, err
+	if ctl == nil || tailAt == nil {
+		return StudyResult{}, fmt.Errorf("fleet: controlled study needs a controller and a tail model")
 	}
 	var res StudyResult
 	var sum float64
 	for h, load := range s.Trace.HourLoad {
-		hr := HourResult{Hour: h, Load: load, Mode: modes[h], BatchRel: 1 + s.BatchSpeedupB*frac[h]}
-		if frac[h] > 0.5 {
+		engaged := 0
+		for i := 0; i < windowsPerHour; i++ {
+			ctl.Observe(monitor.Observation{TailMs: tailAt(load, ctl.Mode())})
+			if ctl.Mode() == core.ModeB {
+				engaged++
+			}
+		}
+		frac := float64(engaged) / float64(windowsPerHour)
+		hr := HourResult{Hour: h, Load: load, Mode: ctl.Mode(), BatchRel: 1 + s.BatchSpeedupB*frac}
+		if frac > 0.5 {
 			res.EngagedHours++
 		}
 		sum += hr.BatchRel

@@ -65,12 +65,69 @@ func TestStudyRunGainMath(t *testing.T) {
 	}
 }
 
+// TestThresholdTimeline pins Study.Run's hour rule at the threshold: a
+// load strictly below EngageBelow engages B-mode and earns 1+BatchSpeedupB,
+// anything at or above it stays at the baseline's 1.
+func TestThresholdTimeline(t *testing.T) {
+	tr := DiurnalTrace{Name: "edge"}
+	for h := range tr.HourLoad {
+		tr.HourLoad[h] = 1
+	}
+	copy(tr.HourLoad[:], []float64{0.2, 0.9, 0.84, 0.86, 0.85})
+	res, err := (Study{Trace: tr, EngageBelow: 0.85, BatchSpeedupB: 0.10}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantModes := []core.Mode{core.ModeB, core.ModeBaseline, core.ModeB, core.ModeBaseline, core.ModeBaseline}
+	for h, want := range wantModes {
+		if hr := res.Hours[h]; hr.Mode != want {
+			t.Fatalf("hour %d at load %v: mode %v, want %v", h, hr.Load, hr.Mode, want)
+		}
+	}
+	if res.Hours[0].BatchRel != 1.10 || res.Hours[1].BatchRel != 1 || res.EngagedHours != 2 {
+		t.Fatalf("batch rel %v/%v, engaged %d", res.Hours[0].BatchRel, res.Hours[1].BatchRel, res.EngagedHours)
+	}
+}
+
 func TestStudyRunValidation(t *testing.T) {
 	if _, err := (Study{Trace: WebSearchTrace(), EngageBelow: 0}).Run(); err == nil {
 		t.Fatal("zero threshold accepted")
 	}
+	if _, err := (Study{Trace: WebSearchTrace(), EngageBelow: 1.5}).Run(); err == nil {
+		t.Fatal("threshold above 1 accepted")
+	}
 	if _, err := (Study{Trace: WebSearchTrace(), EngageBelow: 0.85, BatchSpeedupB: -1}).Run(); err == nil {
 		t.Fatal("negative speedup accepted")
+	}
+}
+
+// TestControlledTimelineValidation checks RunWithController's input
+// errors, then that sustained slack engages B-mode for whole hours.
+func TestControlledTimelineValidation(t *testing.T) {
+	s := Study{Trace: WebSearchTrace(), EngageBelow: 0.85, BatchSpeedupB: 0.13}
+	ctl, err := monitor.New(monitor.DefaultConfig(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := func(load float64, mode core.Mode) float64 { return 10 }
+	if _, err := s.RunWithController(ctl, 0, tail); err == nil {
+		t.Error("zero windows per hour accepted")
+	}
+	if _, err := s.RunWithController(nil, 1, tail); err == nil {
+		t.Error("nil controller accepted")
+	}
+	if _, err := s.RunWithController(ctl, 1, nil); err == nil {
+		t.Error("nil tail model accepted")
+	}
+	res, err := s.RunWithController(ctl, 4, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Hours) != 24 {
+		t.Fatalf("%d hour records", len(res.Hours))
+	}
+	if hr := res.Hours[3]; hr.Mode != core.ModeB || hr.BatchRel != 1+s.BatchSpeedupB {
+		t.Fatalf("sustained slack did not engage B for the whole hour: %+v", hr)
 	}
 }
 

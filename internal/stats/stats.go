@@ -1,10 +1,9 @@
 // Package stats provides the small statistical toolkit used throughout the
 // simulator: running moments (Running), exact percentiles over bounded
 // samples (Sample), mergeable log-bucketed tail-latency histograms
-// (Histogram), fixed-width census bins (LinearHistogram) and the
-// five-number "violin" summaries the paper's figures report. Sample and
-// Histogram are the two Tail stores, and NewTail maps a TailEstimator to
-// one of them.
+// (Histogram) and the five-number "violin" summaries the paper's figures
+// report. Sample and Histogram are the two Tail stores, and NewTail maps a
+// TailEstimator to one of them.
 //
 // Invariants: every estimator here is deterministic — identical inputs in
 // identical order produce bit-identical outputs — and both Tail stores'
@@ -183,86 +182,6 @@ func Summarize(xs []float64) Violin {
 func (v Violin) String() string {
 	return fmt.Sprintf("min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f mean=%.3f n=%d",
 		v.Min, v.Q1, v.Median, v.Q3, v.Max, v.Mean, v.N)
-}
-
-// LinearHistogram counts observations in fixed-width bins over [lo, hi);
-// values outside the range clamp to the first/last bin. Used for the MLP
-// census (Fig. 7). For tail-latency quantiles over wide dynamic ranges use
-// the log-bucketed Histogram instead.
-type LinearHistogram struct {
-	lo, width float64
-	counts    []int64
-	total     int64
-}
-
-// NewLinearHistogram creates a histogram with n bins spanning [lo, hi).
-func NewLinearHistogram(lo, hi float64, n int) *LinearHistogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &LinearHistogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int64, n)}
-}
-
-// Add increments the bin containing x.
-func (h *LinearHistogram) Add(x float64) { h.AddN(x, 1) }
-
-// AddN increments the bin containing x by w.
-func (h *LinearHistogram) AddN(x float64, w int64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i] += w
-	h.total += w
-}
-
-// Fraction returns the fraction of mass in bin i.
-func (h *LinearHistogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
-}
-
-// TailFraction returns the fraction of mass in bins >= i (cumulative from
-// above), matching the ">= k in-flight requests" presentation of Fig. 7.
-func (h *LinearHistogram) TailFraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if i < 0 {
-		i = 0
-	}
-	var c int64
-	for j := i; j < len(h.counts); j++ {
-		c += h.counts[j]
-	}
-	return float64(c) / float64(h.total)
-}
-
-// Bins returns the number of bins.
-func (h *LinearHistogram) Bins() int { return len(h.counts) }
-
-// Total returns the total mass added.
-func (h *LinearHistogram) Total() int64 { return h.total }
-
-// GeoMean returns the geometric mean of xs (all must be positive); it
-// returns 0 for an empty slice.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // Mean returns the arithmetic mean of xs (0 if empty).

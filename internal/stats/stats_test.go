@@ -147,46 +147,6 @@ func TestSummarizeDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestLinearHistogramTails(t *testing.T) {
-	h := NewLinearHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	if h.Total() != 10 || h.Bins() != 10 {
-		t.Fatalf("total/bins = %v/%v", h.Total(), h.Bins())
-	}
-	if got := h.TailFraction(0); got != 1 {
-		t.Fatalf("TailFraction(0) = %v", got)
-	}
-	if got := h.TailFraction(5); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("TailFraction(5) = %v, want 0.5", got)
-	}
-	if got := h.Fraction(3); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("Fraction(3) = %v, want 0.1", got)
-	}
-}
-
-func TestLinearHistogramClamping(t *testing.T) {
-	h := NewLinearHistogram(0, 10, 5)
-	h.Add(-100)
-	h.Add(100)
-	if h.Fraction(0) != 0.5 || h.Fraction(4) != 0.5 {
-		t.Fatal("out-of-range values should clamp to edge bins")
-	}
-	if h.TailFraction(-3) != 1 {
-		t.Fatal("negative tail index should clamp to 0")
-	}
-}
-
-func TestLinearHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewLinearHistogram with hi<=lo did not panic")
-		}
-	}()
-	NewLinearHistogram(5, 5, 3)
-}
-
 func TestAggregates(t *testing.T) {
 	xs := []float64{1, 2, 4}
 	if m := Mean(xs); math.Abs(m-7.0/3) > 1e-12 {
@@ -197,12 +157,6 @@ func TestAggregates(t *testing.T) {
 	}
 	if m := Min(xs); m != 1 {
 		t.Fatalf("Min = %v", m)
-	}
-	if g := GeoMean(xs); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("GeoMean = %v, want 2", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 || GeoMean(nil) != 0 {
-		t.Fatal("GeoMean edge cases")
 	}
 	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
 		t.Fatal("empty aggregates should be 0")

@@ -326,11 +326,12 @@ func WebSearchDay() [24]float64 { return loadgen.WebSearchDay() }
 // reusable as Diurnal.HourLoad.
 func VideoDay() [24]float64 { return loadgen.VideoDay() }
 
-// Scheduler tunes the fleet's core-allocation and load-routing policy:
-// the static Fraction split, elastic proportional reallocation (with
-// hysteresis, min-core floors and a migration penalty),
-// power-of-two-choices routing, or closed-loop feedback reallocation
-// driven by each window's measured tails.
+// Scheduler selects the fleet's core-allocation and load-routing policy:
+// the static Fraction split, elastic proportional reallocation (with a
+// tunable hysteresis, a one-core floor per client and a fixed 0.25
+// migration penalty), power-of-two-choices routing, or closed-loop
+// feedback reallocation driven by each window's measured tails; it also
+// carries the feedback gain and decay the search sweeps.
 type Scheduler = fleet.SchedulerConfig
 
 // SchedulerPolicy names a fleet scheduling policy.
@@ -357,11 +358,11 @@ const (
 // (static|proportional|p2c|feedback).
 func ParseSchedulerPolicy(s string) (SchedulerPolicy, error) { return fleet.ParsePolicy(s) }
 
-// Autoscale tunes the fleet's autoscaling layer: servers join/leave the
-// fleet between windows under a scaling policy, with a warm-up cost — a
-// joining server's cores pay the migration penalty for their first active
-// window. Set it on FleetConfig.Autoscale; the zero value keeps every
-// server in service.
+// Autoscale selects the fleet's autoscaling layer: servers join/leave
+// the fleet between windows under a scaling policy (built-in or Custom)
+// above a MinServers floor, with a warm-up cost — a joining server's
+// cores pay the migration penalty for their first active window. Set it
+// on FleetConfig.Autoscale; the zero value keeps every server in service.
 type Autoscale = fleet.AutoscaleConfig
 
 // AutoscalePolicy names a fleet autoscaling policy.
@@ -372,7 +373,7 @@ const (
 	// AutoscaleOff keeps the fleet size fixed.
 	AutoscaleOff = fleet.AutoscaleOff
 	// AutoscaleUtil keeps offered load over in-service saturation
-	// capacity inside the configured utilisation band.
+	// capacity inside a fixed [0.45, 0.75] utilisation band.
 	AutoscaleUtil = fleet.AutoscaleUtil
 	// AutoscaleViolation scales out on measured QoS-violation
 	// core-windows and in on sustained slack.
