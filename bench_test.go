@@ -219,8 +219,8 @@ func BenchmarkFleetCalibrated1kCores(b *testing.B) {
 
 // BenchmarkFleetCohort1kCores measures the cohort-coalesced path at the
 // 1k scale under the auto engine: steady windows answered once per cohort
-// span (one analytic solve, one bulk histogram deposit, one shared
-// controller per equivalence class) with the discrete residue on the
+// span (one analytic solve, one bulk histogram deposit, one controller
+// step copied to every member) with the discrete residue on the
 // worker pool. Its delta against BenchmarkFleet1kCores is the coalescing
 // win on the analytic fraction of the horizon.
 func BenchmarkFleetCohort1kCores(b *testing.B) {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"stretch/internal/core"
 	"stretch/internal/loadgen"
 	"stretch/internal/stats"
 	"stretch/internal/workload"
@@ -179,8 +180,8 @@ func checkWorkers(t *testing.T, golden map[string]string, cfg Config) Result {
 // different services (different targets and calibration-free deltas), a
 // diurnal shape so the auto classifier mixes analytic and discrete
 // windows, and a drain/restore plus a surge so cores transit sentinel
-// states and unsteady windows mid-horizon — the transitions that fork and
-// re-merge controller-equivalence classes.
+// states and unsteady windows mid-horizon — the transitions that reset
+// controllers and split or rejoin the walk's spans.
 func equivConfig() Config {
 	return Config{
 		Servers: 3, CoresPerServer: 4,
@@ -213,8 +214,8 @@ func equivConfig() Config {
 // engine × estimator, the run must reproduce the digest the per-core
 // reference engine committed — full Results, every float bit — at every
 // worker count. The -race CI job runs this, putting the shared solve
-// cache, the persistent pool and the phase-two class advances under the
-// detector.
+// cache, the persistent pool and the phase-two controller advances under
+// the detector.
 func TestCohortEquivalence(t *testing.T) {
 	golden := readDigests(t)
 	policies := []Policy{PolicyStatic, PolicyProportional, PolicyP2C, PolicyFeedback}
@@ -242,9 +243,9 @@ func TestCohortEquivalence(t *testing.T) {
 }
 
 // TestCohortEquivalenceAutoscale drives park/unpark transitions (plus a
-// scenario drain) under the util autoscaler: parked cores leave their
-// equivalence classes and return as cold starts, the class-split path the
-// plain suite cannot reach. Both estimators, every engine, three worker
+// scenario drain) under the util autoscaler: parked cores release their
+// controllers and return as cold starts, a reset path the plain suite
+// cannot reach. Both estimators, every engine, three worker
 // counts, each against its committed digest.
 func TestCohortEquivalenceAutoscale(t *testing.T) {
 	golden := readDigests(t)
@@ -375,12 +376,11 @@ func TestCohortSolveCounter(t *testing.T) {
 	}
 }
 
-// TestCohortClassTableBounded: under migration-heavy churn — feedback
+// TestCohortWorklistBounded: under migration-heavy churn — feedback
 // reallocation, a scenario drain/restore, util-autoscaler park/unpark —
-// the class table never holds more than one slot per core plus one per
-// client, and the worklist never grows past one item per core, under the
-// discrete and auto engines alike.
-func TestCohortClassTableBounded(t *testing.T) {
+// the worklist never grows past one item per core, under the discrete and
+// auto engines alike.
+func TestCohortWorklistBounded(t *testing.T) {
 	for _, eng := range []Engine{EngineDiscrete, EngineAuto} {
 		t.Run(eng.String(), func(t *testing.T) {
 			cfg := equivConfig()
@@ -396,13 +396,9 @@ func TestCohortClassTableBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.close()
-			bound := e.nCores + len(cfg.Traffic.Clients)
 			for w := 0; w < e.windows; w++ {
 				if err := e.runWindow(w); err != nil {
 					t.Fatal(err)
-				}
-				if len(e.classes) > bound {
-					t.Fatalf("window %d: %d class slots, bound %d", w, len(e.classes), bound)
 				}
 				if cap(e.worklist) > e.nCores {
 					t.Fatalf("window %d: worklist grew to %d, bound %d", w, cap(e.worklist), e.nCores)
@@ -414,5 +410,48 @@ func TestCohortClassTableBounded(t *testing.T) {
 					res.Migrations, res.ParkedCoreWindows, res.DrainedCoreWindows)
 			}
 		})
+	}
+}
+
+// TestCohortSpanKeyHasLastMode: two cores whose controllers are equal but
+// whose last modes differ must not share a span, because the steadiness
+// classifier reads the last mode. Core 0 settled in Baseline is answered
+// analytically; core 1, just switched out of B-mode, is the only residue.
+// No equivalence digest catches a span key without lastMode.
+func TestCohortSpanKeyHasLastMode(t *testing.T) {
+	cfg := Config{
+		Servers: 1, CoresPerServer: 2,
+		Traffic: loadgen.Traffic{
+			Windows: 1, WindowSec: 300,
+			Clients: []loadgen.Client{{
+				Name: "search", Service: workload.WebSearch, Fraction: 1,
+				Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 1000}, Poisson: true},
+			}},
+		},
+		Engine: EngineAuto, WindowRequests: 150, Seed: 7, Workers: 1,
+	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	if !e.analyticOK[0] {
+		t.Fatal("client is not analytic-eligible; the test is vacuous")
+	}
+	rate := 0.5 / e.utilCoef[0]
+	for c := range 2 {
+		e.ctl[c], e.ctlClient[c] = e.fresh[0], 0
+	}
+	e.lastMode[0], e.lastMode[1] = int8(core.ModeBaseline), int8(core.ModeB)
+	e.walkWindow(0, Assignment{
+		Client:   []int16{0, 0},
+		Rate:     []float64{rate, rate},
+		Migrated: []bool{false, false},
+	})
+	if e.analyticCW != 1 {
+		t.Fatalf("%d analytic core-windows, want 1 (core 0)", e.analyticCW)
+	}
+	if len(e.worklist) != 1 || e.worklist[0].core != 1 {
+		t.Fatalf("worklist %+v, want core 1 alone", e.worklist)
 	}
 }

@@ -20,10 +20,9 @@
 // (PolicyFeedback) react to measured violations the way §IV-C's
 // controller reacts to measured slack; the open-loop policies
 // ignore it and reproduce their precomputed schedules exactly. Controller
-// state survives across windows (a core keeps its monitor, shared by
-// value with every core of identical history, until the scheduler hands
-// it to a different client), and each worker reuses one
-// queueing.Simulator so the hot loop pays no per-window allocations.
+// state survives across windows (a core keeps its own monitor until it
+// changes client or stops serving for a window), and each worker reuses
+// one queueing.Simulator so the hot loop pays no per-window allocations.
 //
 // Per window, each core simulates its share of its client's arrival rate
 // through the request-level queueing model at the perf factor its current
@@ -64,6 +63,7 @@
 package fleet
 
 import (
+	"stretch/internal/monitor"
 	"stretch/internal/queueing"
 	"stretch/internal/rng"
 	"stretch/internal/stats"
@@ -116,17 +116,16 @@ type engine struct {
 	solveCache *queueing.TailCache
 	solves     int
 
-	// Cohort walk state (cohort.go). classOf maps each core to its
-	// controller-equivalence class in classes (−1: none), swBase banks
-	// switch counts a core accrued in classes it has left, and freshFor/
-	// mergeMap/worklist/retired are per-window scratch for the span walk.
-	classOf   []int32
-	classes   []cohortClass
-	freeClass []int32
-	retired   []int32
-	swBase    []uint64
-	mergeMap  map[mergeKey]int32
-	freshFor  []int32
+	// Cohort walk state (cohort.go), one slot per core: ctl is the core's
+	// controller, ctlClient the client it serves (−1: none) and lastMode
+	// the mode it ran in last window (−1 after a reset). switches banks the
+	// switch counts of released controllers, fresh holds one reset
+	// controller per client, and worklist is the window's discrete residue.
+	ctl       []monitor.Controller
+	ctlClient []int16
+	lastMode  []int8
+	switches  uint64
+	fresh     []monitor.Controller
 	worklist  []workItem
 
 	// Counterfactual evaluator state (decision.go), wired by

@@ -109,7 +109,9 @@ func newEngine(cfg Config) (*engine, error) {
 		errs:         make([]error, nCores),
 		batchCW:      make([][3]int64, n),
 	}
-	e.initCohorts(n)
+	if err := e.initCohorts(); err != nil {
+		return nil, err
+	}
 	for c := 0; c < nCores; c++ {
 		e.perf[c] = perfGen[c/cfg.CoresPerServer]
 		e.streams[c] = *root.Derive(uint64(c))
@@ -243,7 +245,7 @@ func (e *engine) runWindow(w int) error {
 	// deposited here, after the pool joins, so every store stays on the
 	// engine goroutine.
 	for _, it := range e.worklist {
-		e.deposit(e.classes[it.class].client, e.tails[it.core], 1)
+		e.deposit(it.client, e.tails[it.core], 1)
 	}
 	e.winTrace = append(e.winTrace, e.observe(w, asg))
 	return nil
@@ -318,12 +320,11 @@ func (e *engine) aggregate() Result {
 		res.EngagedCoreHours += cm.EngagedCoreHours
 		res.BatchCoreHoursGained += cm.BatchCoreHoursGained
 	}
+	// Switches banked from released controllers, plus each live one's.
+	res.Switches = e.switches
 	for c := 0; c < e.nCores; c++ {
-		// Switches banked when the core left past classes, plus its
-		// current class's live count.
-		res.Switches += e.swBase[c]
-		if k := e.classOf[c]; k >= 0 {
-			res.Switches += e.classes[k].ctl.Switches()
+		if e.ctlClient[c] >= 0 {
+			res.Switches += e.ctl[c].Switches()
 		}
 	}
 	res.FleetP99Ms = e.fleetTail.Quantile(0.99)
@@ -380,9 +381,7 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 				o.BCores++
 			}
 			co.BatchRel += e.batchRel[c]
-			// A class's members share their controller's exact observation
-			// history, so the class Slack IS each member's Slack.
-			co.MeanSlack += e.classes[e.classOf[c]].ctl.Slack()
+			co.MeanSlack += e.ctl[c].Slack()
 			if asg.Migrated[c] {
 				o.Migrations++
 			}

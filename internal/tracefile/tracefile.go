@@ -24,7 +24,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -40,7 +39,8 @@ const FormatVersion = 1
 const MaxWindows = 1 << 22
 
 // MaxCells bounds windows × clients — the rate matrix a parse may
-// allocate (128 MiB of float64 at the limit).
+// allocate. Each cell costs a float64 rate and a one-byte seen flag:
+// 144 MiB at the limit.
 const MaxCells = 1 << 24
 
 // csvMagic is the first line of every CSV trace.
@@ -330,7 +330,8 @@ func (t *Trace) Write(w io.Writer, format string) error {
 type parser struct {
 	t       *Trace
 	index   map[string]int // client name → index
-	seen    []map[int]bool // per client: which windows have rows
+	seen    [][]bool       // per client: which windows have rows
+	got     []int          // per client: how many windows have rows
 	hasMeta bool
 	inRates bool
 }
@@ -373,7 +374,8 @@ func (p *parser) client(line int, c Client) error {
 	}
 	p.index[c.Name] = len(p.t.Clients)
 	p.t.Clients = append(p.t.Clients, c)
-	p.seen = append(p.seen, make(map[int]bool))
+	p.seen = append(p.seen, make([]bool, p.t.Windows))
+	p.got = append(p.got, 0)
 	p.t.Rates = append(p.t.Rates, make([]float64, p.t.Windows))
 	return nil
 }
@@ -427,6 +429,7 @@ func (p *parser) rate(line, w int, client string, rps float64) error {
 		return fmt.Errorf("line %d: duplicate rate for window %d client %q", line, w, client)
 	}
 	p.seen[i][w] = true
+	p.got[i]++
 	p.t.Rates[i][w] = rps
 	return nil
 }
@@ -438,14 +441,13 @@ func (p *parser) finish() (*Trace, error) {
 		return nil, fmt.Errorf("missing trace header")
 	}
 	for i, c := range p.t.Clients {
-		if got := len(p.seen[i]); got != p.t.Windows {
+		if got := p.got[i]; got != p.t.Windows {
 			missing := make([]int, 0, 8)
 			for w := 0; w < p.t.Windows && len(missing) < 5; w++ {
 				if !p.seen[i][w] {
 					missing = append(missing, w)
 				}
 			}
-			sort.Ints(missing)
 			return nil, fmt.Errorf("client %q has %d of %d windows (gap at %v)",
 				c.Name, got, p.t.Windows, missing)
 		}

@@ -292,3 +292,36 @@ func TestValidateRejectsCorruptTrace(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkParse parses a 4-client × 65,536-window CSV trace — 262,144
+// rate cells — and reports the cost per cell.
+func BenchmarkParse(b *testing.B) {
+	const windows = 1 << 16
+	var clients []loadgen.Client
+	for _, svc := range []string{workload.WebSearch, workload.DataServing, workload.WebServing, workload.MediaStreaming} {
+		clients = append(clients, loadgen.Client{
+			Name: svc, Service: svc, Fraction: 0.25,
+			Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 1000}, Poisson: true},
+		})
+	}
+	tr, err := Synth(SynthSpec{
+		Traffic: loadgen.Traffic{Windows: windows, WindowSec: 300, Clients: clients},
+		Seed:    1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	cells := len(clients) * windows
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+}
