@@ -207,16 +207,16 @@ func (e *engine) subRun(w, a, b int, ci int16, rate, rawPerf float64, mig bool) 
 		e.lastMode[c] = lm
 	}
 
-	// The steadiness classifier: auto takes the analytic path on a steady
-	// window — settled mode, no migration cold-start, no burst/surge
-	// turbulence, and utilization within the solver's ceiling. analyticOK
-	// is all false under the discrete engine. A solver refusal drops the
-	// whole span to the discrete residue, never errors the run.
+	// The steadiness classifier: auto takes the analytic path on a span
+	// whose mode is settled and which lies inside the solver envelope
+	// (steadyTail, never under the discrete engine). A migrated core
+	// starts on a fresh controller, so it is never settled. Anything else
+	// — a refusal too — drops the whole span to the discrete residue,
+	// never errors the run.
 	tail, analytic, coalesced := 0.0, false, false
 	if rate > 0 {
-		if e.analyticOK[ci] && rate*e.utilCoef[ci]/perf <= queueing.AnalyticMaxUtilization &&
-			settled && !mig && !e.unsteady[ci][w] {
-			if t, ok := e.analyticTail(ci, rate, perf); ok {
+		if settled && e.analyticOK[ci] && !e.unsteady[ci][w] {
+			if t, ok := e.steadyTail(ci, rate, perf); ok {
 				tail, analytic, coalesced = t, true, true
 			}
 		}

@@ -413,6 +413,52 @@ func TestCohortWorklistBounded(t *testing.T) {
 	}
 }
 
+// TestCohortMigratedCoresStartCold pins why the steadiness classifier
+// needs no migration term: under feedback churn, a drain/restore and
+// util-autoscaler park/unpark, every core the scheduler marks Migrated
+// enters its window holding another client's controller or none — an
+// owner change or a return from a parked server — so the walk resets it
+// and its mode is never settled.
+func TestCohortMigratedCoresStartCold(t *testing.T) {
+	cfg := equivConfig()
+	cfg.Scheduler = SchedulerConfig{Policy: PolicyFeedback}
+	cfg.Engine = EngineAuto
+	cfg.Autoscale = AutoscaleConfig{
+		Policy: AutoscaleUtil, MinServers: 1,
+		Custom: windowScale(func(w int) int { return 3 - w%3 }),
+	}
+	e, err := newEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	owned := make([]int16, e.nCores)
+	handovers, returns := 0, 0
+	for w := 0; w < e.windows; w++ {
+		copy(owned, e.ctlClient)
+		if err := e.runWindow(w); err != nil {
+			t.Fatal(err)
+		}
+		asg := e.st.asg
+		for c := range e.nCores {
+			if !asg.Migrated[c] {
+				continue
+			}
+			switch {
+			case owned[c] == asg.Client[c]:
+				t.Fatalf("window %d core %d: migrated but kept client %d's controller", w, c, owned[c])
+			case owned[c] < 0:
+				returns++
+			default:
+				handovers++
+			}
+		}
+	}
+	if handovers == 0 || returns == 0 {
+		t.Fatalf("churn is vacuous: %d owner changes, %d returns from parking", handovers, returns)
+	}
+}
+
 // TestCohortSpanKeyHasLastMode: two cores whose controllers are equal but
 // whose last modes differ must not share a span, because the steadiness
 // classifier reads the last mode. Core 0 settled in Baseline is answered

@@ -374,11 +374,9 @@ func (e *engine) cfTail(w, ci, cnt int, rate float64) (float64, error) {
 	if t, ok := e.cfCache[k]; ok {
 		return t, nil
 	}
-	if e.analyticOK[ci] && rate*e.utilCoef[ci] <= queueing.AnalyticMaxUtilization {
-		if t, ok := e.analyticTail(int16(ci), rate, 1); ok {
-			e.cfCache[k] = t
-			return t, nil
-		}
+	if t, ok := e.steadyTail(int16(ci), rate, 1); ok {
+		e.cfCache[k] = t
+		return t, nil
 	}
 	seed := e.cfRng.Derive(uint64(w)).Derive(uint64(ci)).Uint64()
 	if err := e.cfSim.Reset(e.qcfgs[ci]); err != nil {

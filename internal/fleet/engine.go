@@ -79,20 +79,29 @@ func ParseEngine(s string) (Engine, error) {
 // entries that keep being hit survive any churn of cold keys.
 const analyticCacheLimit = 1 << 16
 
-// analyticTail answers one steady core-window from the run's solve cache,
-// solving on a miss. Keys carry the exact bit patterns of rate and perf,
-// and the solver is a pure function, so a hit is the same float a solve
-// would give. Only the engine goroutine calls it (the cohort walk and the
-// counterfactual evaluator); pool workers never touch the cache or the
+// steadyTail answers one core-window in closed form when it lies inside
+// the solver envelope: the client's service passed the solver's structural
+// caps (analyticOK, all false under the discrete engine) and the
+// mode-adjusted utilization rate·utilCoef/perf is within
+// queueing.AnalyticMaxUtilization. It is the one gate the cohort walk and
+// the counterfactual evaluator share; !ok sends the caller to the
+// discrete path. Answers come from the run's solve cache, solving on a
+// miss. Keys carry the exact bit patterns of rate and perf, and the solver
+// is a pure function, so a hit is the same float a solve would give. Only
+// the engine goroutine calls it; pool workers never touch the cache or the
 // solve counter, so auto runs are bit-identical across worker counts and
 // AnalyticSolves follows walk order. The sampleEquiv passed to the solver
 // makes the analytic quantile reproduce the discrete window's
 // finite-sample rank convention rather than improve on it. A solver
-// refusal (the solver's own utilization rounding past the ceiling the
-// classifier passed, structural caps) is cached as NaN and reported as
-// !ok: the caller falls back to the discrete path. First insertions of
-// successful solves feed Result.AnalyticSolves.
-func (e *engine) analyticTail(ci int16, rate, perf float64) (float64, bool) {
+// refusal (the solver's own utilization rounding past the ceiling,
+// structural caps) is cached as NaN and reported as !ok, never as an
+// error. First insertions of successful solves feed
+// Result.AnalyticSolves.
+func (e *engine) steadyTail(ci int16, rate, perf float64) (float64, bool) {
+	inside := e.analyticOK[ci] && rate*e.utilCoef[ci]/perf <= queueing.AnalyticMaxUtilization
+	if !inside {
+		return 0, false
+	}
 	k := queueing.TailKey{Service: int32(ci), Rate: math.Float64bits(rate), Perf: math.Float64bits(perf)}
 	if v, hit := e.solveCache.Lookup(k); hit {
 		return v, !math.IsNaN(v)
