@@ -126,7 +126,7 @@ func (e *engine) release(c int) {
 // solve cache and the tail stores, and it is O(spans + cores·(slice
 // fills)) with no simulation inside, so it is never the bottleneck; the
 // expensive residue runs on the pool in phase two.
-func (e *engine) walkWindow(w int, asg Assignment) {
+func (e *engine) walkWindow(asg Assignment) {
 	e.worklist = e.worklist[:0]
 	e.analyticCW, e.cohortCW = 0, 0
 
@@ -136,7 +136,7 @@ func (e *engine) walkWindow(w int, asg Assignment) {
 	var spanMig bool
 	flush := func(end int) {
 		if spanStart >= 0 {
-			e.subRun(w, spanStart, end, spanCi, spanRate, spanPerf, spanMig)
+			e.subRun(spanStart, end, spanCi, spanRate, spanPerf, spanMig)
 			spanStart = -1
 		}
 	}
@@ -180,7 +180,7 @@ func (e *engine) walkWindow(w int, asg Assignment) {
 // The run's size is added to the window's analytic and cohort counters
 // and to the batch count of the mode whose credit it earns, and every
 // member's last mode becomes this window's mode.
-func (e *engine) subRun(w, a, b int, ci int16, rate, rawPerf float64, mig bool) {
+func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	m := int32(b - a)
 	mode := e.ctl[a].Mode()
 	perf := rawPerf
@@ -215,7 +215,7 @@ func (e *engine) subRun(w, a, b int, ci int16, rate, rawPerf float64, mig bool) 
 	// never errors the run.
 	tail, analytic, coalesced := 0.0, false, false
 	if rate > 0 {
-		if settled && e.analyticOK[ci] && !e.unsteady[ci][w] {
+		if settled {
 			if t, ok := e.steadyTail(ci, rate, perf); ok {
 				tail, analytic, coalesced = t, true, true
 			}

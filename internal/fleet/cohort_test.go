@@ -179,9 +179,10 @@ func checkWorkers(t *testing.T, golden map[string]string, cfg Config) Result {
 // equivConfig is the equivalence suite's base fleet: two clients on
 // different services (different targets and calibration-free deltas), a
 // diurnal shape so the auto classifier mixes analytic and discrete
-// windows, and a drain/restore plus a surge so cores transit sentinel
-// states and unsteady windows mid-horizon — the transitions that reset
-// controllers and split or rejoin the walk's spans.
+// windows, a drain/restore that sends cores through sentinel states and
+// back as cold starts, and a surge that steps one client's rate
+// mid-horizon — transitions that reset controllers or switch modes, and
+// split or rejoin the walk's spans.
 func equivConfig() Config {
 	return Config{
 		Servers: 3, CoresPerServer: 4,
@@ -489,7 +490,7 @@ func TestCohortSpanKeyHasLastMode(t *testing.T) {
 		e.ctl[c], e.ctlClient[c] = e.fresh[0], 0
 	}
 	e.lastMode[0], e.lastMode[1] = int8(core.ModeBaseline), int8(core.ModeB)
-	e.walkWindow(0, Assignment{
+	e.walkWindow(Assignment{
 		Client:   []int16{0, 0},
 		Rate:     []float64{rate, rate},
 		Migrated: []bool{false, false},

@@ -141,15 +141,13 @@ type engine struct {
 	cfCache map[cfKey]float64
 	cfLoad  []float64
 
-	// Analytic fast-path classification inputs, resolved once per run:
+	// The solver envelope steadyTail checks, resolved once per run:
 	// utilCoef[ci] turns a per-core rate into a utilization (util =
-	// rate·utilCoef/perf), analyticOK[ci] records whether the client's
-	// service is inside the analytic solver's structural caps, and
-	// unsteady[ci][w] flags windows with burst or surge turbulence, which
-	// auto keeps on the discrete path.
+	// rate·utilCoef/perf), and analyticOK[ci] records whether the client's
+	// service is inside the analytic solver's structural caps (all false
+	// under the discrete engine).
 	utilCoef   []float64
 	analyticOK []bool
-	unsteady   [][]bool
 
 	// Per-window scratch, indexed by core and read by the barrier: each
 	// serving core's tail, batch credit and B-mode flag, and any error.

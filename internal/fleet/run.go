@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"stretch/internal/core"
-	"stretch/internal/loadgen"
 	"stretch/internal/queueing"
 	"stretch/internal/rng"
 	"stretch/internal/stats"
@@ -116,33 +115,21 @@ func newEngine(cfg Config) (*engine, error) {
 		e.perf[c] = perfGen[c/cfg.CoresPerServer]
 		e.streams[c] = *root.Derive(uint64(c))
 	}
-	// analyticOK gates the steadiness classifier; all false under the
-	// discrete engine, so the cohort walk sends every positive-rate span
-	// to the discrete residue.
+	// analyticOK and utilCoef are steadyTail's solver envelope; analyticOK
+	// stays all false under the discrete engine, so the cohort walk sends
+	// every positive-rate span to the discrete residue.
 	e.analyticOK = make([]bool, n)
 	if cfg.Engine != EngineDiscrete {
 		e.solveCache = queueing.NewTailCache(analyticCacheLimit)
-		// Resolve the classification inputs: per-client utilization
-		// coefficients, structural solver feasibility (probed once at a
-		// comfortably steady utilization — the refusals that matter here
-		// are rate-independent caps), and the steadiness mask from the
-		// traffic shapes and scenario surges.
+		// Per-client utilization coefficients and structural solver
+		// feasibility, probed once at a comfortably steady utilization:
+		// the refusals that matter here are rate-independent caps.
 		e.utilCoef = make([]float64, n)
-		e.unsteady = make([][]bool, n)
-		names := make([]string, n)
-		for ci, cl := range cfg.Traffic.Clients {
-			names[ci] = cl.Name
-		}
-		surges := cfg.Scenario.SurgeMatrix(names, windows)
-		for ci, cl := range cfg.Traffic.Clients {
+		for ci := range cfg.Traffic.Clients {
 			e.utilCoef[ci] = queueing.Utilization(qcfgs[ci], 1, 1)
 			if e.utilCoef[ci] > 0 && !math.IsInf(e.utilCoef[ci], 0) {
 				_, err := queueing.Analytic(qcfgs[ci], 0.1/e.utilCoef[ci], 1)
 				e.analyticOK[ci] = err == nil
-			}
-			e.unsteady[ci] = make([]bool, windows)
-			for w := 0; w < windows; w++ {
-				e.unsteady[ci][w] = loadgen.ShapeUnsteady(cl.Spec.Shape, w, windows) || surges[ci][w] != 1
 			}
 		}
 	}
@@ -216,7 +203,7 @@ func (e *engine) runWindow(w int) error {
 	// walk answers coalescible spans serially and hands only the
 	// discrete residue to the pool, which claims it in blocks of
 	// claimChunk instead of one atomic per item.
-	e.walkWindow(w, asg)
+	e.walkWindow(asg)
 	if work := len(e.worklist); work > 0 {
 		var next atomic.Int64
 		e.pool.run(len(e.sims), func(wk int) {

@@ -205,41 +205,6 @@ func (s Shift) RPS(w, n int) float64 {
 	return s.Base.RPS(w, n)
 }
 
-// ShapeUnsteady reports whether the shape is in a transient regime at
-// window w of n: a Burst actively multiplying its base rate, through any
-// Scale/Shift composition (Shift remaps the window exactly as its RPS
-// does). The fleet's auto engine keeps unsteady windows on the discrete
-// simulator — a burst window is precisely where the operator asked for
-// turbulence, so it gets full event-level fidelity rather than a
-// steady-state shortcut. Rate variation between windows (ramps, diurnal
-// profiles, replayed traces) is not unsteadiness: every window carries one
-// stationary rate, which is the same stationarity the discrete per-window
-// simulation assumes.
-func ShapeUnsteady(s Shape, w, n int) bool {
-	switch v := s.(type) {
-	case Burst:
-		if w >= v.Start && v.Length > 0 {
-			off := w - v.Start
-			if v.Every > 0 {
-				off %= v.Every
-			}
-			if off < v.Length {
-				return true
-			}
-		}
-		return ShapeUnsteady(v.Base, w, n)
-	case Scale:
-		return ShapeUnsteady(v.Base, w, n)
-	case Shift:
-		if n > 0 {
-			w = ((w-v.Offset)%n + n) % n
-		}
-		return ShapeUnsteady(v.Base, w, n)
-	default:
-		return false
-	}
-}
-
 // Spec couples a shape with the arrival-noise model.
 type Spec struct {
 	Shape Shape

@@ -268,31 +268,3 @@ func TestDegenerateBurstRejected(t *testing.T) {
 		t.Errorf("valid burst rejected: %v", err)
 	}
 }
-
-func TestShapeUnsteady(t *testing.T) {
-	burst := Burst{Base: Constant{Rate: 100}, Start: 4, Length: 2, Every: 6, Magnitude: 2}
-	// Active windows: 4,5 then every 6: 10,11, 16,17 ...
-	for w := 0; w < 12; w++ {
-		want := w == 4 || w == 5 || w == 10 || w == 11
-		if got := ShapeUnsteady(burst, w, 12); got != want {
-			t.Errorf("burst window %d: unsteady = %v, want %v", w, got, want)
-		}
-	}
-	// Steady shapes are never unsteady, however much the rate varies.
-	for w := 0; w < 12; w++ {
-		if ShapeUnsteady(Diurnal{HourLoad: WebSearchDay(), PeakRPS: 1000}, w, 12) {
-			t.Fatalf("diurnal window %d flagged unsteady", w)
-		}
-		if ShapeUnsteady(Ramp{StartRPS: 1, TargetRPS: 100}, w, 12) {
-			t.Fatalf("ramp window %d flagged unsteady", w)
-		}
-	}
-	// Shift remaps the window exactly as RPS does; Scale passes through.
-	shifted := Shift{Base: Scale{Base: burst, Factor: 0.5}, Offset: 3}
-	for w := 0; w < 12; w++ {
-		want := ShapeUnsteady(burst, ((w-3)%12+12)%12, 12)
-		if got := ShapeUnsteady(shifted, w, 12); got != want {
-			t.Errorf("shifted window %d: unsteady = %v, want %v", w, got, want)
-		}
-	}
-}
