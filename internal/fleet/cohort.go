@@ -268,18 +268,17 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 // core's slot and observed by the core's own controller (runWindow
 // deposits it after the pool joins). Items touch disjoint cores, so the
 // pool needs no locking beyond the claim counter.
-func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator) {
+func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator) error {
 	c := int(it.core)
 	seed := e.streams[c].Derive(uint64(w)).Uint64()
 	if err := sim.Reset(e.qcfgs[it.client]); err != nil {
-		e.errs[c] = err
-		return
+		return err
 	}
 	qr, err := sim.Simulate(it.rate, e.windowReq, it.perf, seed)
 	if err != nil {
-		e.errs[c] = err
-		return
+		return err
 	}
 	e.tails[c] = qr.QoSMs
 	e.ctl[c].Observe(monitor.Observation{TailMs: qr.QoSMs})
+	return nil
 }

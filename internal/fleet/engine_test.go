@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stretch/internal/loadgen"
@@ -142,5 +144,41 @@ func TestFleetAutoClassifier(t *testing.T) {
 	}
 	if analyticBurst == 0 {
 		t.Fatal("no burst core-window was answered analytically")
+	}
+}
+
+// TestEngineErrorIndependentOfWorkerCount: a residue core-window that
+// fails stops the run with the lowest failing core's error, whichever
+// worker simulated it. Every core fails its cold-start window here, so at
+// four workers the four claimChunk blocks fail on whichever workers
+// claimed them. Which worker claims which block is up to the scheduler,
+// so the reduction over the per-worker slots is also checked on a
+// hand-built set of slots.
+func TestEngineErrorIndependentOfWorkerCount(t *testing.T) {
+	cfg := lowLoadConfig()
+	cfg.Servers = 4 * claimChunk / cfg.CoresPerServer
+	var msgs []string
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		e, err := newEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.qcfgs[0].Workers = 0 // Simulator.Reset rejects it
+		err = e.runWindow(0)
+		e.close()
+		if err == nil {
+			t.Fatalf("%d workers: the corrupt service config simulated", workers)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] || !strings.Contains(msgs[0], "core 0:") {
+		t.Fatalf("errors at 1 and 4 workers: %q, %q; want the same, naming core 0", msgs[0], msgs[1])
+	}
+
+	low, high := errors.New("low"), errors.New("high")
+	e := &engine{errs: []coreErr{{256, high}, {}, {3, low}, {128, high}}}
+	if err := e.residueErr(5); !errors.Is(err, low) || err.Error() != "fleet: window 5 core 3: low" {
+		t.Fatalf("residueErr = %v, want core 3's error", err)
 	}
 }

@@ -150,11 +150,15 @@ type engine struct {
 	analyticOK []bool
 
 	// Per-window scratch, indexed by core and read by the barrier: each
-	// serving core's tail, batch credit and B-mode flag, and any error.
+	// serving core's tail, batch credit and B-mode flag.
 	tails    []float64
 	batchRel []float64
 	modeB    []bool
-	errs     []error
+
+	// errs holds one slot per pool worker: the first (so lowest) residue
+	// core whose simulation failed on that worker, and its error. A failed
+	// window ends the run, so a slot is never cleared.
+	errs []coreErr
 
 	// analyticCW and cohortCW count the window's core-windows answered
 	// analytically and by the cohort walk; the barrier copies them into
@@ -172,4 +176,10 @@ type engine struct {
 	winTails  []stats.Tail
 	runTails  []stats.Tail
 	fleetTail stats.Tail
+}
+
+// coreErr is a failed discrete-residue core-window: the core and its error.
+type coreErr struct {
+	core int32
+	err  error
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -105,7 +106,6 @@ func newEngine(cfg Config) (*engine, error) {
 		tails:        make([]float64, nCores),
 		batchRel:     make([]float64, nCores),
 		modeB:        make([]bool, nCores),
-		errs:         make([]error, nCores),
 		batchCW:      make([][3]int64, n),
 	}
 	if err := e.initCohorts(); err != nil {
@@ -152,6 +152,7 @@ func newEngine(cfg Config) (*engine, error) {
 	for i := range e.sims {
 		e.sims[i] = new(queueing.Simulator)
 	}
+	e.errs = make([]coreErr, workers)
 	// Exact run stores are sized for the static split; an elastic client
 	// that outgrows it appends. The histogram ignores the hints.
 	e.winTails = make([]stats.Tail, n)
@@ -218,15 +219,17 @@ func (e *engine) runWindow(w int) error {
 					hi = work
 				}
 				for _, it := range e.worklist[lo:hi] {
-					e.runWorkItem(it, w, sim)
+					// A worker claims chunks of the core-ordered worklist
+					// in rising order, so its first failure is its lowest.
+					if err := e.runWorkItem(it, w, sim); err != nil && e.errs[wk].err == nil {
+						e.errs[wk] = coreErr{it.core, err}
+					}
 				}
 			}
 		})
 	}
-	for _, err := range e.errs {
-		if err != nil {
-			return err
-		}
+	if err := e.residueErr(w); err != nil {
+		return err
 	}
 	// The walk deposited the coalesced spans; the residue's tails are
 	// deposited here, after the pool joins, so every store stays on the
@@ -236,6 +239,22 @@ func (e *engine) runWindow(w int) error {
 	}
 	e.winTrace = append(e.winTrace, e.observe(w, asg))
 	return nil
+}
+
+// residueErr reports window w's lowest failing residue core, whichever
+// worker ran it, so the error a run returns does not depend on the worker
+// count.
+func (e *engine) residueErr(w int) error {
+	var first coreErr
+	for _, ce := range e.errs {
+		if ce.err != nil && (first.err == nil || ce.core < first.core) {
+			first = ce
+		}
+	}
+	if first.err == nil {
+		return nil
+	}
+	return fmt.Errorf("fleet: window %d core %d: %w", w, first.core, first.err)
 }
 
 // deposit records m serving core-windows of client ci with tail t in the
