@@ -208,30 +208,26 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	}
 
 	// The steadiness classifier: auto takes the analytic path on a span
-	// whose mode is settled and which lies inside the solver envelope
-	// (steadyTail, never under the discrete engine). A migrated core
-	// starts on a fresh controller, so it is never settled. Anything else
-	// — a refusal too — drops the whole span to the discrete residue,
-	// never errors the run.
-	tail, analytic, coalesced := 0.0, false, false
-	if rate > 0 {
-		if settled {
-			if t, ok := e.steadyTail(ci, rate, perf); ok {
-				tail, analytic, coalesced = t, true, true
-			}
-		}
-	} else {
-		// An idle window — a Poisson draw of zero arrivals, or a window the
-		// scheduler routed no load to — skips the queueing simulation under
-		// every engine and reads as zero tail: maximal slack. This is
-		// deliberate: a core with nothing to serve cannot violate its
-		// target, its controller sees the deepest possible headroom
-		// (driving it toward B-mode), and the zero is recorded like any
-		// other tail under both estimators — it lands in the exact samples
-		// and in the histogram's bottom bucket alike, so idle windows pull
-		// the measured quantiles down rather than being silently dropped.
-		coalesced = true
+	// whose mode is settled (a migrated core starts on a fresh controller,
+	// so it never is) and which lies inside the solver envelope
+	// (steadyTail, never under the discrete engine). Anything else — a
+	// solver refusal too — drops the whole span to the discrete residue;
+	// tail is read only when the span coalesces.
+	//
+	// An idle window — a Poisson draw of zero arrivals, or a window the
+	// scheduler routed no load to — skips the queueing simulation under
+	// every engine and reads as zero tail: maximal slack. This is
+	// deliberate: a core with nothing to serve cannot violate its target,
+	// its controller sees the deepest possible headroom (driving it toward
+	// B-mode), and the zero is recorded like any other tail under both
+	// estimators — it lands in the exact samples and in the histogram's
+	// bottom bucket alike, so idle windows pull the measured quantiles down
+	// rather than being silently dropped.
+	tail, analytic := 0.0, false
+	if rate > 0 && settled {
+		tail, analytic = e.steadyTail(ci, rate, perf)
 	}
+	coalesced := analytic || rate == 0
 
 	if analytic {
 		e.analyticCW += int(m)

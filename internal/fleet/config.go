@@ -65,8 +65,8 @@ type Config struct {
 	// Engine selects how per-core window tails are computed: the discrete
 	// event-level simulator (the zero value — byte-identical to all
 	// pre-engine results) or the per-window auto classifier that answers
-	// steady windows analytically and keeps transitional windows on the
-	// discrete path. See engine.go.
+	// settled-mode windows inside the solver envelope analytically and
+	// keeps the rest on the discrete path. See engine.go.
 	Engine Engine
 
 	// Scheduler selects the core-allocation and load-routing policy; the

@@ -1,12 +1,12 @@
-// Engine selection: the analytic fast path. A steady core-window — stationary
-// arrival rate, settled controller mode, no migration cold-start, no burst
-// or surge turbulence — is fully described by its queueing equilibrium, so
-// the engine can answer it with queueing.AnalyticTail instead of simulating
-// hundreds of discrete requests. At fleet scale almost every core-window is
-// steady (a diurnal fleet spends its life cruising between rate plateaus),
-// which is what turns a 1M-core × 24h day from hours of event simulation
-// into seconds of closed-form evaluation plus a residue of genuinely
-// transitional windows on the discrete path.
+// Engine selection: the analytic fast path. The discrete simulator runs a
+// core-window at one stationary rate and perf factor, so once the core's
+// controller mode has settled (it matches the previous window) and the window
+// is inside the solver envelope, its queueing equilibrium describes it and
+// queueing.AnalyticTail answers it in closed form. Cold starts — handovers and
+// migrations among them — fail the mode test; a burst or surge only changes
+// the rate the envelope sees. A diurnal fleet mostly cruises between rate
+// plateaus, which turns a 1M-core × 24h day from hours of event simulation
+// into seconds, plus a discrete residue of mode switches and peaks.
 //
 // The engine selection changes no execution path: every engine runs the
 // cohort walk (cohort.go), and the selection only sets what its
@@ -30,10 +30,10 @@ const (
 	// queueing simulator — the default, byte-identical to all results
 	// predating the engine selector.
 	EngineDiscrete Engine = 0
-	// EngineAuto classifies each (core, window): steady windows take the
-	// analytic fast path, transitional windows — mode switch, migration
-	// cold-start, burst or surge turbulence, utilization above
-	// queueing.AnalyticMaxUtilization — keep full discrete fidelity. Its
+	// EngineAuto classifies each (core, window): a settled-mode window
+	// inside the solver envelope takes the analytic fast path; a mode
+	// switch, a cold start (migrations included) or utilization above
+	// queueing.AnalyticMaxUtilization keeps full discrete fidelity. Its
 	// value stays 2 although 1 is unused: Result.Engine is JSON-encoded as
 	// an int, so renumbering would change every auto Result digest.
 	EngineAuto Engine = 2
@@ -79,27 +79,20 @@ func ParseEngine(s string) (Engine, error) {
 // entries that keep being hit survive any churn of cold keys.
 const analyticCacheLimit = 1 << 16
 
-// steadyTail answers one core-window in closed form when it lies inside
-// the solver envelope: the client's service passed the solver's structural
+// steadyTail answers a core-window in closed form when it lies inside the
+// solver envelope: the client's service passed the solver's structural
 // caps (analyticOK, all false under the discrete engine) and the
-// mode-adjusted utilization rate·utilCoef/perf is within
-// queueing.AnalyticMaxUtilization. It is the one gate the cohort walk and
-// the counterfactual evaluator share; !ok sends the caller to the
-// discrete path. Answers come from the run's solve cache, solving on a
-// miss. Keys carry the exact bit patterns of rate and perf, and the solver
-// is a pure function, so a hit is the same float a solve would give. Only
-// the engine goroutine calls it; pool workers never touch the cache or the
-// solve counter, so auto runs are bit-identical across worker counts and
-// AnalyticSolves follows walk order. The sampleEquiv passed to the solver
-// makes the analytic quantile reproduce the discrete window's
-// finite-sample rank convention rather than improve on it. A solver
-// refusal (the solver's own utilization rounding past the ceiling,
-// structural caps) is cached as NaN and reported as !ok, never as an
-// error. First insertions of successful solves feed
-// Result.AnalyticSolves.
+// mode-adjusted utilization is within queueing.AnalyticMaxUtilization.
+// !ok sends the caller — the cohort walk or the counterfactual evaluator —
+// to the discrete path; a solver refusal is cached as NaN, never an error.
+// The solve cache is keyed by the exact bits of rate and perf, and the
+// solver is pure, so a hit is the float a solve would give. Only the engine
+// goroutine calls it, so AnalyticSolves (first insertions of successful
+// solves) follows walk order at any worker count. The sampleEquiv passed
+// to the solver reproduces the discrete window's finite-sample rank
+// convention.
 func (e *engine) steadyTail(ci int16, rate, perf float64) (float64, bool) {
-	inside := e.analyticOK[ci] && rate*e.utilCoef[ci]/perf <= queueing.AnalyticMaxUtilization
-	if !inside {
+	if !e.analyticOK[ci] || !(rate*e.utilCoef[ci]/perf <= queueing.AnalyticMaxUtilization) {
 		return 0, false
 	}
 	k := queueing.TailKey{Service: int32(ci), Rate: math.Float64bits(rate), Perf: math.Float64bits(perf)}

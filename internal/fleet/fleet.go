@@ -154,10 +154,7 @@ type engine struct {
 	tails    []float64
 	batchRel []float64
 	modeB    []bool
-
-	// errs holds one slot per pool worker: the first (so lowest) residue
-	// core whose simulation failed on that worker, and its error. A failed
-	// window ends the run, so a slot is never cleared.
+	// errs holds one slot per pool worker: its lowest failing residue core.
 	errs []coreErr
 
 	// analyticCW and cohortCW count the window's core-windows answered
@@ -178,7 +175,7 @@ type engine struct {
 	fleetTail stats.Tail
 }
 
-// coreErr is a failed discrete-residue core-window: the core and its error.
+// coreErr is a failed residue core-window: the core and its error.
 type coreErr struct {
 	core int32
 	err  error

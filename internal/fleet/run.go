@@ -31,8 +31,8 @@ func Run(cfg Config) (Result, error) {
 
 // newEngine validates cfg and resolves everything a run holds constant:
 // per-client service configs and performance deltas, the scheduler,
-// per-core perf factors and rng streams, the classifier inputs, the
-// tail stores, and the worker pool. Callers must close the engine.
+// per-core perf factors and rng streams, the solver envelope, the tail
+// stores, and the worker pool. Callers must close the engine.
 func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -115,15 +115,13 @@ func newEngine(cfg Config) (*engine, error) {
 		e.perf[c] = perfGen[c/cfg.CoresPerServer]
 		e.streams[c] = *root.Derive(uint64(c))
 	}
-	// analyticOK and utilCoef are steadyTail's solver envelope; analyticOK
-	// stays all false under the discrete engine, so the cohort walk sends
-	// every positive-rate span to the discrete residue.
+	// steadyTail's solver envelope: all false under the discrete engine;
+	// under auto, per-client utilization coefficients and structural
+	// feasibility, probed once at a comfortably steady utilization (the
+	// refusals that matter here are rate-independent caps).
 	e.analyticOK = make([]bool, n)
 	if cfg.Engine != EngineDiscrete {
 		e.solveCache = queueing.NewTailCache(analyticCacheLimit)
-		// Per-client utilization coefficients and structural solver
-		// feasibility, probed once at a comfortably steady utilization:
-		// the refusals that matter here are rate-independent caps.
 		e.utilCoef = make([]float64, n)
 		for ci := range cfg.Traffic.Clients {
 			e.utilCoef[ci] = queueing.Utilization(qcfgs[ci], 1, 1)
@@ -219,16 +217,16 @@ func (e *engine) runWindow(w int) error {
 					hi = work
 				}
 				for _, it := range e.worklist[lo:hi] {
-					// A worker claims chunks of the core-ordered worklist
-					// in rising order, so its first failure is its lowest.
+					// Chunks are claimed in rising core order, so a
+					// worker's first failure is its lowest.
 					if err := e.runWorkItem(it, w, sim); err != nil && e.errs[wk].err == nil {
-						e.errs[wk] = coreErr{it.core, err}
+						e.errs[wk] = coreErr{it.core, fmt.Errorf("fleet: window %d core %d: %w", w, it.core, err)}
 					}
 				}
 			}
 		})
 	}
-	if err := e.residueErr(w); err != nil {
+	if err := e.residueErr(); err != nil {
 		return err
 	}
 	// The walk deposited the coalesced spans; the residue's tails are
@@ -241,20 +239,16 @@ func (e *engine) runWindow(w int) error {
 	return nil
 }
 
-// residueErr reports window w's lowest failing residue core, whichever
-// worker ran it, so the error a run returns does not depend on the worker
-// count.
-func (e *engine) residueErr(w int) error {
+// residueErr returns the lowest failing residue core's error, whichever
+// worker ran it, so the error does not depend on the worker count.
+func (e *engine) residueErr() error {
 	var first coreErr
 	for _, ce := range e.errs {
 		if ce.err != nil && (first.err == nil || ce.core < first.core) {
 			first = ce
 		}
 	}
-	if first.err == nil {
-		return nil
-	}
-	return fmt.Errorf("fleet: window %d core %d: %w", w, first.core, first.err)
+	return first.err
 }
 
 // deposit records m serving core-windows of client ci with tail t in the

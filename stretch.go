@@ -417,10 +417,11 @@ type EngineMode = fleet.Engine
 
 // Engine modes. EngineDiscrete (the default) simulates every core-window
 // event by event and is byte-identical to all pre-engine results.
-// EngineAuto classifies per (core, window): steady windows take the
-// closed-form analytic fast path, transitional ones — mode switches,
-// migration cold-starts, bursts, surges, utilization above the solver's
-// validated ceiling — keep full discrete fidelity, which is what makes
+// EngineAuto classifies per (core, window): a window whose controller
+// mode is settled and whose utilization is inside the solver's validated
+// envelope takes the closed-form analytic fast path; mode switches, cold
+// starts (client handovers and migrations among them) and utilization
+// above the ceiling keep full discrete fidelity, which is what makes
 // 1M-core × 24h fleet days tractable without giving up event-level
 // accuracy where it matters.
 const (
