@@ -115,8 +115,8 @@ func newEngine(cfg Config) (*engine, error) {
 		e.perf[c] = perfGen[c/cfg.CoresPerServer]
 		e.streams[c] = *root.Derive(uint64(c))
 	}
-	// steadyTail's solver envelope: all false under the discrete engine;
-	// under auto, per-client utilization coefficients and structural
+	// steadyTail's solver envelope (analyticOK stays all false under the
+	// discrete engine): per-client utilization coefficients and structural
 	// feasibility, probed once at a comfortably steady utilization (the
 	// refusals that matter here are rate-independent caps).
 	e.analyticOK = make([]bool, n)
