@@ -456,7 +456,7 @@ func TestCohortMigratedCoresStartCold(t *testing.T) {
 		}
 	}
 	if handovers == 0 || returns == 0 {
-		t.Fatalf("churn is vacuous: %d owner changes, %d returns from parking", handovers, returns)
+		t.Fatalf("churn is vacuous: %d owner changes, %d returns to service", handovers, returns)
 	}
 }
 
