@@ -136,11 +136,7 @@ func BenchmarkPredictor(b *testing.B) {
 // BenchmarkQueueing measures request-simulation throughput.
 func BenchmarkQueueing(b *testing.B) {
 	svc := workload.Services()[workload.WebSearch]
-	cfg := queueing.Config{
-		Workers: svc.Workers, MeanServiceMs: svc.MeanServiceMs,
-		ServiceCV: svc.ServiceCV, BurstProb: svc.BurstProb, BurstLen: svc.BurstLen,
-		QoSQuantile: svc.QoSQuantile, QoSTargetMs: svc.QoSTargetMs,
-	}
+	cfg := queueing.ForService(svc)
 	b.ResetTimer()
 	if _, err := queueing.Simulate(cfg, 400, b.N+10, 1, 1); err != nil {
 		b.Fatal(err)

@@ -17,15 +17,7 @@ import (
 
 func main() {
 	svc := workload.Services()[workload.WebSearch]
-	qc := queueing.Config{
-		Workers:       svc.Workers,
-		MeanServiceMs: svc.MeanServiceMs,
-		ServiceCV:     svc.ServiceCV,
-		BurstProb:     svc.BurstProb,
-		BurstLen:      svc.BurstLen,
-		QoSQuantile:   svc.QoSQuantile,
-		QoSTargetMs:   svc.QoSTargetMs,
-	}
+	qc := queueing.ForService(svc)
 	const nReq = 20000
 	peak, err := queueing.PeakLoad(qc, nReq, 7)
 	if err != nil {

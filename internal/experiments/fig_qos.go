@@ -8,25 +8,12 @@ import (
 	"stretch/internal/workload"
 )
 
-// queueConfig converts a workload.Service to a queueing.Config.
-func queueConfig(s workload.Service) queueing.Config {
-	return queueing.Config{
-		Workers:       s.Workers,
-		MeanServiceMs: s.MeanServiceMs,
-		ServiceCV:     s.ServiceCV,
-		BurstProb:     s.BurstProb,
-		BurstLen:      s.BurstLen,
-		QoSQuantile:   s.QoSQuantile,
-		QoSTargetMs:   s.QoSTargetMs,
-	}
-}
-
 // Fig1 reproduces Figure 1: Web Search average/95th/99th-percentile latency
 // as a function of load. The paper's headline shape: the average climbs
 // slowly (+43% low→high) while the 99th percentile grows by over 2.5×.
 func Fig1(c *Context) (Table, error) {
 	svc := workload.Services()[workload.WebSearch]
-	qc := queueConfig(svc)
+	qc := queueing.ForService(svc)
 	n := c.QueueRequests()
 
 	peak, err := queueing.PeakLoad(qc, n, 7)
@@ -88,7 +75,7 @@ func Fig2(c *Context) (Table, error) {
 	svcs := workload.Services()
 	for _, name := range workload.ServiceNames() {
 		svc := svcs[name]
-		qc := queueConfig(svc)
+		qc := queueing.ForService(svc)
 		peak, err := queueing.PeakLoad(qc, n, 11)
 		if err != nil {
 			return Table{}, err

@@ -36,7 +36,6 @@ package fleet
 import (
 	"sync"
 
-	"stretch/internal/core"
 	"stretch/internal/monitor"
 	"stretch/internal/queueing"
 )
@@ -102,9 +101,9 @@ func (e *engine) initCohorts() error {
 	for c := range e.ctlClient {
 		e.ctlClient[c] = -1
 	}
-	e.fresh = make([]monitor.Controller, len(e.targets))
-	for ci, t := range e.targets {
-		if err := e.fresh[ci].Reset(monitor.DefaultConfig(t)); err != nil {
+	e.fresh = make([]monitor.Controller, len(e.qcfgs))
+	for ci, q := range e.qcfgs {
+		if err := e.fresh[ci].Reset(monitor.DefaultConfig(q.QoSTargetMs)); err != nil {
 			return err
 		}
 	}
@@ -141,31 +140,35 @@ func (e *engine) walkWindow(asg Assignment) {
 		}
 	}
 
-	for c := 0; c < e.nCores; c++ {
-		ci := asg.Client[c]
-		if ci < 0 {
-			// An idle core runs batch exactly as the equal-partitioning
-			// baseline would (no gain); drained and parked cores run
-			// nothing. None of them is recorded, and each returns as a
-			// cold start.
-			flush(c)
-			e.release(c)
-			continue
-		}
-		if e.ctlClient[c] != ci {
-			// Handover (or return from a sentinel state): cold start with a
-			// freshly reset controller.
-			e.release(c)
-			e.ctl[c], e.ctlClient[c], e.lastMode[c] = e.fresh[ci], ci, -1
-		}
-		rate, mig, perf := asg.Rate[c], asg.Migrated[c], e.perf[c]
-		if spanStart >= 0 && (ci != spanCi || rate != spanRate || perf != spanPerf || mig != spanMig ||
-			e.lastMode[c] != e.lastMode[spanStart] || e.ctl[c] != e.ctl[spanStart]) {
-			flush(c)
-		}
-		if spanStart < 0 {
-			spanStart, spanCi = c, ci
-			spanRate, spanPerf, spanMig = rate, perf, mig
+	// Server by server: a server's cores share its generation perf factor.
+	c := 0
+	for _, perf := range e.serverPerf {
+		for end := c + e.cfg.CoresPerServer; c < end; c++ {
+			ci := asg.Client[c]
+			if ci < 0 {
+				// An idle core runs batch exactly as the equal-partitioning
+				// baseline would (no gain); drained and parked cores run
+				// nothing. None of them is recorded, and each returns as a
+				// cold start.
+				flush(c)
+				e.release(c)
+				continue
+			}
+			if e.ctlClient[c] != ci {
+				// Handover (or return from a sentinel state): cold start
+				// with a freshly reset controller.
+				e.release(c)
+				e.ctl[c], e.ctlClient[c], e.lastMode[c] = e.fresh[ci], ci, -1
+			}
+			rate, mig := asg.Rate[c], asg.Migrated[c]
+			if spanStart >= 0 && (ci != spanCi || rate != spanRate || perf != spanPerf || mig != spanMig ||
+				e.lastMode[c] != e.lastMode[spanStart] || e.ctl[c] != e.ctl[spanStart]) {
+				flush(c)
+			}
+			if spanStart < 0 {
+				spanStart, spanCi = c, ci
+				spanRate, spanPerf, spanMig = rate, perf, mig
+			}
 		}
 	}
 	flush(e.nCores)
@@ -174,12 +177,13 @@ func (e *engine) walkWindow(asg Assignment) {
 // subRun executes one maximal run of cores sharing (client, rate, perf,
 // migrated, last mode, controller value) — the cohort key. The mode,
 // effective perf factor (scaled by the server's generation, the engaged
-// mode's calibrated LS delta and any migration penalty), batch credit and
-// steadiness classification are computed once for the whole run:
-// identical inputs would give every member core the identical answer.
-// The run's size is added to the window's analytic and cohort counters
-// and to the batch count of the mode whose credit it earns, and every
-// member's last mode becomes this window's mode.
+// mode's calibrated LS delta and any migration penalty) and steadiness
+// classification are computed once for the whole run: identical inputs
+// would give every member core the identical answer. The run's size is
+// added to the window's analytic and cohort counters and to the batch
+// count of its mode, whose credit it earns (a migrated core runs on a
+// freshly reset controller, so its mode is Baseline), and every member's
+// last mode becomes this window's mode.
 func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	m := int32(b - a)
 	mode := e.ctl[a].Mode()
@@ -190,20 +194,10 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	if mig {
 		perf *= 1 - migrationPenalty
 	}
-	modeB := mode == core.ModeB
-	credit := mode
-	if modeB && mig {
-		// Warming the new client's working set eats the bonus: the run
-		// earns the equal-partitioning baseline's credit of 1.
-		credit = core.ModeBaseline
-	}
-	bRel := e.batchRelMode[ci][credit]
-	e.batchCW[ci][credit] += int64(m)
+	e.batchCW[ci][mode] += int64(m)
 	lm := int8(mode)
 	settled := e.lastMode[a] == lm
 	for c := a; c < b; c++ {
-		e.batchRel[c] = bRel
-		e.modeB[c] = modeB
 		e.lastMode[c] = lm
 	}
 
@@ -266,7 +260,7 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 // pool needs no locking beyond the claim counter.
 func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator) error {
 	c := int(it.core)
-	seed := e.streams[c].Derive(uint64(w)).Uint64()
+	seed := e.root.Derive(uint64(c)).Derive(uint64(w)).Uint64()
 	if err := sim.Reset(e.qcfgs[it.client]); err != nil {
 		return err
 	}

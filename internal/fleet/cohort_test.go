@@ -419,7 +419,9 @@ func TestCohortWorklistBounded(t *testing.T) {
 // util-autoscaler park/unpark, every core the scheduler marks Migrated
 // enters its window holding another client's controller or none — an
 // owner change or a return from a parked server — so the walk resets it
-// and its mode is never settled.
+// and its mode is never settled. It also pins why a migrated core needs
+// no batch-credit rule of its own: it runs its window on the reset
+// controller, in Baseline, so it never earns a B-mode bonus to forfeit.
 func TestCohortMigratedCoresStartCold(t *testing.T) {
 	cfg := equivConfig()
 	cfg.Scheduler = SchedulerConfig{Policy: PolicyFeedback}
@@ -444,6 +446,9 @@ func TestCohortMigratedCoresStartCold(t *testing.T) {
 		for c := range e.nCores {
 			if !asg.Migrated[c] {
 				continue
+			}
+			if m := core.Mode(e.lastMode[c]); m != core.ModeBaseline {
+				t.Fatalf("window %d core %d: migrated but ran in %v", w, c, m)
 			}
 			switch {
 			case owned[c] == asg.Client[c]:

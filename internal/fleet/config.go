@@ -209,10 +209,5 @@ func PeakRPSPerCore(service string, nRequests int, seed uint64) (float64, error)
 	if !ok {
 		return 0, fmt.Errorf("fleet: unknown service %q", service)
 	}
-	cfg := queueing.Config{
-		Workers: svc.Workers, MeanServiceMs: svc.MeanServiceMs,
-		ServiceCV: svc.ServiceCV, BurstProb: svc.BurstProb, BurstLen: svc.BurstLen,
-		QoSQuantile: svc.QoSQuantile, QoSTargetMs: svc.QoSTargetMs,
-	}
-	return queueing.PeakLoad(cfg, nRequests, seed)
+	return queueing.PeakLoad(queueing.ForService(svc), nRequests, seed)
 }

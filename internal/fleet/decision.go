@@ -358,7 +358,7 @@ func (e *engine) cfCost(w int, counts []int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if tail > e.targets[ci] {
+		if tail > e.qcfgs[ci].QoSTargetMs {
 			cost += float64(cnt)
 		}
 	}
@@ -396,5 +396,5 @@ func (e *engine) initCounterfactual(k int, seed uint64) {
 	e.cfRng = rng.New(seed).Derive(cfLabel)
 	e.cfSim = new(queueing.Simulator)
 	e.cfCache = make(map[cfKey]float64)
-	e.cfLoad = make([]float64, len(e.targets))
+	e.cfLoad = make([]float64, len(e.qcfgs))
 }

@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"stretch/internal/loadgen"
 	"stretch/internal/queueing"
+	"stretch/internal/stats"
 )
 
 func TestEngineParse(t *testing.T) {
@@ -180,5 +183,43 @@ func TestEngineErrorIndependentOfWorkerCount(t *testing.T) {
 	e := &engine{errs: []coreErr{{256, high}, {}, {3, low}, {128, high}}}
 	if err := e.residueErr(); !errors.Is(err, low) {
 		t.Fatalf("residueErr = %v, want core 3's error", err)
+	}
+}
+
+// TestEngineFootprint holds newEngine's per-core allocation to a budget of
+// 140 B, measured as the slope of TotalAlloc between two fleet sizes on
+// the auto engine and the histogram estimator (whose stores do not grow
+// with cores). The engine's own per-core reserve is 91 B — controller 56,
+// tail 8, worklist slot 24, client 2, last mode 1 — and the scheduler's
+// per-core ownership and assignment arrays and the per-server tables take
+// the rest (about 124 B in all). A change that adds per-core state raises
+// the bound and says why.
+func TestEngineFootprint(t *testing.T) {
+	const budget = 140
+	alloc := func(cores int) uint64 {
+		cfg := equivConfig()
+		cfg.Engine = EngineAuto
+		cfg.TailEstimator = stats.EstimatorHistogram
+		cfg.Workers = 1
+		cfg.Servers = cores / cfg.CoresPerServer
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e, err := newEngine(cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.close()
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const lo, hi = 4096, 8192
+	perCore := float64(alloc(hi)-alloc(lo)) / (hi - lo)
+	t.Logf("newEngine allocates %.1f B per core", perCore)
+	if perCore > budget {
+		t.Fatalf("newEngine allocates %.1f B per core, budget %d B", perCore, budget)
 	}
 }

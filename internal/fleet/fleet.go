@@ -104,10 +104,15 @@ type engine struct {
 	lsSlowMode   [][3]float64
 	batchRelMode [][3]float64
 
-	targets []float64
-	qcfgs   []queueing.Config
-	perf    []float64
-	streams []rng.Stream
+	// qcfgs is each client's queueing config, whose QoSTargetMs is the
+	// client's SLO-scaled target. serverPerf is each server's generation
+	// perf factor; the walk reads it server by server. root is the run's
+	// rng root: a residue core-window's seed is root.Derive(core)
+	// .Derive(window), and Derive never advances its receiver, so the pool
+	// workers share root read-only.
+	qcfgs      []queueing.Config
+	serverPerf []float64
+	root       *rng.Stream
 
 	// solveCache memoises analytic solves for the cohort walk and the
 	// counterfactual evaluator, both of which run on the engine goroutine
@@ -118,9 +123,11 @@ type engine struct {
 
 	// Cohort walk state (cohort.go), one slot per core: ctl is the core's
 	// controller, ctlClient the client it serves (−1: none) and lastMode
-	// the mode it ran in last window (−1 after a reset). switches banks the
-	// switch counts of released controllers, fresh holds one reset
-	// controller per client, and worklist is the window's discrete residue.
+	// the mode it ran its latest window in (−1 after a reset; once the
+	// walk has passed a core, the mode of the current window). switches
+	// banks the switch counts of released controllers, fresh holds one
+	// reset controller per client, whose copies share its tuning, and
+	// worklist is the window's discrete residue.
 	ctl       []monitor.Controller
 	ctlClient []int16
 	lastMode  []int8
@@ -149,11 +156,9 @@ type engine struct {
 	utilCoef   []float64
 	analyticOK []bool
 
-	// Per-window scratch, indexed by core and read by the barrier: each
-	// serving core's tail, batch credit and B-mode flag.
-	tails    []float64
-	batchRel []float64
-	modeB    []bool
+	// tails is the window's per-core scratch, read by the barrier: each
+	// serving core's tail.
+	tails []float64
 	// errs holds one slot per pool worker: its lowest failing residue core.
 	errs []coreErr
 

@@ -30,8 +30,8 @@ func Run(cfg Config) (Result, error) {
 }
 
 // newEngine validates cfg and resolves everything a run holds constant:
-// per-client service configs and performance deltas, the scheduler,
-// per-core perf factors and rng streams, the solver envelope, the tail
+// per-client service configs and performance deltas, the scheduler, the
+// per-server perf factors, the rng root, the solver envelope, the tail
 // stores, and the worker pool. Callers must close the engine.
 func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
@@ -58,19 +58,13 @@ func newEngine(cfg Config) (*engine, error) {
 	// every client shares the uniform scalars (and reproduces the
 	// pre-calibration arithmetic bit-for-bit).
 	n := len(cfg.Traffic.Clients)
-	targets := make([]float64, n)
 	qcfgs := make([]queueing.Config, n)
 	lsSlowMode := make([][3]float64, n)
 	batchRelMode := make([][3]float64, n)
 	for ci, cl := range cfg.Traffic.Clients {
-		svc := workload.Services()[cl.Service]
-		targets[ci] = svc.QoSTargetMs * cl.SLO.Scale()
-		qcfgs[ci] = queueing.Config{
-			Workers: svc.Workers, MeanServiceMs: svc.MeanServiceMs,
-			ServiceCV: svc.ServiceCV, BurstProb: svc.BurstProb, BurstLen: svc.BurstLen,
-			QoSQuantile: svc.QoSQuantile, QoSTargetMs: targets[ci],
-			Estimator: est,
-		}
+		qcfgs[ci] = queueing.ForService(workload.Services()[cl.Service])
+		qcfgs[ci].QoSTargetMs *= cl.SLO.Scale()
+		qcfgs[ci].Estimator = est
 		if cfg.Calibration != nil {
 			b := BatchPairing(cl)
 			pb, _ := cfg.Calibration.Lookup(cl.Service, b, core.ModeB)
@@ -88,32 +82,23 @@ func newEngine(cfg Config) (*engine, error) {
 		return nil, err
 	}
 
-	// Each core derives its own rng stream from the experiment seed and
-	// its global index — and each window's simulation seed from that — so
-	// neither the schedule nor the worker count can perturb results.
-	root := rng.New(cfg.Seed).Derive(0xF1EE7)
-	perfGen := cfg.Scenario.PerfFactors(cfg.Servers)
+	// Each core-window's simulation seed derives from the experiment seed,
+	// the core's global index and the window (runWorkItem), so neither the
+	// schedule nor the worker count can perturb results.
 	e := &engine{
 		cfg: cfg, est: est, st: st,
 		nCores: nCores, windows: windows, windowReq: windowReq,
 		engineSel:    cfg.Engine,
 		lsSlowMode:   lsSlowMode,
 		batchRelMode: batchRelMode,
-		targets:      targets,
 		qcfgs:        qcfgs,
-		perf:         make([]float64, nCores),
-		streams:      make([]rng.Stream, nCores),
+		serverPerf:   cfg.Scenario.PerfFactors(cfg.Servers),
+		root:         rng.New(cfg.Seed).Derive(0xF1EE7),
 		tails:        make([]float64, nCores),
-		batchRel:     make([]float64, nCores),
-		modeB:        make([]bool, nCores),
 		batchCW:      make([][3]int64, n),
 	}
 	if err := e.initCohorts(); err != nil {
 		return nil, err
-	}
-	for c := 0; c < nCores; c++ {
-		e.perf[c] = perfGen[c/cfg.CoresPerServer]
-		e.streams[c] = *root.Derive(uint64(c))
 	}
 	// steadyTail's solver envelope (analyticOK stays all false under the
 	// discrete engine): per-client utilization coefficients and structural
@@ -263,7 +248,7 @@ func (e *engine) deposit(ci int16, t float64, m int32) {
 // the per-window observations, the batch gain from the per-mode counts,
 // and the tails from the run and fleet stores.
 func (e *engine) aggregate() Result {
-	cfg, n := e.cfg, len(e.targets)
+	cfg, n := e.cfg, len(e.qcfgs)
 	calibHash := ""
 	if cfg.Calibration != nil {
 		calibHash = cfg.Calibration.Hash
@@ -285,7 +270,7 @@ func (e *engine) aggregate() Result {
 	for ci, cl := range cfg.Traffic.Clients {
 		cms[ci] = ClientMetrics{
 			Client: cl.Name, Service: cl.Service, Batch: BatchPairing(cl), SLO: cl.SLO,
-			Cores: e.winTrace[0].Clients[ci].Cores, TargetMs: e.targets[ci],
+			Cores: e.winTrace[0].Clients[ci].Cores, TargetMs: e.qcfgs[ci].QoSTargetMs,
 		}
 	}
 	for _, o := range e.winTrace {
@@ -347,10 +332,13 @@ func (e *engine) aggregate() Result {
 
 // observe collects the window's measurements behind the barrier, in core
 // order, into the observation record the scheduler sees next window, then
-// reads each client's window p99 from its window store and resets it.
+// reads each client's window p99 from its window store and resets it. A
+// serving core's mode this window is its lastMode (the walk set it; the
+// controller may have switched since), and its batch credit is that
+// mode's.
 func (e *engine) observe(w int, asg Assignment) WindowObservation {
 	o := WindowObservation{
-		Window: w, Clients: make([]ClientWindowObs, len(e.targets)),
+		Window: w, Clients: make([]ClientWindowObs, len(e.qcfgs)),
 		AnalyticCores: e.analyticCW, CohortCores: e.cohortCW,
 	}
 	for c := 0; c < e.nCores; c++ {
@@ -372,15 +360,16 @@ func (e *engine) observe(w int, asg Assignment) WindowObservation {
 			if t > co.MaxTailMs {
 				co.MaxTailMs = t
 			}
-			if t > e.targets[cl] {
+			if t > e.qcfgs[cl].QoSTargetMs {
 				co.Violations++
 				o.Violations++
 			}
-			if e.modeB[c] {
+			mode := core.Mode(e.lastMode[c])
+			if mode == core.ModeB {
 				co.BCores++
 				o.BCores++
 			}
-			co.BatchRel += e.batchRel[c]
+			co.BatchRel += e.batchRelMode[cl][mode]
 			co.MeanSlack += e.ctl[c].Slack()
 			if asg.Migrated[c] {
 				o.Migrations++

@@ -113,8 +113,9 @@ const minCores = 1
 
 // migrationPenalty models the cost of moving a core to a new client: for
 // its first window on the new client the core runs the LS service at
-// (1-migrationPenalty) of its performance and forfeits its B-mode batch
-// bonus (cold caches, state handoff).
+// (1-migrationPenalty) of its performance (cold caches, state handoff).
+// It starts that window on a reset controller in Baseline, so it has no
+// B-mode batch bonus to forfeit.
 const migrationPenalty = 0.25
 
 // defaultHysteresis is the rebalance threshold when Hysteresis is zero.

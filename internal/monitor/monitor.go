@@ -7,9 +7,10 @@
 //
 // Invariant: the Controller is a pure state machine over its observation
 // sequence — no clocks, no randomness, no dependence on the core model's
-// timing — so identical observations always replay to identical actions,
-// and the fleet engine can hold controllers by value and reinitialise
-// them in place (Reset) without perturbing results.
+// timing — so identical observations always replay to identical actions.
+// Its tuning is held by pointer and never written after Reset, so copies
+// of one controller share it: the fleet engine holds controllers by value,
+// one per core, and every core of a client shares that client's tuning.
 package monitor
 
 import (
@@ -126,19 +127,22 @@ func (c Config) Validate() error {
 // Controller is the mode state machine. It is deliberately free of any
 // timing dependence on the core model: callers feed it one observation per
 // monitoring window and apply the returned action.
+//
+// The tuning is shared, not copied: cfg points at the Config given to
+// Reset and is read-only afterwards. The scalar state is ordered so the
+// three one-byte fields pack into one word (56 B in all).
 type Controller struct {
-	cfg  Config
-	mode core.Mode
+	cfg *Config
 
 	lowStreak  int
 	highStreak int
 	violStreak int
-	throttled  bool
+	lastTail   float64
+	switches   uint64
 
-	lastTail float64
-	observed bool
-
-	switches uint64
+	mode      core.Mode
+	throttled bool
+	observed  bool
 }
 
 // New builds a controller starting in Baseline mode.
@@ -151,14 +155,15 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // Reset reinitialises the controller in place for cfg, starting in Baseline
-// mode with all streaks and the switch count cleared — the allocation-free
-// form of New for hot loops (the fleet engine) that keep controller storage
-// per core and rebuild it when a core changes hands.
+// mode with all streaks and the switch count cleared. It stores one heap
+// copy of cfg, which every later copy of the controller shares; callers
+// that hold many controllers of one tuning (the fleet engine) Reset one
+// and copy it rather than Reset each.
 func (c *Controller) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	*c = Controller{cfg: cfg, mode: core.ModeBaseline}
+	*c = Controller{cfg: &cfg, mode: core.ModeBaseline}
 	return nil
 }
 

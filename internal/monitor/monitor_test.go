@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"testing"
+	"unsafe"
 
 	"stretch/internal/core"
 )
@@ -207,5 +208,24 @@ func TestActionStrings(t *testing.T) {
 	}
 	if Action(99).String() == "" {
 		t.Fatal("unknown action must format")
+	}
+}
+
+// TestCopiesShareTuning: a copy of a controller shares its tuning rather
+// than duplicating it, so the fleet engine's per-core controllers stay at
+// 56 B, and copies fed the same observations stay == (the cohort walk's
+// span key compares controllers by value).
+func TestCopiesShareTuning(t *testing.T) {
+	if got := unsafe.Sizeof(Controller{}); got > 56 {
+		t.Fatalf("Controller is %d B, want at most 56", got)
+	}
+	a := newCtl(t)
+	b := *a
+	for _, tail := range []float64{10, 10, 99, 10} {
+		a.Observe(Observation{TailMs: tail})
+		b.Observe(Observation{TailMs: tail})
+	}
+	if *a != b || a.cfg != b.cfg {
+		t.Fatal("copies fed the same observations diverged")
 	}
 }

@@ -13,12 +13,9 @@ import (
 func svcConfigs() map[string]Config {
 	out := map[string]Config{}
 	for name, svc := range workload.Services() {
-		out[name] = Config{
-			Workers: svc.Workers, MeanServiceMs: svc.MeanServiceMs,
-			ServiceCV: svc.ServiceCV, BurstProb: svc.BurstProb, BurstLen: svc.BurstLen,
-			QoSQuantile: svc.QoSQuantile, QoSTargetMs: svc.QoSTargetMs,
-			Estimator: stats.EstimatorHistogram,
-		}
+		cfg := ForService(svc)
+		cfg.Estimator = stats.EstimatorHistogram
+		out[name] = cfg
 	}
 	return out
 }

@@ -35,19 +35,12 @@ type digestCase struct {
 // extremes of the worker ring), each under both estimators.
 func digestCases() []digestCase {
 	svcs := workload.Services()
-	toCfg := func(s workload.Service) Config {
-		return Config{
-			Workers: s.Workers, MeanServiceMs: s.MeanServiceMs,
-			ServiceCV: s.ServiceCV, BurstProb: s.BurstProb, BurstLen: s.BurstLen,
-			QoSQuantile: s.QoSQuantile, QoSTargetMs: s.QoSTargetMs,
-		}
-	}
 	var base []digestCase
 	for _, n := range workload.ServiceNames() {
-		base = append(base, digestCase{n, toCfg(svcs[n])})
+		base = append(base, digestCase{n, ForService(svcs[n])})
 	}
 	for _, w := range []int{1, 64} {
-		c := toCfg(svcs[workload.DataServing])
+		c := ForService(svcs[workload.DataServing])
 		c.Workers = w
 		base = append(base, digestCase{fmt.Sprintf("workers-%d", w), c})
 	}

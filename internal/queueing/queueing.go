@@ -28,6 +28,7 @@ import (
 
 	"stretch/internal/rng"
 	"stretch/internal/stats"
+	"stretch/internal/workload"
 )
 
 // MaxPerfFactor bounds the perf factor a simulation accepts. Sub-unity
@@ -62,6 +63,18 @@ type Config struct {
 	// the paper's figures, where fidelity wins; the fleet engine passes an
 	// explicit estimator.
 	Estimator stats.TailEstimator
+}
+
+// ForService returns the queueing config of a catalogue service at its
+// catalogue QoS target and the default (exact) estimator. Callers that
+// scale the target for an SLO class or pick an estimator set those fields
+// on the result.
+func ForService(s workload.Service) Config {
+	return Config{
+		Workers: s.Workers, MeanServiceMs: s.MeanServiceMs,
+		ServiceCV: s.ServiceCV, BurstProb: s.BurstProb, BurstLen: s.BurstLen,
+		QoSQuantile: s.QoSQuantile, QoSTargetMs: s.QoSTargetMs,
+	}
 }
 
 // Validate rejects unusable configurations. Float parameters must be

@@ -39,8 +39,7 @@ const FormatVersion = 1
 const MaxWindows = 1 << 22
 
 // MaxCells bounds windows × clients — the rate matrix a parse may
-// allocate. Each cell costs a float64 rate and a one-byte seen flag:
-// 144 MiB at the limit.
+// allocate. Each cell costs one float64 rate: 128 MiB at the limit.
 const MaxCells = 1 << 24
 
 // csvMagic is the first line of every CSV trace.
@@ -326,12 +325,11 @@ func (t *Trace) Write(w io.Writer, format string) error {
 
 // parser accumulates state shared by both dialects and enforces the
 // structural rules: header before clients, clients before rates, every
-// cell exactly once, no gaps.
+// cell exactly once, no gaps. A declared client's rate row starts all NaN;
+// rate rejects NaN input, so a NaN cell is one no row has set yet.
 type parser struct {
 	t       *Trace
 	index   map[string]int // client name → index
-	seen    [][]bool       // per client: which windows have rows
-	got     []int          // per client: how many windows have rows
 	hasMeta bool
 	inRates bool
 }
@@ -374,9 +372,11 @@ func (p *parser) client(line int, c Client) error {
 	}
 	p.index[c.Name] = len(p.t.Clients)
 	p.t.Clients = append(p.t.Clients, c)
-	p.seen = append(p.seen, make([]bool, p.t.Windows))
-	p.got = append(p.got, 0)
-	p.t.Rates = append(p.t.Rates, make([]float64, p.t.Windows))
+	row := make([]float64, p.t.Windows)
+	for w := range row {
+		row[w] = math.NaN()
+	}
+	p.t.Rates = append(p.t.Rates, row)
 	return nil
 }
 
@@ -410,14 +410,17 @@ func (p *parser) event(line int, s string) error {
 	return nil
 }
 
-func (p *parser) rate(line, w int, client string, rps float64) error {
+// rate records one rate row. The client name comes as bytes so the CSV
+// path can pass a slice of the scanned line: the lookup converts it
+// without allocating, and only an error message copies it.
+func (p *parser) rate(line, w int, client []byte, rps float64) error {
 	if !p.hasMeta {
 		return fmt.Errorf("line %d: rate row before trace header", line)
 	}
 	p.inRates = true
-	i, ok := p.index[client]
+	i, ok := p.index[string(client)]
 	if !ok {
-		return fmt.Errorf("line %d: rate row for undeclared client %q", line, client)
+		return fmt.Errorf("line %d: rate row for undeclared client %q", line, string(client))
 	}
 	if w < 0 || w >= p.t.Windows {
 		return fmt.Errorf("line %d: window %d outside horizon [0,%d)", line, w, p.t.Windows)
@@ -425,11 +428,9 @@ func (p *parser) rate(line, w int, client string, rps float64) error {
 	if math.IsNaN(rps) || math.IsInf(rps, 0) || rps < 0 {
 		return fmt.Errorf("line %d: rate %v must be finite and non-negative", line, rps)
 	}
-	if p.seen[i][w] {
-		return fmt.Errorf("line %d: duplicate rate for window %d client %q", line, w, client)
+	if !math.IsNaN(p.t.Rates[i][w]) {
+		return fmt.Errorf("line %d: duplicate rate for window %d client %q", line, w, string(client))
 	}
-	p.seen[i][w] = true
-	p.got[i]++
 	p.t.Rates[i][w] = rps
 	return nil
 }
@@ -441,13 +442,17 @@ func (p *parser) finish() (*Trace, error) {
 		return nil, fmt.Errorf("missing trace header")
 	}
 	for i, c := range p.t.Clients {
-		if got := p.got[i]; got != p.t.Windows {
-			missing := make([]int, 0, 8)
-			for w := 0; w < p.t.Windows && len(missing) < 5; w++ {
-				if !p.seen[i][w] {
+		got := p.t.Windows
+		var missing []int
+		for w, r := range p.t.Rates[i] {
+			if math.IsNaN(r) {
+				got--
+				if len(missing) < 5 {
 					missing = append(missing, w)
 				}
 			}
+		}
+		if got != p.t.Windows {
 			return nil, fmt.Errorf("client %q has %d of %d windows (gap at %v)",
 				c.Name, got, p.t.Windows, missing)
 		}
@@ -518,86 +523,22 @@ func parseCSV(r io.Reader) (*Trace, error) {
 	sawHeaderRow := false
 	for sc.Scan() {
 		line++
-		text := strings.TrimRight(sc.Text(), "\r")
+		// Lines stay in the scanner's buffer: rate rows are the bulk of a
+		// large trace, and only the O(clients) directive lines and error
+		// messages copy theirs into strings.
+		b := bytes.TrimRight(sc.Bytes(), "\r")
 		switch {
 		case line == 1:
-			if text != csvMagic {
-				return nil, fmt.Errorf("line 1: not a stretch trace (want %q, got %q)", csvMagic, text)
+			if string(b) != csvMagic {
+				return nil, fmt.Errorf("line 1: not a stretch trace (want %q, got %q)", csvMagic, string(b))
 			}
-		case text == "":
+		case len(b) == 0:
 			// Blank lines are allowed anywhere after the magic.
-		case strings.HasPrefix(text, "#meta "):
-			var windows int
-			var windowSec float64
-			var haveW, haveS bool
-			fields, err := kvs(text[len("#meta "):])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			for _, kv := range fields {
-				switch kv[0] {
-				case "windows":
-					n, err := strconv.Atoi(kv[1])
-					if err != nil {
-						return nil, fmt.Errorf("line %d: windows %q not an integer", line, kv[1])
-					}
-					windows, haveW = n, true
-				case "window_sec":
-					v, err := strconv.ParseFloat(kv[1], 64)
-					if err != nil {
-						return nil, fmt.Errorf("line %d: window_sec %q not a number", line, kv[1])
-					}
-					windowSec, haveS = v, true
-				default:
-					return nil, fmt.Errorf("line %d: unknown meta field %q", line, kv[0])
-				}
-			}
-			if !haveW || !haveS {
-				return nil, fmt.Errorf("line %d: meta needs windows= and window_sec=", line)
-			}
-			if err := p.meta(line, windows, windowSec); err != nil {
+		case b[0] == '#':
+			if err := p.directive(line, string(b)); err != nil {
 				return nil, err
 			}
-		case strings.HasPrefix(text, "#client "):
-			fields, err := kvs(text[len("#client "):])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
-			}
-			var c Client
-			for _, kv := range fields {
-				switch kv[0] {
-				case "name":
-					c.Name = kv[1]
-				case "service":
-					c.Service = kv[1]
-				case "batch":
-					c.Batch = kv[1]
-				case "slo":
-					slo, err := loadgen.ParseSLOClass(kv[1])
-					if err != nil {
-						return nil, fmt.Errorf("line %d: %v", line, err)
-					}
-					c.SLO = slo
-				case "fraction":
-					v, err := strconv.ParseFloat(kv[1], 64)
-					if err != nil {
-						return nil, fmt.Errorf("line %d: fraction %q not a number", line, kv[1])
-					}
-					c.Fraction = v
-				default:
-					return nil, fmt.Errorf("line %d: unknown client field %q", line, kv[0])
-				}
-			}
-			if err := p.client(line, c); err != nil {
-				return nil, err
-			}
-		case strings.HasPrefix(text, "#event "):
-			if err := p.event(line, strings.TrimSpace(text[len("#event "):])); err != nil {
-				return nil, err
-			}
-		case strings.HasPrefix(text, "#"):
-			return nil, fmt.Errorf("line %d: unknown directive %q", line, text)
-		case text == "window,client,rps":
+		case string(b) == "window,client,rps":
 			if sawHeaderRow {
 				return nil, fmt.Errorf("line %d: duplicate column header", line)
 			}
@@ -606,21 +547,21 @@ func parseCSV(r io.Reader) (*Trace, error) {
 			if !sawHeaderRow {
 				return nil, fmt.Errorf("line %d: rate row before %q header", line, "window,client,rps")
 			}
-			// Rate rows are the bulk of a large trace: cutting the three
-			// fields in place allocates nothing beyond the scanned line.
-			ws, rest, ok1 := strings.Cut(text, ",")
-			client, rs, ok2 := strings.Cut(rest, ",")
-			if !ok1 || !ok2 || strings.Contains(rs, ",") {
+			// The three fields are cut in place and parsed through
+			// non-escaping conversions: a rate row allocates nothing.
+			ws, rest, ok1 := bytes.Cut(b, comma)
+			client, rs, ok2 := bytes.Cut(rest, comma)
+			if !ok1 || !ok2 || bytes.IndexByte(rs, ',') >= 0 {
 				return nil, fmt.Errorf("line %d: want 3 comma-separated fields, got %d",
-					line, strings.Count(text, ",")+1)
+					line, bytes.Count(b, comma)+1)
 			}
-			w, err := strconv.Atoi(ws)
+			w, err := strconv.Atoi(string(ws))
 			if err != nil {
-				return nil, fmt.Errorf("line %d: window %q not an integer", line, ws)
+				return nil, fmt.Errorf("line %d: window %q not an integer", line, string(ws))
 			}
-			rps, err := strconv.ParseFloat(rs, 64)
+			rps, err := strconv.ParseFloat(string(rs), 64)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: rate %q not a number", line, rs)
+				return nil, fmt.Errorf("line %d: rate %q not a number", line, string(rs))
 			}
 			if err := p.rate(line, w, client, rps); err != nil {
 				return nil, err
@@ -631,6 +572,81 @@ func parseCSV(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return p.finish()
+}
+
+// comma separates a CSV rate row's fields.
+var comma = []byte{','}
+
+// directive parses one CSV '#' line: the #meta header, a #client
+// declaration or an #event annotation.
+func (p *parser) directive(line int, text string) error {
+	switch {
+	case strings.HasPrefix(text, "#meta "):
+		var windows int
+		var windowSec float64
+		var haveW, haveS bool
+		fields, err := kvs(text[len("#meta "):])
+		if err != nil {
+			return fmt.Errorf("line %d: %v", line, err)
+		}
+		for _, kv := range fields {
+			switch kv[0] {
+			case "windows":
+				n, err := strconv.Atoi(kv[1])
+				if err != nil {
+					return fmt.Errorf("line %d: windows %q not an integer", line, kv[1])
+				}
+				windows, haveW = n, true
+			case "window_sec":
+				v, err := strconv.ParseFloat(kv[1], 64)
+				if err != nil {
+					return fmt.Errorf("line %d: window_sec %q not a number", line, kv[1])
+				}
+				windowSec, haveS = v, true
+			default:
+				return fmt.Errorf("line %d: unknown meta field %q", line, kv[0])
+			}
+		}
+		if !haveW || !haveS {
+			return fmt.Errorf("line %d: meta needs windows= and window_sec=", line)
+		}
+		return p.meta(line, windows, windowSec)
+	case strings.HasPrefix(text, "#client "):
+		fields, err := kvs(text[len("#client "):])
+		if err != nil {
+			return fmt.Errorf("line %d: %v", line, err)
+		}
+		var c Client
+		for _, kv := range fields {
+			switch kv[0] {
+			case "name":
+				c.Name = kv[1]
+			case "service":
+				c.Service = kv[1]
+			case "batch":
+				c.Batch = kv[1]
+			case "slo":
+				slo, err := loadgen.ParseSLOClass(kv[1])
+				if err != nil {
+					return fmt.Errorf("line %d: %v", line, err)
+				}
+				c.SLO = slo
+			case "fraction":
+				v, err := strconv.ParseFloat(kv[1], 64)
+				if err != nil {
+					return fmt.Errorf("line %d: fraction %q not a number", line, kv[1])
+				}
+				c.Fraction = v
+			default:
+				return fmt.Errorf("line %d: unknown client field %q", line, kv[0])
+			}
+		}
+		return p.client(line, c)
+	case strings.HasPrefix(text, "#event "):
+		return p.event(line, strings.TrimSpace(text[len("#event "):]))
+	default:
+		return fmt.Errorf("line %d: unknown directive %q", line, text)
+	}
 }
 
 func parseJSONL(r io.Reader) (*Trace, error) {
@@ -677,7 +693,7 @@ func parseJSONL(r io.Reader) (*Trace, error) {
 			if jl.RPS == nil {
 				return nil, fmt.Errorf("line %d: rate row without rps", line)
 			}
-			if err := p.rate(line, *jl.W, jl.C, *jl.RPS); err != nil {
+			if err := p.rate(line, *jl.W, []byte(jl.C), *jl.RPS); err != nil {
 				return nil, err
 			}
 		default:
