@@ -264,11 +264,11 @@ func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator) error 
 	if err := sim.Reset(e.qcfgs[it.client]); err != nil {
 		return err
 	}
-	qr, err := sim.Simulate(it.rate, e.windowReq, it.perf, seed)
+	tail, err := sim.QoS(it.rate, e.windowReq, it.perf, seed)
 	if err != nil {
 		return err
 	}
-	e.tails[c] = qr.QoSMs
-	e.ctl[c].Observe(monitor.Observation{TailMs: qr.QoSMs})
+	e.tails[c] = tail
+	e.ctl[c].Observe(monitor.Observation{TailMs: tail})
 	return nil
 }

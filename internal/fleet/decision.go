@@ -382,12 +382,12 @@ func (e *engine) cfTail(w, ci, cnt int, rate float64) (float64, error) {
 	if err := e.cfSim.Reset(e.qcfgs[ci]); err != nil {
 		return 0, err
 	}
-	qr, err := e.cfSim.Simulate(rate, e.windowReq, 1, seed)
+	tail, err := e.cfSim.QoS(rate, e.windowReq, 1, seed)
 	if err != nil {
 		return 0, err
 	}
-	e.cfCache[k] = qr.QoSMs
-	return qr.QoSMs, nil
+	e.cfCache[k] = tail
+	return tail, nil
 }
 
 // initCounterfactual wires the evaluator's run-constant state.

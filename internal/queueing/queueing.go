@@ -15,11 +15,10 @@
 //
 // Invariants: a simulation is a pure function of (Config, rate, nRequests,
 // perfFactor, seed) — bit-identical on every run, with Simulator state
-// never leaking between calls. Config.Estimator selects the latency store
-// through stats.NewTail: an exact sorted sample or a log-bucketed
-// histogram whose error is bounded by the bucket resolution. The choice
-// never perturbs the simulated event sequence, only how its measurements
-// are summarised.
+// never leaking between calls. Config.Estimator selects how the latencies
+// are summarised, through stats.QuantileOf: as an exact sorted sample or a
+// log-bucketed histogram (whose error is bounded by the bucket resolution)
+// would answer. The choice never perturbs the simulated event sequence.
 package queueing
 
 import (
@@ -166,11 +165,11 @@ func (w *workerRing) replaceMin(v float64) {
 }
 
 // Simulator runs request-level simulations with reusable state: the worker
-// ring, the per-request service, arrival, start-time and latency buffers,
-// the arrival draw blocks and the latency store persist across runs, so a
-// caller stepping many monitoring windows (the fleet engine's hot loop)
-// pays no per-window allocations. The zero value is ready after Reset. A
-// Simulator is not safe for concurrent use; share one per goroutine.
+// ring, the per-request service, arrival, start-time and latency buffers
+// and the arrival draw blocks persist across runs, so a caller stepping
+// many monitoring windows (the fleet engine's hot loop) pays no per-window
+// allocations. The zero value is ready after Reset. A Simulator is not
+// safe for concurrent use; share one per goroutine.
 type Simulator struct {
 	cfg Config
 	// validated marks cfg as having passed Validate, letting Reset skip
@@ -179,9 +178,6 @@ type Simulator struct {
 	// must still be rejected until a Validate has actually run.
 	validated bool
 	workers   workerRing
-	// lat is the latency store cfg.Estimator selects (stats.NewTail),
-	// rebuilt only when a Reset changes the estimator.
-	lat stats.Tail
 	// arrGaps/arrHeads buffer batched (inter-arrival gap, burst head) draw
 	// pairs from the arrival stream, refilled in blocks so the arrival
 	// pass amortises the per-draw call overhead. Consumption order is
@@ -189,7 +185,7 @@ type Simulator struct {
 	arrGaps  []float64
 	arrHeads []bool
 	// svcMs and arrivalMs hold one run's per-request service times and
-	// arrival instants, filled by the first two passes of Simulate and
+	// arrival instants, filled by the first two passes of run and
 	// consumed by the queue pass, which records each request's start time
 	// in startMs and each post-warm-up latency in latMs.
 	svcMs     []float64
@@ -200,7 +196,7 @@ type Simulator struct {
 
 // arrivalBatch is the block size of buffered arrival draws. Over-drawing
 // past the last arrival is harmless: the arrival stream is derived fresh
-// per Simulate call and discarded with it.
+// per run and discarded with it.
 const arrivalBatch = 256
 
 // NewSimulator builds a Simulator for cfg.
@@ -213,20 +209,17 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 }
 
 // Reset swaps in a service configuration, keeping the allocated buffers
-// for reuse by the next Simulate call. Resetting to the configuration
-// already in place (the common case on the fleet's per-window loop, where
-// a core keeps its client across windows) skips the revalidation: Config
-// is a comparable value type, so equality means the earlier Validate
-// verdict still holds.
+// for reuse by the next run. Resetting to the configuration already in
+// place (the common case on the fleet's per-window loop, where a core
+// keeps its client across windows) skips the revalidation: Config is a
+// comparable value type, so equality means the earlier Validate verdict
+// still holds.
 func (s *Simulator) Reset(cfg Config) error {
 	if s.validated && cfg == s.cfg {
 		return nil
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
-	}
-	if s.lat == nil || cfg.Estimator != s.cfg.Estimator {
-		s.lat = stats.NewTail(cfg.Estimator, 0)
 	}
 	s.cfg = cfg
 	s.validated = true
@@ -238,24 +231,59 @@ func (s *Simulator) Reset(cfg Config) error {
 // single-thread performance. The first 10% of requests are warm-up and
 // excluded. Results are bit-identical to the package-level Simulate for
 // the same (config, arguments, seed), regardless of what the Simulator ran
-// before.
-//
-// The run is three passes over per-request buffers: draw every service
-// time, build the arrival timeline, then run the FCFS queue over the two.
+// before. Callers that read only the QoS tail use QoS, which skips the
+// other summaries.
+func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) (Result, error) {
+	if err := s.run(ratePerSec, nRequests, perfFactor, seed); err != nil {
+		return Result{}, err
+	}
+	// The mean first: QuantileOf may reorder latMs, and Welford's sum
+	// depends on the order it sees.
+	lat := s.latMs
+	var mean stats.Running
+	for _, l := range lat {
+		mean.Add(l)
+	}
+	est := s.cfg.Estimator
+	r := Result{
+		MeanMs: mean.Mean(), MaxQueue: s.maxQueue(),
+		P95Ms: stats.QuantileOf(est, lat, 0.95), P99Ms: stats.QuantileOf(est, lat, 0.99),
+		QoSMs:    stats.QuantileOf(est, lat, s.cfg.QoSQuantile),
+		Requests: len(lat),
+	}
+	r.MeetsQoS = r.QoSMs <= s.cfg.QoSTargetMs
+	return r, nil
+}
+
+// QoS runs the same simulation as Simulate and returns only its QoSMs,
+// bit for bit, without the mean, the other quantiles or the queue depth:
+// the fleet engine's per-window call and the bisections' probes read
+// nothing else.
+func (s *Simulator) QoS(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) (float64, error) {
+	if err := s.run(ratePerSec, nRequests, perfFactor, seed); err != nil {
+		return 0, err
+	}
+	return stats.QuantileOf(s.cfg.Estimator, s.latMs, s.cfg.QoSQuantile), nil
+}
+
+// run is the simulation kernel behind Simulate and QoS. It is three
+// passes over per-request buffers: draw every service time, build the
+// arrival timeline, then run the FCFS queue over the two, leaving start
+// times in startMs and post-warm-up latencies, in arrival order, in latMs.
 // The service and arrival streams are independent and each is consumed in
 // request order exactly as an interleaved loop would, so splitting the
 // passes changes no value; it lets the service draws' transcendental calls
 // overlap instead of waiting behind the queue's loop-carried state.
-func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) (Result, error) {
+func (s *Simulator) run(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) error {
 	cfg := s.cfg
 	if cfg.Workers <= 0 {
-		return Result{}, fmt.Errorf("queueing: Simulator not configured (call Reset first)")
+		return fmt.Errorf("queueing: Simulator not configured (call Reset first)")
 	}
 	if ratePerSec <= 0 || nRequests <= 0 {
-		return Result{}, fmt.Errorf("queueing: non-positive rate or request count")
+		return fmt.Errorf("queueing: non-positive rate or request count")
 	}
 	if perfFactor <= 0 || perfFactor > MaxPerfFactor || math.IsNaN(perfFactor) {
-		return Result{}, fmt.Errorf("queueing: perf factor %v out of (0,%v]", perfFactor, float64(MaxPerfFactor))
+		return fmt.Errorf("queueing: perf factor %v out of (0,%v]", perfFactor, float64(MaxPerfFactor))
 	}
 
 	// Pass 1: service times. Constants hoisted out of the per-request
@@ -315,9 +343,7 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 
 	// Pass 3: the FCFS k-server queue in arrival order. With identical
 	// workers, assigning each request to the earliest-free worker in
-	// arrival order is exactly FCFS. The post-warm-up latencies go to
-	// latMs and reach the store in one AddAll after the loop, so the
-	// per-request loop makes no interface call.
+	// arrival order is exactly FCFS.
 	warm := nRequests / 10
 	s.workers.reset(cfg.Workers)
 	workers := &s.workers
@@ -325,9 +351,6 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 	startMs := s.startMs
 	s.latMs = resize(s.latMs, nRequests-warm)
 	latMs := s.latMs
-	waitHead := 0 // first request not yet started at the current arrival
-	var mean stats.Running
-	maxQ := 0
 	for i, now := range arrivalMs {
 		start := workers.min()
 		if now > start {
@@ -335,35 +358,31 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 		}
 		finish := start + svcMs[i]
 		workers.replaceMin(finish)
-
-		// Queue depth: the requests that have arrived by `now` but start
-		// after it. FCFS start times are nondecreasing (both arguments of
-		// the max() that assigns them are), so those requests are the
-		// suffix startMs[waitHead:i+1], and waitHead only advances.
 		startMs[i] = start
+		if i >= warm {
+			latMs[i-warm] = finish - now
+		}
+	}
+	return nil
+}
+
+// maxQueue is the deepest queue of the last run: the most requests that
+// had arrived by some arrival instant but started service after it. FCFS
+// start times are nondecreasing (both arguments of the max() that assigns
+// them are), so at arrival i those requests are the suffix
+// startMs[waitHead:i+1], and waitHead only advances.
+func (s *Simulator) maxQueue() int {
+	startMs := s.startMs
+	waitHead, maxQ := 0, 0
+	for i, now := range s.arrivalMs {
 		for waitHead <= i && startMs[waitHead] <= now {
 			waitHead++
 		}
 		if q := i + 1 - waitHead; q > maxQ {
 			maxQ = q
 		}
-		if i >= warm {
-			l := finish - now
-			latMs[i-warm] = l
-			mean.Add(l)
-		}
 	}
-
-	lat := s.lat
-	lat.Reset()
-	lat.AddAll(latMs)
-	r := Result{
-		MeanMs: mean.Mean(), MaxQueue: maxQ,
-		P95Ms: lat.Quantile(0.95), P99Ms: lat.Quantile(0.99), QoSMs: lat.Quantile(cfg.QoSQuantile),
-		Requests: lat.N(),
-	}
-	r.MeetsQoS = r.QoSMs <= cfg.QoSTargetMs
-	return r, nil
+	return maxQ
 }
 
 // resize returns buf with length n, reallocating only when its capacity
@@ -403,11 +422,11 @@ func PeakLoad(cfg Config, nRequests int, seed uint64) (float64, error) {
 	lo, hi := satRate*0.05, satRate*1.2
 	for i := 0; i < 24; i++ {
 		mid := (lo + hi) / 2
-		res, err := sim.Simulate(mid, nRequests, 1.0, seed)
+		qos, err := sim.QoS(mid, nRequests, 1.0, seed)
 		if err != nil {
 			return 0, err
 		}
-		if res.MeetsQoS {
+		if qos <= cfg.QoSTargetMs {
 			lo = mid
 		} else {
 			hi = mid

@@ -3,8 +3,10 @@ package queueing
 import (
 	"fmt"
 	"math"
-	"stretch/internal/stats"
 	"testing"
+
+	"stretch/internal/rng"
+	"stretch/internal/stats"
 )
 
 func cfg() Config {
@@ -232,44 +234,97 @@ func TestSimulatorMatchesSimulate(t *testing.T) {
 	}
 }
 
+// TestQoSMatchesSimulate: QoS is Simulate's QoSMs bit for bit over random
+// configurations, rates from idle to overload, perf factors and budgets
+// around the warm-up boundary, under both estimators, on one Simulator
+// reused across all of them.
+func TestQoSMatchesSimulate(t *testing.T) {
+	src := rng.New(11)
+	var sim Simulator
+	for i := 0; i < 400; i++ {
+		c := Config{
+			Workers: 1 + src.Intn(40), MeanServiceMs: 0.2 + 10*src.Float64(),
+			ServiceCV: 1.5 * src.Float64(), BurstProb: 0.2 * src.Float64(), BurstLen: float64(src.Intn(20)),
+			QoSQuantile: []float64{0.5, 0.9, 0.95, 0.99, 0.999}[src.Intn(5)], QoSTargetMs: 10,
+			Estimator: stats.TailEstimator(src.Intn(3)),
+		}
+		if err := sim.Reset(c); err != nil {
+			t.Fatal(err)
+		}
+		rate := (0.05 + 1.2*src.Float64()) * float64(c.Workers) * 1000 / c.MeanServiceMs
+		n := 1 + src.Intn(1200)
+		perf := 0.3 + src.Float64()
+		seed := src.Uint64()
+		qos, err := sim.QoS(rate, n, perf, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sim.Simulate(rate, n, perf, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(qos) != math.Float64bits(r.QoSMs) {
+			t.Fatalf("config %d %+v rate %v n %d perf %v: QoS %v, Simulate %v", i, c, rate, n, perf, qos, r.QoSMs)
+		}
+	}
+	var unconfigured Simulator
+	if _, err := unconfigured.QoS(100, 1000, 1, 1); err == nil {
+		t.Fatal("zero-value Simulator answered QoS without a Reset")
+	}
+}
+
 // BenchmarkSimulate exercises the hot loop at several worker-pool widths;
 // the Workers=64 case is the regression guard for the former
 // O(requests × workers) queue-depth rescan, and the reused-Simulator cases
 // are the allocation guard for the fleet engine's per-window path: each
 // warms its Simulator before the timer starts, so allocs/op is the steady
-// state even at -benchtime 3x. The fleet-window case is the shape the
+// state even at -benchtime 3x. The fleet-window cases are the shape the
 // fleet engine runs per core-window (data-serving's pool, a 400-request
-// budget, the histogram estimator, a reused Simulator) and reports ns per
+// budget, the histogram estimator, a reused Simulator) and report ns per
 // simulated request; one op is a batch of windows, long enough to time
-// at the CI gate's 3x.
+// at the CI gate's 3x. fleet-window/reused runs the full Simulate,
+// fleet-window/qos the QoS-only call the engine makes.
 func BenchmarkSimulate(b *testing.B) {
-	b.Run("fleet-window/reused", func(b *testing.B) {
-		const nReq, windows = 400, 64
-		c := Config{
-			Workers: 15, MeanServiceMs: 3.2, ServiceCV: 0.4,
-			BurstProb: 0.005, BurstLen: 18, QoSQuantile: 0.99, QoSTargetMs: 20,
-			Estimator: stats.EstimatorHistogram,
-		}
-		rate := float64(c.Workers) * 1000 / c.MeanServiceMs * 0.6
-		sim, err := NewSimulator(c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Simulate(rate, nReq, 0.93, 0); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for w := 0; w < windows; w++ {
-				if _, err := sim.Simulate(rate, nReq, 0.93, uint64(i*windows+w)+1); err != nil {
-					b.Fatal(err)
+	fleetWindow := map[string]func(*Simulator, float64, int, float64, uint64) error{
+		"reused": func(s *Simulator, rate float64, n int, perf float64, seed uint64) error {
+			_, err := s.Simulate(rate, n, perf, seed)
+			return err
+		},
+		"qos": func(s *Simulator, rate float64, n int, perf float64, seed uint64) error {
+			_, err := s.QoS(rate, n, perf, seed)
+			return err
+		},
+	}
+	for _, name := range []string{"reused", "qos"} {
+		run := fleetWindow[name]
+		b.Run("fleet-window/"+name, func(b *testing.B) {
+			const nReq, windows = 400, 64
+			c := Config{
+				Workers: 15, MeanServiceMs: 3.2, ServiceCV: 0.4,
+				BurstProb: 0.005, BurstLen: 18, QoSQuantile: 0.99, QoSTargetMs: 20,
+				Estimator: stats.EstimatorHistogram,
+			}
+			rate := float64(c.Workers) * 1000 / c.MeanServiceMs * 0.6
+			sim, err := NewSimulator(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := run(sim, rate, nReq, 0.93, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for w := 0; w < windows; w++ {
+					if err := run(sim, rate, nReq, 0.93, uint64(i*windows+w)+1); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		}
-		b.StopTimer() // ReportMetric allocates; keep it out of B/op
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows*nReq), "ns/req")
-	})
+			b.StopTimer() // ReportMetric allocates; keep it out of B/op
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows*nReq), "ns/req")
+		})
+	}
 	for _, workers := range []int{8, 64} {
 		c := Config{
 			Workers: workers, MeanServiceMs: 5, ServiceCV: 1.0,

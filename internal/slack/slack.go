@@ -91,32 +91,36 @@ func RequiredPerf(cfg queueing.Config, ratePerSec float64, nRequests int, resolu
 	if err != nil {
 		return 0, err
 	}
-	full, err := sim.Simulate(ratePerSec, nRequests, 1.0, seed)
+	meets := func(perf float64) (bool, error) {
+		qos, err := sim.QoS(ratePerSec, nRequests, perf, seed)
+		return qos <= cfg.QoSTargetMs, err
+	}
+	full, err := meets(1.0)
 	if err != nil {
 		return 0, err
 	}
-	if !full.MeetsQoS {
+	if !full {
 		return 1, nil
 	}
 	lo, hi := resolution, 1.0 // lo may fail QoS, hi always meets it
 	for hi-lo > resolution {
 		mid := (lo + hi) / 2
-		r, err := sim.Simulate(ratePerSec, nRequests, mid, seed)
+		ok, err := meets(mid)
 		if err != nil {
 			return 0, err
 		}
-		if r.MeetsQoS {
+		if ok {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 	// Accept the floor if it, too, meets QoS.
-	r, err := sim.Simulate(ratePerSec, nRequests, resolution, seed)
+	ok, err := meets(resolution)
 	if err != nil {
 		return 0, err
 	}
-	if r.MeetsQoS {
+	if ok {
 		return resolution, nil
 	}
 	return hi, nil
@@ -129,9 +133,13 @@ func Tolerates(cfg queueing.Config, peak, loadFrac, slowdown float64, nRequests 
 	if slowdown < 0 || slowdown >= 1 {
 		return false, fmt.Errorf("slack: slowdown %v out of [0,1)", slowdown)
 	}
-	r, err := queueing.Simulate(cfg, peak*loadFrac, nRequests, 1-slowdown, seed)
+	sim, err := queueing.NewSimulator(cfg)
 	if err != nil {
 		return false, err
 	}
-	return r.MeetsQoS, nil
+	qos, err := sim.QoS(peak*loadFrac, nRequests, 1-slowdown, seed)
+	if err != nil {
+		return false, err
+	}
+	return qos <= cfg.QoSTargetMs, nil
 }
