@@ -409,7 +409,11 @@ func Simulate(cfg Config, ratePerSec float64, nRequests int, perfFactor float64,
 
 // PeakLoad finds the highest arrival rate (req/s) that still meets the QoS
 // target at full performance — the paper's "peak sustainable load" that
-// anchors the X axes of Figs. 1 and 2.
+// anchors the X axes of Figs. 1 and 2. The answer is always below the
+// pool's burst-aware saturation rate, 1/Utilization(cfg, 1, 1): at or
+// above it the queue grows without bound, so a finite run that happens to
+// meet the target there measures its warm-up, not a sustainable load, and
+// such a probe counts as missing QoS without being simulated.
 func PeakLoad(cfg Config, nRequests int, seed uint64) (float64, error) {
 	// One Simulator serves every probe: its buffers are sized once and
 	// no state leaks between calls.
@@ -417,11 +421,17 @@ func PeakLoad(cfg Config, nRequests int, seed uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The saturation rate of the worker pool bounds the search.
+	// The burst-free saturation rate of the worker pool brackets the
+	// search.
 	satRate := float64(cfg.Workers) * 1000 / cfg.MeanServiceMs
+	unstable := 1 / Utilization(cfg, 1, 1)
 	lo, hi := satRate*0.05, satRate*1.2
 	for i := 0; i < 24; i++ {
 		mid := (lo + hi) / 2
+		if mid >= unstable {
+			hi = mid
+			continue
+		}
 		qos, err := sim.QoS(mid, nRequests, 1.0, seed)
 		if err != nil {
 			return 0, err

@@ -7,6 +7,7 @@ import (
 
 	"stretch/internal/rng"
 	"stretch/internal/stats"
+	"stretch/internal/workload"
 )
 
 func cfg() Config {
@@ -152,6 +153,30 @@ func TestPeakLoadBracketsQoS(t *testing.T) {
 	}
 	if over.MeetsQoS {
 		t.Fatal("30% beyond peak still meets QoS — peak search too conservative")
+	}
+}
+
+// TestPeakLoadBelowSaturation: no catalogue service's peak reaches the
+// pool's burst-aware saturation rate, at any seed or budget the fleet and
+// the figures use. Near saturation a finite run can meet the target by
+// luck of its realisation; at or above it the queue grows without bound,
+// so such a rate is not sustainable however the run went.
+func TestPeakLoadBelowSaturation(t *testing.T) {
+	svcs := workload.Services()
+	for _, name := range workload.ServiceNames() {
+		c := ForService(svcs[name])
+		sat := 1 / Utilization(c, 1, 1)
+		for _, n := range []int{2000, 4000} {
+			for seed := uint64(1); seed <= 40; seed++ {
+				p, err := PeakLoad(c, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p >= sat {
+					t.Errorf("%s n=%d seed %d: peak %v at or above the burst-aware saturation %v", name, n, seed, p, sat)
+				}
+			}
+		}
 	}
 }
 
