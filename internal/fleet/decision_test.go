@@ -438,11 +438,19 @@ func checkFullReplay(t *testing.T, label string, cfg Config, res Result) {
 
 // TestDecisionForcedNotCarriedOver: a window with no in-service cores
 // makes no allocation decision, so it must not report the previous
-// window's Forced flag. Feedback forces a rebalance on the violating
-// traffic, then the whole fleet drains for two windows.
+// window's Forced flag. Search replays twenty times its rate in window 4,
+// far beyond what its cores can serve, so window 4 violates in every
+// realisation of the streams and feedback forces window 5's decision;
+// then the whole fleet drains for two windows.
 func TestDecisionForcedNotCarriedOver(t *testing.T) {
 	cfg := feedbackConfig(PolicyFeedback)
 	cfg.DecisionTrace = TraceSummary
+	rates := make([]float64, cfg.Traffic.Windows)
+	for w := range rates {
+		rates[w] = 10200
+	}
+	rates[4] *= 20
+	cfg.Traffic.Clients[0].Spec = loadgen.Spec{Shape: loadgen.Replay{Rates: rates}}
 	for s := 0; s < cfg.Servers; s++ {
 		cfg.Scenario.Events = append(cfg.Scenario.Events,
 			loadgen.Event{Kind: loadgen.EventDrain, Window: 6, Server: s},
