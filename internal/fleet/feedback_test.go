@@ -34,7 +34,9 @@ func feedbackConfig(policy Policy) Config {
 
 // TestFeedbackStealsFromSlackRich: the violating client must end up with
 // more core-windows under feedback than under proportional, taken from the
-// slack-rich client, and violations must drop.
+// slack-rich client, and violations must drop. The violations are a
+// handful of core-windows per run, so one realisation of the simulator's
+// streams can tie; they are compared summed over seeds 1–4.
 func TestFeedbackStealsFromSlackRich(t *testing.T) {
 	prop, err := Run(feedbackConfig(PolicyProportional))
 	if err != nil {
@@ -55,9 +57,24 @@ func TestFeedbackStealsFromSlackRich(t *testing.T) {
 		t.Errorf("feedback kept the slack-rich client at %d core-windows, proportional %d; want fewer",
 			fb.Clients[1].CoreWindows, prop.Clients[1].CoreWindows)
 	}
-	if fb.ViolationWindows >= prop.ViolationWindows {
-		t.Errorf("feedback violated %d core-windows, want fewer than proportional's %d",
-			fb.ViolationWindows, prop.ViolationWindows)
+	propViol, fbViol := 0, 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, run := range []struct {
+			policy Policy
+			viol   *int
+		}{{PolicyProportional, &propViol}, {PolicyFeedback, &fbViol}} {
+			cfg := feedbackConfig(run.policy)
+			cfg.Seed = seed
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*run.viol += res.ViolationWindows
+		}
+	}
+	if fbViol >= propViol {
+		t.Errorf("feedback violated %d core-windows over seeds 1-4, want fewer than proportional's %d",
+			fbViol, propViol)
 	}
 }
 

@@ -4,7 +4,10 @@
 // Every stochastic component of the simulation (trace generation, arrival
 // processes, sampling offsets) draws from its own Stream seeded from a
 // user-visible experiment seed, so that repeated runs are bit-identical and
-// independent components never perturb one another's sequences.
+// independent components never perturb one another's sequences. Normal
+// and exponential variates come from the ziggurat method (ziggurat.go);
+// the samplers built on them (LogNormal, Gamma, Poisson's normal branch,
+// FillArrivals) inherit it.
 package rng
 
 import "math"
@@ -61,13 +64,10 @@ func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// Exp returns an exponentially distributed value with the given mean.
+// Exp returns an exponentially distributed value with the given mean
+// (ziggurat; see ziggurat.go).
 func (s *Stream) Exp(mean float64) float64 {
-	u := s.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return -mean * math.Log(1-u)
+	return mean * s.exp1()
 }
 
 // FillArrivals fills gaps[i] with an Exp(mean) draw and heads[i] with a
@@ -77,11 +77,7 @@ func (s *Stream) Exp(mean float64) float64 {
 // the unbatched loop. gaps and heads must have the same length.
 func (s *Stream) FillArrivals(gaps []float64, heads []bool, mean, p float64) {
 	for i := range gaps {
-		u := s.Float64()
-		if u <= 0 {
-			u = math.SmallestNonzeroFloat64
-		}
-		gaps[i] = -mean * math.Log(1-u)
+		gaps[i] = mean * s.exp1()
 		heads[i] = s.Float64() < p
 	}
 }
@@ -202,16 +198,6 @@ func (s *Stream) Poisson(mean float64) float64 {
 		n = 0
 	}
 	return n
-}
-
-// Normal returns a standard normal variate (Box-Muller).
-func (s *Stream) Normal() float64 {
-	u1 := s.Float64()
-	if u1 <= 0 {
-		u1 = math.SmallestNonzeroFloat64
-	}
-	u2 := s.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // Zipf returns a Zipf-distributed integer in [0, n) with exponent theta in
