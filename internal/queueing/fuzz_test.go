@@ -7,7 +7,8 @@ import (
 
 // FuzzSimulate checks the Validate→Simulate contract: a configuration the
 // validator accepts, driven with in-contract arguments, must simulate
-// without error or panic and measure the expected request count. Fuzzed
+// without error or panic, measure the expected request count, and give
+// QoS the same bits as Simulate's QoSMs. Fuzzed
 // magnitudes are bounded so a single case stays fast; NaN/Inf survive
 // math.Mod (as NaN) and exercise the rejection paths.
 func FuzzSimulate(f *testing.F) {
@@ -52,6 +53,13 @@ func FuzzSimulate(f *testing.F) {
 		}
 		if r.MaxQueue < 0 {
 			t.Fatalf("negative max queue %d", r.MaxQueue)
+		}
+		sim, err := NewSimulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qos, err := sim.QoS(rate, nReq, perf, seed); err != nil || math.Float64bits(qos) != math.Float64bits(r.QoSMs) {
+			t.Fatalf("QoS = %v, %v; Simulate's QoSMs %v", qos, err, r.QoSMs)
 		}
 	})
 }
