@@ -57,22 +57,20 @@ func TestFeedbackStealsFromSlackRich(t *testing.T) {
 		t.Errorf("feedback kept the slack-rich client at %d core-windows, proportional %d; want fewer",
 			fb.Clients[1].CoreWindows, prop.Clients[1].CoreWindows)
 	}
-	propViol, fbViol := 0, 0
-	for seed := uint64(1); seed <= 4; seed++ {
-		for _, run := range []struct {
-			policy Policy
-			viol   *int
-		}{{PolicyProportional, &propViol}, {PolicyFeedback, &fbViol}} {
-			cfg := feedbackConfig(run.policy)
+	violations := func(policy Policy) int {
+		n := 0
+		for seed := uint64(1); seed <= 4; seed++ {
+			cfg := feedbackConfig(policy)
 			cfg.Seed = seed
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			*run.viol += res.ViolationWindows
+			n += res.ViolationWindows
 		}
+		return n
 	}
-	if fbViol >= propViol {
+	if fbViol, propViol := violations(PolicyFeedback), violations(PolicyProportional); fbViol >= propViol {
 		t.Errorf("feedback violated %d core-windows over seeds 1-4, want fewer than proportional's %d",
 			fbViol, propViol)
 	}

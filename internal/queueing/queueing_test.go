@@ -310,19 +310,21 @@ func TestQoSMatchesSimulate(t *testing.T) {
 // at the CI gate's 3x. fleet-window/reused runs the full Simulate,
 // fleet-window/qos the QoS-only call the engine makes.
 func BenchmarkSimulate(b *testing.B) {
-	fleetWindow := map[string]func(*Simulator, float64, int, float64, uint64) error{
-		"reused": func(s *Simulator, rate float64, n int, perf float64, seed uint64) error {
+	for _, fw := range []struct {
+		name string
+		run  func(s *Simulator, rate float64, n int, perf float64, seed uint64) error
+	}{
+		{"reused", func(s *Simulator, rate float64, n int, perf float64, seed uint64) error {
 			_, err := s.Simulate(rate, n, perf, seed)
 			return err
-		},
-		"qos": func(s *Simulator, rate float64, n int, perf float64, seed uint64) error {
+		}},
+		{"qos", func(s *Simulator, rate float64, n int, perf float64, seed uint64) error {
 			_, err := s.QoS(rate, n, perf, seed)
 			return err
-		},
-	}
-	for _, name := range []string{"reused", "qos"} {
-		run := fleetWindow[name]
-		b.Run("fleet-window/"+name, func(b *testing.B) {
+		}},
+	} {
+		run := fw.run
+		b.Run("fleet-window/"+fw.name, func(b *testing.B) {
 			const nReq, windows = 400, 64
 			c := Config{
 				Workers: 15, MeanServiceMs: 3.2, ServiceCV: 0.4,

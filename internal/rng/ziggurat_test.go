@@ -168,7 +168,8 @@ func TestZigguratMatchesMathRandV2(t *testing.T) {
 
 var sink float64
 
-// BenchmarkNormal and BenchmarkExp report the samplers' cost per draw.
+// BenchmarkNormal and BenchmarkExp time the samplers: one op is one draw,
+// so ns/op is the cost per draw.
 func BenchmarkNormal(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
