@@ -15,10 +15,11 @@
 //
 // Invariants: a simulation is a pure function of (Config, rate, nRequests,
 // perfFactor, seed) — bit-identical on every run, with Simulator state
-// never leaking between calls. Config.Estimator selects how the latencies
-// are summarised, through stats.QuantileOf: as an exact sorted sample or a
-// log-bucketed histogram (whose error is bounded by the bucket resolution)
-// would answer. The choice never perturbs the simulated event sequence.
+// never leaking between calls. Config.Estimator selects the latency store
+// through stats.NewTail: an exact sorted sample or a log-bucketed
+// histogram whose error is bounded by the bucket resolution. The choice
+// never perturbs the simulated event sequence, only how its measurements
+// are summarised.
 package queueing
 
 import (
@@ -165,8 +166,8 @@ func (w *workerRing) replaceMin(v float64) {
 }
 
 // Simulator runs request-level simulations with reusable state: the worker
-// ring, the per-request service, arrival, start-time and latency buffers
-// and the arrival draw blocks persist across runs, so a caller stepping
+// ring, the latency store, the per-request service, arrival, start-time
+// and latency buffers and the arrival draw blocks persist across runs, so a caller stepping
 // many monitoring windows (the fleet engine's hot loop) pays no per-window
 // allocations. The zero value is ready after Reset. A Simulator is not
 // safe for concurrent use; share one per goroutine.
@@ -178,6 +179,9 @@ type Simulator struct {
 	// must still be rejected until a Validate has actually run.
 	validated bool
 	workers   workerRing
+	// lat is the latency store cfg.Estimator selects (stats.NewTail),
+	// rebuilt only when a Reset changes the estimator.
+	lat stats.Tail
 	// arrGaps/arrHeads buffer batched (inter-arrival gap, burst head) draw
 	// pairs from the arrival stream, refilled in blocks so the arrival
 	// pass amortises the per-draw call overhead. Consumption order is
@@ -221,6 +225,9 @@ func (s *Simulator) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	if s.lat == nil || cfg.Estimator != s.cfg.Estimator {
+		s.lat = stats.NewTail(cfg.Estimator, 0)
+	}
 	s.cfg = cfg
 	s.validated = true
 	return nil
@@ -237,19 +244,15 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 	if err := s.run(ratePerSec, nRequests, perfFactor, seed); err != nil {
 		return Result{}, err
 	}
-	// The mean first: QuantileOf may reorder latMs, and Welford's sum
-	// depends on the order it sees.
-	lat := s.latMs
 	var mean stats.Running
-	for _, l := range lat {
+	for _, l := range s.latMs {
 		mean.Add(l)
 	}
-	est := s.cfg.Estimator
+	lat := s.fillLat()
 	r := Result{
 		MeanMs: mean.Mean(), MaxQueue: s.maxQueue(),
-		P95Ms: stats.QuantileOf(est, lat, 0.95), P99Ms: stats.QuantileOf(est, lat, 0.99),
-		QoSMs:    stats.QuantileOf(est, lat, s.cfg.QoSQuantile),
-		Requests: len(lat),
+		P95Ms: lat.Quantile(0.95), P99Ms: lat.Quantile(0.99), QoSMs: lat.Quantile(s.cfg.QoSQuantile),
+		Requests: lat.N(),
 	}
 	r.MeetsQoS = r.QoSMs <= s.cfg.QoSTargetMs
 	return r, nil
@@ -263,7 +266,14 @@ func (s *Simulator) QoS(ratePerSec float64, nRequests int, perfFactor float64, s
 	if err := s.run(ratePerSec, nRequests, perfFactor, seed); err != nil {
 		return 0, err
 	}
-	return stats.QuantileOf(s.cfg.Estimator, s.latMs, s.cfg.QoSQuantile), nil
+	return s.fillLat().Quantile(s.cfg.QoSQuantile), nil
+}
+
+// fillLat loads the last run's latencies into the latency store.
+func (s *Simulator) fillLat() stats.Tail {
+	s.lat.Reset()
+	s.lat.AddAll(s.latMs)
+	return s.lat
 }
 
 // run is the simulation kernel behind Simulate and QoS. It is three

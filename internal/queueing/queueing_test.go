@@ -307,8 +307,9 @@ func TestQoSMatchesSimulate(t *testing.T) {
 // fleet engine runs per core-window (data-serving's pool, a 400-request
 // budget, the histogram estimator, a reused Simulator) and report ns per
 // simulated request; one op is a batch of windows, long enough to time
-// at the CI gate's 3x. fleet-window/reused runs the full Simulate,
-// fleet-window/qos the QoS-only call the engine makes.
+// at the CI gate's 3x. The large-window cases run the same pool for
+// 100,000 requests in one op, a long stationary run. */reused
+// runs the full Simulate, */qos the QoS-only call the engine makes.
 func BenchmarkSimulate(b *testing.B) {
 	for _, fw := range []struct {
 		name string
@@ -323,34 +324,38 @@ func BenchmarkSimulate(b *testing.B) {
 			return err
 		}},
 	} {
-		run := fw.run
-		b.Run("fleet-window/"+fw.name, func(b *testing.B) {
-			const nReq, windows = 400, 64
-			c := Config{
-				Workers: 15, MeanServiceMs: 3.2, ServiceCV: 0.4,
-				BurstProb: 0.005, BurstLen: 18, QoSQuantile: 0.99, QoSTargetMs: 20,
-				Estimator: stats.EstimatorHistogram,
-			}
-			rate := float64(c.Workers) * 1000 / c.MeanServiceMs * 0.6
-			sim, err := NewSimulator(c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := run(sim, rate, nReq, 0.93, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for w := 0; w < windows; w++ {
-					if err := run(sim, rate, nReq, 0.93, uint64(i*windows+w)+1); err != nil {
-						b.Fatal(err)
+		for _, bc := range []struct {
+			name          string
+			nReq, windows int
+		}{{"fleet-window", 400, 64}, {"large-window", 100000, 1}} {
+			run, nReq, windows := fw.run, bc.nReq, bc.windows
+			b.Run(bc.name+"/"+fw.name, func(b *testing.B) {
+				c := Config{
+					Workers: 15, MeanServiceMs: 3.2, ServiceCV: 0.4,
+					BurstProb: 0.005, BurstLen: 18, QoSQuantile: 0.99, QoSTargetMs: 20,
+					Estimator: stats.EstimatorHistogram,
+				}
+				rate := float64(c.Workers) * 1000 / c.MeanServiceMs * 0.6
+				sim, err := NewSimulator(c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := run(sim, rate, nReq, 0.93, 0); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for w := 0; w < windows; w++ {
+						if err := run(sim, rate, nReq, 0.93, uint64(i*windows+w)+1); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
-			b.StopTimer() // ReportMetric allocates; keep it out of B/op
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows*nReq), "ns/req")
-		})
+				b.StopTimer() // ReportMetric allocates; keep it out of B/op
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*windows*nReq), "ns/req")
+			})
+		}
 	}
 	for _, workers := range []int{8, 64} {
 		c := Config{
