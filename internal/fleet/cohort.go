@@ -221,18 +221,11 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	if rate > 0 && settled {
 		tail, analytic = e.steadyTail(ci, rate, perf)
 	}
-	coalesced := analytic || rate == 0
-
 	if analytic {
 		e.analyticCW += int(m)
 	}
-	// Discrete zero-rate windows coalesce too but are not counted,
-	// keeping discrete Results equal to their pre-walk goldens.
-	if coalesced && e.engineSel != EngineDiscrete {
+	if analytic || rate == 0 {
 		e.cohortCW += int(m)
-	}
-
-	if coalesced {
 		// Answer the whole cohort at once: every member observes the same
 		// tail from the same controller value, so one Observe serves all.
 		next := e.ctl[a]

@@ -320,9 +320,9 @@ func TestCohortEquivalenceTraced(t *testing.T) {
 	}
 }
 
-// TestCohortDiscreteEngineUnaffected: the discrete engine reports no
-// cohort or analytic core-windows, even through serving windows the
-// scheduler routed no load to, and reproduces its committed digest.
+// TestCohortDiscreteEngineUnaffected: the discrete engine answers nothing
+// analytically, counts exactly the serving windows the scheduler routed no
+// load to as coalesced, and reproduces its committed digest.
 func TestCohortDiscreteEngineUnaffected(t *testing.T) {
 	golden := readDigests(t)
 	cfg := equivConfig()
@@ -336,16 +336,18 @@ func TestCohortDiscreteEngineUnaffected(t *testing.T) {
 	}
 	zeroRate := 0
 	for _, o := range res.WindowTrace {
-		if co := o.Clients[1]; co.Cores > 0 && co.OfferedRPS == 0 {
-			zeroRate += co.Cores
+		for _, co := range o.Clients {
+			if co.Cores > 0 && co.OfferedRPS == 0 {
+				zeroRate += co.Cores
+			}
 		}
 	}
 	if zeroRate == 0 {
 		t.Fatal("no serving core-window was routed zero load; the test is vacuous")
 	}
-	if res.CohortCoreWindows != 0 || res.AnalyticCoreWindows != 0 || res.AnalyticSolves != 0 {
-		t.Fatalf("discrete engine reported cohort=%d analytic=%d solves=%d",
-			res.CohortCoreWindows, res.AnalyticCoreWindows, res.AnalyticSolves)
+	if res.CohortCoreWindows != zeroRate || res.AnalyticCoreWindows != 0 || res.AnalyticSolves != 0 {
+		t.Fatalf("discrete engine reported cohort=%d (want %d zero-rate) analytic=%d solves=%d",
+			res.CohortCoreWindows, zeroRate, res.AnalyticCoreWindows, res.AnalyticSolves)
 	}
 	checkDigest(t, golden, res)
 	if *update {

@@ -93,7 +93,6 @@ type engine struct {
 	decTrace []DecisionRecord
 
 	nCores, windows, windowReq int
-	engineSel                  Engine
 
 	// lsSlowMode and batchRelMode are the per-client per-mode performance
 	// deltas, indexed [client][core.Mode]: the LS thread's slowdown

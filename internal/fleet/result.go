@@ -86,9 +86,7 @@ type WindowObservation struct {
 	AnalyticCores int
 	// CohortCores counts cores whose window the cohort walk answers
 	// without per-core work — analytically solved or zero-rate windows.
-	// Always zero under the discrete engine, whose zero-rate windows
-	// coalesce too but are not counted, so discrete Results stay equal to
-	// those of the per-core engine the walk replaced.
+	// Under the discrete engine only the zero-rate windows count.
 	CohortCores int
 }
 
@@ -120,8 +118,7 @@ type Result struct {
 	AnalyticSolves int
 	// CohortCoreWindows sums WindowObservation.CohortCores over the
 	// horizon: core-windows the cohort walk answers without per-core
-	// simulation (zero under the discrete engine; see
-	// WindowObservation.CohortCores).
+	// simulation (see WindowObservation.CohortCores).
 	CohortCoreWindows int
 	// CalibrationHash is the content hash of the calibration table the run
 	// used; empty means the uniform-scalar fallback.

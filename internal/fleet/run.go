@@ -88,7 +88,6 @@ func newEngine(cfg Config) (*engine, error) {
 	e := &engine{
 		cfg: cfg, est: est, st: st,
 		nCores: nCores, windows: windows, windowReq: windowReq,
-		engineSel:    cfg.Engine,
 		lsSlowMode:   lsSlowMode,
 		batchRelMode: batchRelMode,
 		qcfgs:        qcfgs,
