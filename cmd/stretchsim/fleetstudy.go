@@ -38,7 +38,6 @@ type fleetParams struct {
 	bSpeedup        float64
 	lsSlowdown      float64
 	windowTrace     bool
-	cohortStats     bool
 	traceLevel      string
 	counterfactualK int
 }
@@ -346,7 +345,9 @@ func failoverScenario(servers, windows int) loadgen.Scenario {
 }
 
 // formatFleetResult renders the study (without wall-clock timing, so the
-// output is reproducible and golden-testable).
+// output is reproducible and golden-testable) in one layout: the
+// fleet-wide tail, engine and schedule lines appear on every run, and
+// only a calibrated run adds its calibration block.
 func formatFleetResult(p fleetParams, cfg fleet.Config, res fleet.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== fleet: %d servers × %d cores = %d SMT cores, %s traffic, %.0fh ==\n",
@@ -370,36 +371,18 @@ func formatFleetResult(p fleetParams, cfg fleet.Config, res fleet.Result) string
 			cm.Client, cm.Service, cm.SLO, cm.Cores, cm.P99Ms, cm.P999Ms,
 			cm.ViolationWindows, cm.CoreWindows, cm.EngagedCoreHours)
 	}
-	// The fleet-wide tail line is part of the histogram-estimator report
-	// only, so pre-histogram golden files for the exact estimator keep
-	// reproducing byte-identically.
-	if res.TailEstimator == stats.EstimatorHistogram {
-		fmt.Fprintf(&b, "fleet-wide tail over all serving core-windows: p99 %.1f ms, p99.9 %.1f ms (histogram estimator)\n",
-			res.FleetP99Ms, res.FleetP999Ms)
-	}
-	// The engine line only appears on auto runs, so discrete golden
-	// files keep reproducing byte-identically.
-	if res.Engine != fleet.EngineDiscrete {
-		serving := res.Cores*res.Windows - res.DrainedCoreWindows - res.ParkedCoreWindows - res.IdleCoreWindows
-		pct := 0.0
-		if serving > 0 {
-			pct = 100 * float64(res.AnalyticCoreWindows) / float64(serving)
+	fmt.Fprintf(&b, "fleet-wide tail over all serving core-windows: p99 %.1f ms, p99.9 %.1f ms (%s estimator)\n",
+		res.FleetP99Ms, res.FleetP999Ms, res.TailEstimator)
+	serving := res.Cores*res.Windows - res.DrainedCoreWindows - res.ParkedCoreWindows - res.IdleCoreWindows
+	pct := func(n int) float64 {
+		if serving == 0 {
+			return 0
 		}
-		fmt.Fprintf(&b, "engine %s: %d of %d serving core-windows answered analytically (%.1f%%)\n",
-			res.Engine, res.AnalyticCoreWindows, serving, pct)
-		// The cohort line is opt-in (-cohort-stats), so every pre-cohort
-		// golden file keeps reproducing byte-identically.
-		if p.cohortStats {
-			cpct := 0.0
-			if serving > 0 {
-				cpct = 100 * float64(res.CohortCoreWindows) / float64(serving)
-			}
-			fmt.Fprintf(&b, "cohort fast path: %d of %d serving core-windows coalesced (%.1f%% hit rate), %d distinct analytic solves\n",
-				res.CohortCoreWindows, serving, cpct, res.AnalyticSolves)
-		}
+		return 100 * float64(n) / float64(serving)
 	}
-	// The calibration block only appears on calibrated runs, so
-	// uniform-scalar golden files keep reproducing byte-identically.
+	fmt.Fprintf(&b, "engine %s: %d of %d serving core-windows answered analytically (%.1f%%), %d coalesced (%.1f%%), %d distinct analytic solves\n",
+		res.Engine, res.AnalyticCoreWindows, serving, pct(res.AnalyticCoreWindows),
+		res.CohortCoreWindows, pct(res.CohortCoreWindows), res.AnalyticSolves)
 	if res.CalibrationHash != "" && cfg.Calibration != nil {
 		fmt.Fprintf(&b, "\ncalibration %.12s (cycle-level table) — per-client colocation deltas vs equal partitioning:\n",
 			res.CalibrationHash)
@@ -417,15 +400,8 @@ func formatFleetResult(p fleetParams, cfg fleet.Config, res fleet.Result) string
 		res.Switches)
 	fmt.Fprintf(&b, "batch core-hours gained vs equal partitioning: %.0f (%+.1f%%)\n",
 		res.BatchCoreHoursGained, 100*res.BatchGain)
-	// The parked count joins the schedule line only on autoscaled runs, so
-	// pre-autoscaling golden files keep reproducing byte-identically.
-	if res.ParkedCoreWindows > 0 {
-		fmt.Fprintf(&b, "schedule: %d migration, %d drained, %d parked, %d idle core-windows\n",
-			res.Migrations, res.DrainedCoreWindows, res.ParkedCoreWindows, res.IdleCoreWindows)
-	} else if res.Migrations+res.DrainedCoreWindows+res.IdleCoreWindows > 0 {
-		fmt.Fprintf(&b, "schedule: %d migration, %d drained, %d idle core-windows\n",
-			res.Migrations, res.DrainedCoreWindows, res.IdleCoreWindows)
-	}
+	fmt.Fprintf(&b, "schedule: %d migration, %d drained, %d parked, %d idle core-windows\n",
+		res.Migrations, res.DrainedCoreWindows, res.ParkedCoreWindows, res.IdleCoreWindows)
 	return b.String()
 }
 

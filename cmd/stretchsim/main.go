@@ -10,7 +10,7 @@
 //	stretchsim -fleet [-servers 64] [-cores 16] [-trace mixed|<file>]
 //	           [-policy static|proportional|p2c|feedback]
 //	           [-autoscale off|util|violation] [-autoscale-min 1]
-//	           [-hours 24] [-windows-per-hour 4] [-window-trace] [-cohort-stats]
+//	           [-hours 24] [-windows-per-hour 4] [-window-trace]
 //	           [-trace-level off|summary|full] [-counterfactual-k 0]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [run flags]
 //	stretchsim synth [-spec mixed] [-servers 64] [-cores 16] [-hours 168]
@@ -83,7 +83,6 @@ func main() {
 	flag.Float64Var(&fp.hours, "hours", 24, "fleet: horizon in hours")
 	flag.IntVar(&fp.wph, "windows-per-hour", 4, "fleet: monitoring windows per hour")
 	flag.BoolVar(&fp.windowTrace, "window-trace", false, "fleet: print the per-window fleet series (cores, tails, violations per client)")
-	flag.BoolVar(&fp.cohortStats, "cohort-stats", false, "fleet: add the cohort fast-path line (coalesced core-windows, hit rate, distinct analytic solves) to the report")
 	flag.StringVar(&fp.traceLevel, "trace-level", "off", "fleet: decision-trace level (off|summary|full) — records every scheduling decision and prints the decision-trace report")
 	flag.IntVar(&fp.counterfactualK, "counterfactual-k", 0, "fleet: evaluate up to K alternative assignments per traced window and report the chosen assignment's regret (needs -trace-level)")
 	addRunFlags(flag.CommandLine, &fp, 400)

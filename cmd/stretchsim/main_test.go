@@ -13,9 +13,8 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 
 // goldenParams is a small but non-trivial fleet: big enough for the
 // failover scenario to drain a whole server and for every client to hold
-// multiple cores, small enough to keep the test fast. The pre-histogram
-// golden files were blessed under the exact estimator, so it stays pinned
-// here; histogram cases override it.
+// multiple cores, small enough to keep the test fast. It pins the exact
+// estimator, the accuracy reference; histogram cases override it.
 func goldenParams(trace, policy string) fleetParams {
 	return fleetParams{
 		servers: 4, cores: 4, trace: trace, policy: policy,
@@ -31,10 +30,8 @@ func goldenParams(trace, policy string) fleetParams {
 // numbers. Run with -update to rebless after an intentional change. The
 // feedback failover case runs the full 24h day: the closed loop only has
 // violations to react to once the diurnal peak is in the horizon. Cases
-// with estimator "histogram" lock the mergeable-histogram tail path,
-// including the fleet-wide tail line it adds to the report; the exact
-// cases' files predate the histogram estimator and must keep reproducing
-// byte-identically.
+// with estimator "histogram" lock the mergeable-histogram tail path; the
+// others lock the exact estimator.
 func TestFleetGolden(t *testing.T) {
 	cases := []struct {
 		trace, policy string
@@ -43,38 +40,34 @@ func TestFleetGolden(t *testing.T) {
 		calib         string
 		autoscale     string
 		engine        string
-		cohortStats   bool
 	}{
-		{"websearch", "static", 0, "", "", "", "", false},
-		{"video", "static", 0, "", "", "", "", false},
-		{"mixed", "static", 0, "", "", "", "", false},
-		{"mixed", "proportional", 0, "", "", "", "", false},
-		{"mixed", "p2c", 0, "", "", "", "", false},
-		{"failover", "proportional", 0, "", "", "", "", false},
-		{"mixed", "feedback", 0, "", "", "", "", false},
-		{"failover", "feedback", 24, "", "", "", "", false},
-		{"mixed", "static", 0, "histogram", "", "", "", false},
-		{"mixed", "feedback", 0, "histogram", "", "", "", false},
-		{"failover", "feedback", 24, "histogram", "", "", "", false},
+		{"websearch", "static", 0, "", "", "", ""},
+		{"video", "static", 0, "", "", "", ""},
+		{"mixed", "static", 0, "", "", "", ""},
+		{"mixed", "proportional", 0, "", "", "", ""},
+		{"mixed", "p2c", 0, "", "", "", ""},
+		{"failover", "proportional", 0, "", "", "", ""},
+		{"mixed", "feedback", 0, "", "", "", ""},
+		{"failover", "feedback", 24, "", "", "", ""},
+		{"mixed", "static", 0, "histogram", "", "", ""},
+		{"mixed", "feedback", 0, "histogram", "", "", ""},
+		{"failover", "feedback", 24, "histogram", "", "", ""},
 		// Calibrated runs consume the committed default table: per-client
 		// (service, batch) deltas from the cycle-level model, locked with
 		// the per-client calibrated batch-speedup block in the report.
-		{"mixed", "static", 0, "", "default", "", "", false},
-		{"failover", "feedback", 24, "histogram", "default", "", "", false},
+		{"mixed", "static", 0, "", "default", "", ""},
+		{"failover", "feedback", 24, "histogram", "default", "", ""},
 		// The autoscaled day: the util policy parks off-peak capacity and
 		// pays warm-up migrations on the way back up, locked end to end —
 		// policy echo, parked core-windows in the schedule line and all.
-		{"mixed", "feedback", 24, "histogram", "", "util", "", false},
+		{"mixed", "feedback", 24, "histogram", "", "util", ""},
 		// Auto-engine runs lock the analytic fast path's classifier output:
 		// the engine line reports how many serving core-windows were
-		// answered analytically, and the fleet numbers must hold steady
-		// against the discrete goldens above.
-		{"mixed", "feedback", 24, "histogram", "", "", "auto", false},
-		{"failover", "feedback", 24, "histogram", "", "", "auto", false},
-		// The cohort-stats line (opt-in via -cohort-stats) locks the
-		// coalesced fast path's observability: coalesced core-windows,
-		// hit rate and distinct analytic solves.
-		{"mixed", "feedback", 24, "histogram", "", "", "auto", true},
+		// answered analytically and coalesced and how many distinct solves
+		// it took, and the fleet numbers must hold steady against the
+		// discrete goldens above.
+		{"mixed", "feedback", 24, "histogram", "", "", "auto"},
+		{"failover", "feedback", 24, "histogram", "", "", "auto"},
 	}
 	for _, tc := range cases {
 		name := tc.trace + "_" + tc.policy
@@ -90,9 +83,6 @@ func TestFleetGolden(t *testing.T) {
 		if tc.engine != "" {
 			name += "_" + tc.engine
 		}
-		if tc.cohortStats {
-			name += "_cohort"
-		}
 		t.Run(name, func(t *testing.T) {
 			p := goldenParams(tc.trace, tc.policy)
 			if tc.hours != 0 {
@@ -104,7 +94,6 @@ func TestFleetGolden(t *testing.T) {
 			p.calib = tc.calib
 			p.autoscale = tc.autoscale
 			p.engine = tc.engine
-			p.cohortStats = tc.cohortStats
 			cfg, err := buildFleetConfig(&p)
 			if err != nil {
 				t.Fatal(err)
