@@ -254,7 +254,7 @@ func TestCohortEquivalenceAutoscale(t *testing.T) {
 		for _, est := range []stats.TailEstimator{stats.EstimatorHistogram, stats.EstimatorExact} {
 			t.Run(fmt.Sprintf("%v/%v", eng, est), func(t *testing.T) {
 				cfg := equivConfig()
-				cfg.Scheduler = SchedulerConfig{Policy: PolicyProportional, NoMinCores: true}
+				cfg.Scheduler = SchedulerConfig{Policy: PolicyProportional}
 				cfg.Engine = eng
 				cfg.TailEstimator = est
 				cfg.Autoscale = AutoscaleConfig{
@@ -295,7 +295,7 @@ func TestCohortEquivalenceTraced(t *testing.T) {
 		{"proportional", SchedulerConfig{Policy: PolicyProportional}, AutoscaleConfig{}},
 		{"p2c", SchedulerConfig{Policy: PolicyP2C}, AutoscaleConfig{}},
 		{"feedback", SchedulerConfig{Policy: PolicyFeedback}, AutoscaleConfig{}},
-		{"util-autoscale", SchedulerConfig{Policy: PolicyProportional, NoMinCores: true},
+		{"util-autoscale", SchedulerConfig{Policy: PolicyProportional},
 			AutoscaleConfig{Policy: AutoscaleUtil, MinServers: 1}},
 	}
 	for _, c := range cells {

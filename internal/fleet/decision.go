@@ -270,9 +270,10 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 const cfLabel = 0xCF0F
 
 // cfMinCores is the per-client floor every alternative respects: a move
-// never strips a loaded client to zero cores, whose cost the
-// representative-core model could not express. The scheduler's floor
-// (minCores, or zero under NoMinCores) never exceeds it.
+// never strips a client to zero cores, whose cost the representative-core
+// model could not express. A client the scheduler left at or below it
+// gives no core away; the scheduler's own floor, minCores, equals it and
+// drops below it only on a degraded fleet.
 const cfMinCores = 1
 
 // cfKey caches one window's evaluated (client, core-count) tail: within a

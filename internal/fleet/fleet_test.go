@@ -160,29 +160,35 @@ func TestFleetMultiClientAggregation(t *testing.T) {
 }
 
 // TestClientWithZeroCoreWindows pins the edge case of a client squeezed to
-// zero core-windows: with the min-core floor explicitly disabled and no
-// offered load, the elastic allocation gives it nothing, and its metrics
-// must report NaN-safe zeros rather than panicking on an empty sample.
+// zero core-windows: on a degraded fleet with fewer in-service cores than
+// clients the elastic allocation lowers its core floor to zero, so a client
+// without offered load gets nothing, and its metrics must report NaN-safe
+// zeros rather than panicking on an empty sample.
 func TestClientWithZeroCoreWindows(t *testing.T) {
 	cfg := lowLoadConfig()
+	cfg.Servers, cfg.CoresPerServer = 2, 1
 	cfg.Traffic.Clients = []loadgen.Client{
 		{
 			Name: "busy", Service: workload.WebSearch, Fraction: 0.5,
-			Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 280 * 8}, Poisson: true},
+			Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 280}, Poisson: true},
 		},
 		{
 			Name: "ghost", Service: workload.DataServing, Fraction: 0.5,
 			Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 1e-12}},
 		},
 	}
-	cfg.Scheduler = SchedulerConfig{Policy: PolicyProportional, NoMinCores: true}
+	cfg.Scenario = loadgen.Scenario{Events: []loadgen.Event{{Kind: loadgen.EventDrain, Window: 0, Server: 1}}}
+	cfg.Scheduler = SchedulerConfig{Policy: PolicyProportional}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := res.Windows; res.DrainedCoreWindows != want {
+		t.Fatalf("drained %d core-windows, want %d (server 1 for the whole horizon)", res.DrainedCoreWindows, want)
+	}
 	ghost := res.Clients[1]
 	if ghost.CoreWindows != 0 {
-		t.Fatalf("with the floor disabled and ~zero demand the ghost still held %d core-windows", ghost.CoreWindows)
+		t.Fatalf("on one in-service core with ~zero demand the ghost still held %d core-windows", ghost.CoreWindows)
 	}
 	if ghost.P99Ms != 0 || ghost.P999Ms != 0 {
 		t.Fatalf("zero-core-window client reports non-zero tails: p99=%v p99.9=%v", ghost.P99Ms, ghost.P999Ms)

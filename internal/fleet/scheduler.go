@@ -100,15 +100,11 @@ type SchedulerConfig struct {
 	// both are ignored by the open-loop policies. These are the knobs the
 	// search driver (search.go) sweeps, together with Hysteresis.
 	FeedbackGain, FeedbackDecay float64
-
-	// NoMinCores drops the elastic policies' per-client floor of one core
-	// (minCores), so a client without demand can lose every core.
-	NoMinCores bool
 }
 
-// minCores is the per-client core floor the elastic policies respect
-// unless NoMinCores is set; a degraded fleet with fewer in-service cores
-// than clients×minCores lowers the floor.
+// minCores is the per-client core floor the elastic policies respect; a
+// degraded fleet with fewer in-service cores than clients×minCores lowers
+// the floor (allocCounts), down to zero.
 const minCores = 1
 
 // migrationPenalty models the cost of moving a core to a new client: for
@@ -439,11 +435,7 @@ func (e *elastic) desired() []int {
 	for ci := range e.demand {
 		e.demand[ci] = e.load[ci] / e.sat[ci] * e.weight[ci]
 	}
-	floor := minCores
-	if e.sched.NoMinCores {
-		floor = 0
-	}
-	return allocCounts(e.demand, e.fracs, e.nActive, floor)
+	return allocCounts(e.demand, e.fracs, e.nActive, minCores)
 }
 
 // autoscale runs one scaling decision: build the fleet state, ask the

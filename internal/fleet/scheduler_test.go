@@ -52,8 +52,8 @@ func TestSchedulerConfigValidate(t *testing.T) {
 }
 
 // TestSchedulerConfigZeroVsUnset pins what the zero values mean: a zero
-// Hysteresis gets its default, and NoMinCores is the only way to a zero
-// core floor.
+// Hysteresis gets its default, and the zero config keeps an idle client at
+// the core floor.
 func TestSchedulerConfigZeroVsUnset(t *testing.T) {
 	if d := (SchedulerConfig{}).WithDefaults(); d.Hysteresis != defaultHysteresis {
 		t.Fatalf("zero hysteresis did not default: %+v", d)
@@ -78,9 +78,6 @@ func TestSchedulerConfigZeroVsUnset(t *testing.T) {
 	}
 	if got := floorOf(SchedulerConfig{Policy: PolicyProportional}); got != minCores {
 		t.Fatalf("default floor gave the idle client %d cores, want %d", got, minCores)
-	}
-	if got := floorOf(SchedulerConfig{Policy: PolicyProportional, NoMinCores: true}); got != 0 {
-		t.Fatalf("NoMinCores gave the idle client %d cores, want 0", got)
 	}
 }
 
