@@ -107,8 +107,8 @@ func Utilization(cfg Config, ratePerSec, perfFactor float64) float64 {
 
 // Analytic solves the configured service in closed form at the given
 // arrival rate (requests per second) and perf factor, returning the same
-// Result fields Simulate measures. MaxQueue and Requests are zero: no
-// discrete requests exist on this path. Quantiles are read from an
+// Result fields Simulate measures. Requests is zero: no discrete requests
+// exist on this path. Quantiles are read from an
 // analytically filled stats.Histogram with the standard tail geometry
 // regardless of cfg.Estimator, so they sit on the same bucket-midpoint
 // grid as a histogram-estimator simulation. It errors when the system is

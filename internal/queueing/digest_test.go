@@ -90,7 +90,6 @@ func appendResultBits(b []byte, r Result) []byte {
 		meets = 1
 	}
 	b = binary.LittleEndian.AppendUint64(b, meets)
-	b = binary.LittleEndian.AppendUint64(b, uint64(r.MaxQueue))
 	return binary.LittleEndian.AppendUint64(b, uint64(r.Requests))
 }
 

@@ -51,9 +51,6 @@ func FuzzSimulate(f *testing.F) {
 				t.Fatalf("non-finite latency in %+v", r)
 			}
 		}
-		if r.MaxQueue < 0 {
-			t.Fatalf("negative max queue %d", r.MaxQueue)
-		}
 		sim, err := NewSimulator(cfg)
 		if err != nil {
 			t.Fatal(err)

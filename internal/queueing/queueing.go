@@ -109,9 +109,6 @@ type Result struct {
 	QoSMs float64
 	// MeetsQoS reports QoSMs <= QoSTargetMs.
 	MeetsQoS bool
-	// MaxQueue is the deepest queue observed: the most requests that had
-	// arrived but not yet started service at any arrival instant.
-	MaxQueue int
 	// Requests is the number of completed requests measured.
 	Requests int
 }
@@ -190,11 +187,10 @@ type Simulator struct {
 	arrHeads []bool
 	// svcMs and arrivalMs hold one run's per-request service times and
 	// arrival instants, filled by the first two passes of run and
-	// consumed by the queue pass, which records each request's start time
-	// in startMs and each post-warm-up latency in latMs.
+	// consumed by the queue pass, which records each post-warm-up latency
+	// in latMs.
 	svcMs     []float64
 	arrivalMs []float64
-	startMs   []float64
 	latMs     []float64
 }
 
@@ -250,8 +246,8 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 	}
 	lat := s.fillLat()
 	r := Result{
-		MeanMs: mean.Mean(), MaxQueue: s.maxQueue(),
-		P95Ms: lat.Quantile(0.95), P99Ms: lat.Quantile(0.99), QoSMs: lat.Quantile(s.cfg.QoSQuantile),
+		MeanMs: mean.Mean(),
+		P95Ms:  lat.Quantile(0.95), P99Ms: lat.Quantile(0.99), QoSMs: lat.Quantile(s.cfg.QoSQuantile),
 		Requests: lat.N(),
 	}
 	r.MeetsQoS = r.QoSMs <= s.cfg.QoSTargetMs
@@ -259,7 +255,7 @@ func (s *Simulator) Simulate(ratePerSec float64, nRequests int, perfFactor float
 }
 
 // QoS runs the same simulation as Simulate and returns only its QoSMs,
-// bit for bit, without the mean, the other quantiles or the queue depth:
+// bit for bit, without the mean or the other quantiles:
 // the fleet engine's per-window call and the bisections' probes read
 // nothing else.
 func (s *Simulator) QoS(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) (float64, error) {
@@ -278,8 +274,8 @@ func (s *Simulator) fillLat() stats.Tail {
 
 // run is the simulation kernel behind Simulate and QoS. It is three
 // passes over per-request buffers: draw every service time, build the
-// arrival timeline, then run the FCFS queue over the two, leaving start
-// times in startMs and post-warm-up latencies, in arrival order, in latMs.
+// arrival timeline, then run the FCFS queue over the two, leaving
+// post-warm-up latencies, in arrival order, in latMs.
 // The service and arrival streams are independent and each is consumed in
 // request order exactly as an interleaved loop would, so splitting the
 // passes changes no value; it lets the service draws' transcendental calls
@@ -357,8 +353,6 @@ func (s *Simulator) run(ratePerSec float64, nRequests int, perfFactor float64, s
 	warm := nRequests / 10
 	s.workers.reset(cfg.Workers)
 	workers := &s.workers
-	s.startMs = resize(s.startMs, nRequests)
-	startMs := s.startMs
 	s.latMs = resize(s.latMs, nRequests-warm)
 	latMs := s.latMs
 	for i, now := range arrivalMs {
@@ -368,31 +362,11 @@ func (s *Simulator) run(ratePerSec float64, nRequests int, perfFactor float64, s
 		}
 		finish := start + svcMs[i]
 		workers.replaceMin(finish)
-		startMs[i] = start
 		if i >= warm {
 			latMs[i-warm] = finish - now
 		}
 	}
 	return nil
-}
-
-// maxQueue is the deepest queue of the last run: the most requests that
-// had arrived by some arrival instant but started service after it. FCFS
-// start times are nondecreasing (both arguments of the max() that assigns
-// them are), so at arrival i those requests are the suffix
-// startMs[waitHead:i+1], and waitHead only advances.
-func (s *Simulator) maxQueue() int {
-	startMs := s.startMs
-	waitHead, maxQ := 0, 0
-	for i, now := range s.arrivalMs {
-		for waitHead <= i && startMs[waitHead] <= now {
-			waitHead++
-		}
-		if q := i + 1 - waitHead; q > maxQ {
-			maxQ = q
-		}
-	}
-	return maxQ
 }
 
 // resize returns buf with length n, reallocating only when its capacity
