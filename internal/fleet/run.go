@@ -266,6 +266,7 @@ func (e *engine) aggregate() Result {
 	}
 	windowHours := cfg.Traffic.WindowSec / 3600
 	cms := make([]ClientMetrics, n)
+	bCW := make([]int, n)
 	for ci, cl := range cfg.Traffic.Clients {
 		cms[ci] = ClientMetrics{
 			Client: cl.Name, Service: cl.Service, Batch: BatchPairing(cl), SLO: cl.SLO,
@@ -284,16 +285,12 @@ func (e *engine) aggregate() Result {
 			cm := &cms[ci]
 			cm.CoreWindows += co.Cores
 			cm.ViolationWindows += co.Violations
-			// One addition per B-mode core-window: every addend is the
-			// same, so the sum's bits depend only on the count (a product
-			// float64(BCores)·windowHours would round differently).
-			for range co.BCores {
-				cm.EngagedCoreHours += windowHours
-			}
+			bCW[ci] += co.BCores
 		}
 	}
 	for ci := range cms {
 		cm := &cms[ci]
+		cm.EngagedCoreHours = float64(bCW[ci]) * windowHours
 		for mode, k := range e.batchCW[ci] {
 			cm.BatchCoreHoursGained += float64(k) * (e.batchRelMode[ci][mode] - 1) * windowHours
 		}
