@@ -23,13 +23,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/equivalence_digests.golden")
 
-// digestGolden holds two sha256 per equivalence cell, keyed by subtest
-// name: the full Result, and under <name>#nogain the Result without its
-// batch-gain fields (see withoutGain). The per-core reference engine
-// generated the full digests before that engine was deleted, and the
-// core-major aggregation generated the #nogain ones before it was
-// replaced, so they are the oracle the engine must keep reproducing; a
-// rebless needs a stated cause.
+// digestGolden holds one sha256 of the full Result per equivalence cell,
+// keyed by subtest name. The per-core reference engine generated the
+// digests before that engine was deleted, so they are the oracle the
+// engine must keep reproducing; a rebless needs a stated cause.
 const digestGolden = "testdata/equivalence_digests.golden"
 
 // resultDigest is a sha256 over the JSON encoding of r — struct fields in
@@ -79,8 +76,7 @@ func writeDigests(t *testing.T, m map[string]string) {
 	}
 	sort.Strings(names)
 	var sb strings.Builder
-	sb.WriteString("# sha256 over the JSON-encoded fleet.Result of each equivalence cell;\n")
-	sb.WriteString("# <cell>#nogain digests the same Result with its batch-gain fields zeroed.\n")
+	sb.WriteString("# sha256 over the JSON-encoded fleet.Result of each equivalence cell.\n")
 	sb.WriteString("# Regenerate: go test ./internal/fleet -run 'TestCohort' -update\n")
 	for _, n := range names {
 		fmt.Fprintf(&sb, "%s %s\n", n, m[n])
@@ -90,40 +86,21 @@ func writeDigests(t *testing.T, m map[string]string) {
 	}
 }
 
-// withoutGain returns a copy of r with the three batch-gain fields zeroed:
-// BatchCoreHoursGained (fleet and per client) and BatchGain. They are the
-// only floats whose summation order the aggregation may choose, so the
-// <cell>#nogain digest pins everything else bit for bit.
-func withoutGain(r Result) Result {
-	r.BatchCoreHoursGained, r.BatchGain = 0, 0
-	r.Clients = append([]ClientMetrics(nil), r.Clients...)
-	for i := range r.Clients {
-		r.Clients[i].BatchCoreHoursGained = 0
-	}
-	return r
-}
-
-// checkDigest compares the subtest's Result against its golden digests —
-// the full Result under the subtest's name and the gain-free Result under
-// <name>#nogain — or records both under -update.
+// checkDigest compares the subtest's Result against its golden digest, or
+// records it under -update.
 func checkDigest(t *testing.T, golden map[string]string, res Result) {
 	t.Helper()
-	for _, d := range []struct {
-		name string
-		res  Result
-	}{{t.Name(), res}, {t.Name() + "#nogain", withoutGain(res)}} {
-		got := resultDigest(t, d.res)
-		if *update {
-			golden[d.name] = got
-			continue
-		}
-		want, ok := golden[d.name]
-		if !ok {
-			t.Fatalf("no golden digest for %s; run with -update", d.name)
-		}
-		if got != want {
-			t.Errorf("%s: digest %.16s, golden %.16s", d.name, got, want)
-		}
+	got := resultDigest(t, res)
+	if *update {
+		golden[t.Name()] = got
+		return
+	}
+	want, ok := golden[t.Name()]
+	if !ok {
+		t.Fatalf("no golden digest for %s; run with -update", t.Name())
+	}
+	if got != want {
+		t.Errorf("%s: digest %.16s, golden %.16s", t.Name(), got, want)
 	}
 }
 
