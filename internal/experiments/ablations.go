@@ -151,7 +151,7 @@ func AblationControllerSignal(c *Context) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		res, err := study.RunWithController(ctl, 12, func(load float64, mode core.Mode) float64 {
+		res, err := study.RunWithController(ctl, 12, func(load float64, mode core.Mode) monitor.Observation {
 			perf := 1.0
 			if mode == core.ModeB {
 				perf = 1 - study.LSSlowdownB
@@ -160,13 +160,18 @@ func AblationControllerSignal(c *Context) (Table, error) {
 			if util >= 0.999 {
 				util = 0.999
 			}
-			return 100 * (0.30 + 0.55*util/(1-util)*0.12)
+			// Both signals grow with the same queueing term util/(1-util):
+			// the tail proxy of fig14, and as queue depth the M/M/1 mean
+			// number of waiting requests, util²/(1-util), truncated to
+			// whole requests.
+			return monitor.Observation{
+				TailMs:   100 * (0.30 + 0.55*util/(1-util)*0.12),
+				QueueLen: int(util * util / (1 - util)),
+			}
 		})
 		if err != nil {
 			return Table{}, err
 		}
-		// The queue-length variant reads queue depth instead; derive a
-		// deterministic proxy from load for the replay.
 		name := "tail-latency"
 		if sig == monitor.SignalQueueLength {
 			name = "queue-length"
@@ -174,6 +179,7 @@ func AblationControllerSignal(c *Context) (Table, error) {
 		t.Rows = append(t.Rows, []string{name, pct(res.ClusterGain),
 			fmt.Sprintf("%d", res.EngagedHours), fmt.Sprintf("%d", ctl.Switches())})
 		t.Metrics["gain_"+name] = res.ClusterGain
+		t.Metrics["hours_"+name] = float64(res.EngagedHours)
 		t.Metrics["switches_"+name] = float64(ctl.Switches())
 	}
 	return t, nil

@@ -336,6 +336,15 @@ func TestAblations(t *testing.T) {
 	if sig.Metrics["gain_tail-latency"] <= 0 {
 		t.Error("tail-latency controller produced no gain")
 	}
+	// The queue-length controller reads a queue depth that rises with the
+	// diurnal load, so it leaves B-mode at the daytime peak and re-engages
+	// after it, instead of holding B-mode all day on an always-empty queue.
+	if h := sig.Metrics["hours_queue-length"]; h <= 0 || h >= 24 {
+		t.Errorf("queue-length controller engaged B-mode for %v of 24 hours, want some but not all", h)
+	}
+	if sw := sig.Metrics["switches_queue-length"]; sw < 2 {
+		t.Errorf("queue-length controller switched %v times, want at least 2", sw)
+	}
 }
 
 func TestByIDAndAll(t *testing.T) {

@@ -67,7 +67,7 @@ func Fig14(c *Context) (Table, error) {
 		// B-mode slowdown; the analytic proxy keeps the controller study
 		// independent of queueing-simulation noise.
 		svc := workload.Services()[cs.ls]
-		tailAt := func(load float64, mode core.Mode) float64 {
+		observeAt := func(load float64, mode core.Mode) monitor.Observation {
 			perf := 1.0
 			if mode == core.ModeB {
 				perf = 1 - lsSlow
@@ -77,13 +77,13 @@ func Fig14(c *Context) (Table, error) {
 				util = 0.999
 			}
 			// Tail ≈ service tail + queueing term growing as 1/(1-util).
-			return svc.QoSTargetMs * (0.30 + 0.55*util/(1-util)*0.12)
+			return monitor.Observation{TailMs: svc.QoSTargetMs * (0.30 + 0.55*util/(1-util)*0.12)}
 		}
 		ctl, err := monitor.New(monitor.DefaultConfig(svc.QoSTargetMs))
 		if err != nil {
 			return Table{}, err
 		}
-		ctlRes, err := study.RunWithController(ctl, 12, tailAt)
+		ctlRes, err := study.RunWithController(ctl, 12, observeAt)
 		if err != nil {
 			return Table{}, err
 		}

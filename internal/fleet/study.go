@@ -97,28 +97,29 @@ func (s Study) Run() (StudyResult, error) {
 }
 
 // RunWithController replays the diurnal day through the §IV-C controller at
-// the given monitoring granularity (windows per hour), feeding it the tail
-// latency that the queueing model predicts for each window's load and the
-// currently engaged mode. tailAt maps (loadFrac, mode) to the window's tail
-// latency in ms. Each hour records the controller's mode at the hour's end
+// the given monitoring granularity (windows per hour), feeding it the
+// observation that the model predicts for each window's load and the
+// currently engaged mode. model maps (loadFrac, mode) to the window's
+// reading: the tail latency in ms, and the queue depth for a queue-length
+// controller. Each hour records the controller's mode at the hour's end
 // and credits the batch thread for the fraction of its windows spent in
 // B-mode; an hour counts as engaged when that fraction passes one half.
 // The controller's switch count shows that hysteresis keeps flips
 // infrequent even at fine granularity.
 func (s Study) RunWithController(ctl *monitor.Controller, windowsPerHour int,
-	tailAt func(load float64, mode core.Mode) float64) (StudyResult, error) {
+	model func(load float64, mode core.Mode) monitor.Observation) (StudyResult, error) {
 	if windowsPerHour <= 0 {
 		return StudyResult{}, fmt.Errorf("fleet: need at least one window per hour")
 	}
-	if ctl == nil || tailAt == nil {
-		return StudyResult{}, fmt.Errorf("fleet: controlled study needs a controller and a tail model")
+	if ctl == nil || model == nil {
+		return StudyResult{}, fmt.Errorf("fleet: controlled study needs a controller and an observation model")
 	}
 	var res StudyResult
 	var sum float64
 	for h, load := range s.Trace.HourLoad {
 		engaged := 0
 		for i := 0; i < windowsPerHour; i++ {
-			ctl.Observe(monitor.Observation{TailMs: tailAt(load, ctl.Mode())})
+			ctl.Observe(model(load, ctl.Mode()))
 			if ctl.Mode() == core.ModeB {
 				engaged++
 			}

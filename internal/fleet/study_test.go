@@ -109,7 +109,7 @@ func TestControlledTimelineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := func(load float64, mode core.Mode) float64 { return 10 }
+	tail := func(load float64, mode core.Mode) monitor.Observation { return monitor.Observation{TailMs: 10} }
 	if _, err := s.RunWithController(ctl, 0, tail); err == nil {
 		t.Error("zero windows per hour accepted")
 	}
@@ -137,15 +137,15 @@ func TestStudyRunWithControllerTracksLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunWithController(ctl, 10, func(load float64, mode core.Mode) float64 {
+	res, err := s.RunWithController(ctl, 10, func(load float64, mode core.Mode) monitor.Observation {
 		// Low load -> low tail; high load -> violation band.
 		if load < 0.7 {
-			return 40
+			return monitor.Observation{TailMs: 40}
 		}
 		if load < 0.9 {
-			return 85
+			return monitor.Observation{TailMs: 85}
 		}
-		return 99
+		return monitor.Observation{TailMs: 99}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,11 +173,11 @@ func TestStudyRunWithControllerSingleWindowPerHour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.RunWithController(ctl, 1, func(load float64, mode core.Mode) float64 {
+	res, err := s.RunWithController(ctl, 1, func(load float64, mode core.Mode) monitor.Observation {
 		if load < 0.8 {
-			return 40
+			return monitor.Observation{TailMs: 40}
 		}
-		return 99
+		return monitor.Observation{TailMs: 99}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +205,8 @@ func TestStudyRunWithControllerNeverEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tail pinned above the disengage band: no slack anywhere in the day.
-	res, err := s.RunWithController(ctl, 12, func(load float64, mode core.Mode) float64 {
-		return 99
+	res, err := s.RunWithController(ctl, 12, func(load float64, mode core.Mode) monitor.Observation {
+		return monitor.Observation{TailMs: 99}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,11 +233,11 @@ func TestStudyRunWithControllerHysteresisLimitsSwitches(t *testing.T) {
 	// Fine granularity (60 windows/hour = 1440 observations): hysteresis
 	// must keep the switch count at the diurnal scale, not the window
 	// scale — one engage and one disengage per load transition.
-	if _, err := s.RunWithController(ctl, 60, func(load float64, mode core.Mode) float64 {
+	if _, err := s.RunWithController(ctl, 60, func(load float64, mode core.Mode) monitor.Observation {
 		if load < 0.85 {
-			return 50
+			return monitor.Observation{TailMs: 50}
 		}
-		return 99
+		return monitor.Observation{TailMs: 99}
 	}); err != nil {
 		t.Fatal(err)
 	}
