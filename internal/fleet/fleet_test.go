@@ -338,18 +338,20 @@ func TestAssignCores(t *testing.T) {
 	}
 }
 
+// TestPeakRPSPerCore probes web-search at the 4000-request anchor the CLI
+// and the bench use. Bursts raise the offered work per arrival, so the pool
+// saturates at 1/Utilization(cfg, 1, 1) ≈ 859.5 rps, below the burst-free
+// Workers×1000/MeanServiceMs ≈ 941 rps. The peak must be a knee below that
+// cap (≈ 0.94 of it at seed 1), not the cap itself, which PeakLoad returns
+// when a short probe never sees the QoS target break.
 func TestPeakRPSPerCore(t *testing.T) {
-	p, err := PeakRPSPerCore(workload.WebSearch, 2000, 1)
+	p, err := PeakRPSPerCore(workload.WebSearch, 4000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bursts raise the offered work per arrival, so the pool saturates at
-	// 1/Utilization(cfg, 1, 1) ≈ 859.5 rps, below the burst-free
-	// Workers×1000/MeanServiceMs ≈ 941 rps; peak must be a large fraction
-	// of it but below.
 	sat := 1 / queueing.Utilization(queueing.ForService(workload.Services()[workload.WebSearch]), 1, 1)
-	if p < 400 || p >= sat {
-		t.Fatalf("peak per-core rate %v implausible (burst-aware saturation %v)", p, sat)
+	if p < 400 || p > 0.98*sat {
+		t.Fatalf("peak per-core rate %v is not a knee below the burst-aware saturation %v", p, sat)
 	}
 	if _, err := PeakRPSPerCore("nope", 2000, 1); err == nil {
 		t.Fatal("unknown service accepted")
