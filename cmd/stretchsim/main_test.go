@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -103,20 +102,7 @@ func TestFleetGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := formatFleetResult(p, cfg, res)
-			path := filepath.Join("testdata", name+".golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
-			}
-			if got != string(want) {
-				t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
+			checkGolden(t, filepath.Join("testdata", name+".golden"), []byte(got))
 		})
 	}
 }

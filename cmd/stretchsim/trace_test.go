@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stretch/internal/fleet"
@@ -26,10 +28,15 @@ func weekSynthParams() synthParams {
 	}
 }
 
+// compared records each golden path checkGolden has compared or rewritten
+// in this run, for TestGoldenFilesCompared.
+var compared = map[string]bool{}
+
 // checkGolden compares got against the committed golden at path,
-// rewriting it under -update.
+// rewriting it under -update. A mismatch reports the first differing line.
 func checkGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
+	compared[path] = true
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -41,8 +48,27 @@ func checkGolden(t *testing.T, path string, got []byte) {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("output drifted from %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
+		n, g, w := firstDiff(string(got), string(want))
+		t.Errorf("output drifted from %s at line %d:\n got: %s\nwant: %s", path, n, g, w)
 	}
+}
+
+// firstDiff returns the 1-based number of the first line where got and
+// want differ, and that line of each; a file that ends first reads
+// "<end of file>".
+func firstDiff(got, want string) (int, string, string) {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	line := func(ls []string, i int) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "<end of file>"
+	}
+	i := 0
+	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+		i++
+	}
+	return i + 1, line(gl, i), line(wl, i)
 }
 
 // TestSynthGolden locks the synthesizer's output byte-for-byte: the 7-day
@@ -272,6 +298,38 @@ func TestSynthRejectsBadInput(t *testing.T) {
 		mutate(&p)
 		if _, err := buildSynthTrace(p); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+}
+
+// TestGoldenFilesCompared fails when a testdata/*.golden file was compared
+// by no test, so a deleted case cannot leave its file behind. It reads
+// what checkGolden recorded, so it must run after every golden test: it is
+// the last test of the package's last test file, and Go runs a package's
+// tests in that order. A filtered, shuffled or -short run (TestSearchGolden
+// skips under -short) skips it.
+func TestGoldenFilesCompared(t *testing.T) {
+	for _, name := range []string{"test.run", "test.skip"} {
+		if f := flag.Lookup(name); f != nil && f.Value.String() != "" {
+			t.Skipf("-%s filters the golden tests", strings.TrimPrefix(name, "test."))
+		}
+	}
+	if f := flag.Lookup("test.shuffle"); f != nil && f.Value.String() != "off" {
+		t.Skip("-shuffle may run this before the golden tests")
+	}
+	if testing.Short() {
+		t.Skip("TestSearchGolden skips under -short")
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no golden files found")
+	}
+	for _, p := range paths {
+		if !compared[p] {
+			t.Errorf("%s is compared by no test: delete it or restore its case", p)
 		}
 	}
 }
