@@ -29,7 +29,7 @@ type AutoscalePolicy int
 // Autoscale policies.
 const (
 	// AutoscaleOff keeps every server in service: the fleet size is fixed
-	// and results are byte-identical to pre-autoscaling runs.
+	// and no core is ever parked.
 	AutoscaleOff AutoscalePolicy = iota
 	// AutoscaleUtil tracks offered load: it keeps fleet utilisation —
 	// demand in cores' worth (offered load normalised by per-core

@@ -26,8 +26,8 @@ type Config struct {
 	// slowdown and batch credit come from its (Service, Batch) pair's
 	// calibrated cells instead of the uniform scalars below. The table
 	// must cover every client's pairing (empty Client.Batch resolves to
-	// DefaultBatchPairing). Nil falls back to the uniform scalars and
-	// reproduces pre-calibration results byte-identically.
+	// DefaultBatchPairing). Nil applies the uniform scalars below to
+	// every client.
 	Calibration *calib.Table
 
 	// BatchSpeedupB and LSSlowdownB are the uniform measured B-mode deltas
@@ -63,10 +63,10 @@ type Config struct {
 	TailEstimator stats.TailEstimator
 
 	// Engine selects how per-core window tails are computed: the discrete
-	// event-level simulator (the zero value — byte-identical to all
-	// pre-engine results) or the per-window auto classifier that answers
-	// settled-mode windows inside the solver envelope analytically and
-	// keeps the rest on the discrete path. See engine.go.
+	// event-level simulator (the zero value, which simulates every
+	// core-window that has load) or the per-window auto classifier that
+	// answers settled-mode windows inside the solver envelope analytically
+	// and keeps the rest on the discrete path. See engine.go.
 	Engine Engine
 
 	// Scheduler selects the core-allocation and load-routing policy; the
@@ -89,8 +89,7 @@ type Config struct {
 	// Autoscale lets servers join/leave the fleet between windows under a
 	// scaling policy (autoscale.go); Servers becomes the physical ceiling
 	// of a fleet that parks and unparks whole servers. The zero value
-	// keeps every server in service and reproduces pre-autoscaling
-	// results byte-identically.
+	// keeps every server in service: the fleet size is fixed.
 	Autoscale AutoscaleConfig
 
 	// Scenario injects fleet events — server drains/restores, traffic

@@ -26,9 +26,9 @@ type Engine int
 
 // Engines.
 const (
-	// EngineDiscrete runs every core-window through the event-level
-	// queueing simulator — the default, byte-identical to all results
-	// predating the engine selector.
+	// EngineDiscrete runs every core-window with load through the
+	// event-level queueing simulator — the default. It answers nothing
+	// analytically; only zero-rate windows skip the simulator.
 	EngineDiscrete Engine = 0
 	// EngineAuto classifies each (core, window): a settled-mode window
 	// inside the solver envelope takes the analytic fast path; a mode

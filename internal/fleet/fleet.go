@@ -33,9 +33,8 @@
 // (Config.Calibration) derived from the cycle-level core model, which makes
 // both the LS slowdown and the batch credit specific to the client's
 // (service, batch-pairing) colocation in every mode — or, when no table is
-// supplied, the legacy uniform scalars (BatchSpeedupB, LSSlowdownB and
-// the fixed Q-mode batch cost) applied identically to every client, which
-// reproduces pre-calibration results byte-identically. Either way the
+// supplied, the uniform scalars (BatchSpeedupB, LSSlowdownB and the fixed
+// Q-mode batch cost) applied identically to every client. Either way the
 // per-window hot path only indexes a per-client array; no table lookup or
 // map access sits on the per-request path. Results (result.go) aggregate into per-client
 // and fleet-wide tails (p99/p99.9 over core-window tails), QoS-violation
@@ -47,8 +46,7 @@
 // stats.NewTail builds. The default is the log-bucketed histogram
 // (stats.Histogram), whose memory stays constant in the request count
 // (the enabler for 10k+-core runs). The exact estimator retains every
-// core-window tail in sorted samples instead; it reproduces the
-// pre-histogram golden files byte-identically and serves as the accuracy
+// core-window tail in sorted samples instead and serves as the accuracy
 // reference. Each serving core-window's tail is deposited once, on the
 // engine goroutine, into its client's window and run stores and the
 // fleet store: coalesced spans during the walk, the discrete residue

@@ -55,8 +55,7 @@ func newEngine(cfg Config) (*engine, error) {
 	// Per-client service configs, SLO-scaled targets and per-mode
 	// performance deltas. With a calibration table each client gets its
 	// own (service, batch) pair's cycle-level-derived cells; without one,
-	// every client shares the uniform scalars (and reproduces the
-	// pre-calibration arithmetic bit-for-bit).
+	// every client shares the uniform scalars.
 	n := len(cfg.Traffic.Clients)
 	qcfgs := make([]queueing.Config, n)
 	lsSlowMode := make([][3]float64, n)

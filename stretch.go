@@ -416,7 +416,7 @@ func ParseTailEstimator(s string) (TailEstimator, error) { return stats.ParseTai
 type EngineMode = fleet.Engine
 
 // Engine modes. EngineDiscrete (the default) simulates every core-window
-// event by event and is byte-identical to all pre-engine results.
+// that has load event by event and answers nothing analytically.
 // EngineAuto classifies per (core, window): a window whose controller
 // mode is settled and whose utilization is inside the solver's validated
 // envelope takes the closed-form analytic fast path; mode switches, cold
