@@ -25,70 +25,35 @@
 // counters are pure functions of the key.
 //
 // Discrete-residue cores keep their per-core (seed, core, window) rng
-// streams untouched and run on the worker pool one core at a time, so the
-// determinism contract — byte-identical goldens, DeepEqual across worker
-// counts — holds exactly. The per-core reference engine this path
-// replaced committed a digest of every equivalence cell
+// streams untouched and run one core at a time on residue workers, one
+// goroutine per Simulator started for the window and joined at its
+// barrier, so the determinism contract — byte-identical goldens,
+// DeepEqual across worker counts — holds exactly. The per-core reference
+// engine this path replaced committed a digest of every equivalence cell
 // (testdata/equivalence_digests.golden); cohort_test.go holds the walk to
 // those digests.
 package fleet
 
 import (
-	"sync"
-
 	"stretch/internal/monitor"
 	"stretch/internal/queueing"
 )
 
-// claimChunk is the number of work units a pool worker claims per atomic
-// increment. One atomic per core made the claim counter the hottest cache
-// line in a million-core window; block claims amortise it 128×, and the
-// chunk is small enough that the tail imbalance (≤ chunk per worker) is
-// noise at every fleet size the benches run.
+// claimChunk is the number of work units a residue worker claims per
+// atomic increment. One atomic per core made the claim counter the
+// hottest cache line in a million-core window; block claims amortise it
+// 128×, and the chunk is small enough that the tail imbalance (≤ chunk per
+// worker) is noise at every fleet size the benches run.
 const claimChunk = 128
 
-// workItem is one discrete-residue core-window handed to the pool: the
-// core keeps its own derived seed and observes into its own controller.
+// workItem is one discrete-residue core-window handed to the residue
+// workers: the core keeps its own derived seed and observes into its own
+// controller.
 type workItem struct {
 	core       int32
 	client     int16
 	rate, perf float64
 }
-
-// workerPool is the persistent pool the engine reuses across all windows —
-// the former per-window spawn loop created workers × windows goroutines
-// per run. Jobs are dispatched per window and joined on the pool's own
-// WaitGroup; the channel send/receive pairs give the race detector (and
-// the memory model) the happens-before edges the barrier needs.
-type workerPool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
-}
-
-func newWorkerPool(n int) *workerPool {
-	p := &workerPool{jobs: make(chan func())}
-	for i := 0; i < n; i++ {
-		go func() {
-			for fn := range p.jobs {
-				fn()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// run dispatches fn(wk) for each worker index and blocks until all return.
-func (p *workerPool) run(n int, fn func(wk int)) {
-	p.wg.Add(n)
-	for wk := 0; wk < n; wk++ {
-		wk := wk
-		p.jobs <- func() { fn(wk) }
-	}
-	p.wg.Wait()
-}
-
-func (p *workerPool) close() { close(p.jobs) }
 
 // initCohorts wires the cohort walk's per-core state: no core holds a
 // controller yet, and the worklist holds at most one item per core. fresh
@@ -121,10 +86,10 @@ func (e *engine) release(c int) {
 
 // walkWindow is phase one of a window: a single serial walk over the plan
 // that answers every coalescible span in closed form and queues the
-// discrete residue for the pool. Serial is deliberate — the walk owns the
-// solve cache and the tail stores, and it is O(spans + cores·(slice
-// fills)) with no simulation inside, so it is never the bottleneck; the
-// expensive residue runs on the pool in phase two.
+// discrete residue for the residue workers. Serial is deliberate — the
+// walk owns the solve cache and the tail stores, and it is O(spans +
+// cores·(slice fills)) with no simulation inside, so it is never the
+// bottleneck; the expensive residue runs on the workers in phase two.
 func (e *engine) walkWindow(asg Assignment) {
 	e.worklist = e.worklist[:0]
 	e.analyticCW, e.cohortCW = 0, 0
@@ -203,10 +168,11 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 
 	// The steadiness classifier: auto takes the analytic path on a span
 	// whose mode is settled (a migrated core starts on a fresh controller,
-	// so it never is) and which lies inside the solver envelope
-	// (steadyTail, never under the discrete engine). Anything else — a
-	// solver refusal too — drops the whole span to the discrete residue;
-	// tail is read only when the span coalesces.
+	// so it never is) and which the solver accepts (steadyTail, never
+	// under the discrete engine). Anything else — a solver refusal, for a
+	// structural cap or a utilization above the ceiling — drops the whole
+	// span to the discrete residue; tail is read only when the span
+	// coalesces.
 	//
 	// An idle window — a Poisson draw of zero arrivals, or a window the
 	// scheduler routed no load to — skips the queueing simulation under
@@ -239,7 +205,7 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	}
 
 	// Discrete residue: each member diverges through its own rng stream
-	// and observes into its own controller on the pool.
+	// and observes into its own controller on a residue worker.
 	for c := a; c < b; c++ {
 		e.worklist = append(e.worklist, workItem{core: int32(c), client: ci, rate: rate, perf: perf})
 	}
@@ -249,8 +215,8 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 // core-window, simulated through the worker's reusable Simulator on the
 // core's own (seed, core, window)-derived stream, its tail written to the
 // core's slot and observed by the core's own controller (runWindow
-// deposits it after the pool joins). Items touch disjoint cores, so the
-// pool needs no locking beyond the claim counter.
+// deposits it after the workers join). Items touch disjoint cores, so the
+// workers need no locking beyond the claim counter.
 func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator) error {
 	c := int(it.core)
 	seed := e.root.Derive(uint64(c)).Derive(uint64(w)).Uint64()

@@ -17,6 +17,7 @@ import (
 
 	"stretch/internal/core"
 	"stretch/internal/loadgen"
+	"stretch/internal/queueing"
 	"stretch/internal/stats"
 	"stretch/internal/workload"
 )
@@ -28,6 +29,10 @@ var update = flag.Bool("update", false, "rewrite testdata/equivalence_digests.go
 // digests before that engine was deleted, so they are the oracle the
 // engine must keep reproducing; a rebless needs a stated cause.
 const digestGolden = "testdata/equivalence_digests.golden"
+
+// checked maps each cell checkDigest compared (or recorded under -update)
+// in this run to its digest, for TestDigestsCompared.
+var checked = map[string]string{}
 
 // resultDigest is a sha256 over the JSON encoding of r — struct fields in
 // declaration order, floats in shortest round-trip form — so equal digests
@@ -67,7 +72,10 @@ func readDigests(t *testing.T) map[string]string {
 	return m
 }
 
-// writeDigests rewrites the golden file in name order.
+// writeDigests rewrites the golden file in name order. Each digest test
+// merges its cells into the file under -update, so a filtered run keeps
+// the others; TestDigestsCompared rewrites it with exactly the cells a
+// full run checked.
 func writeDigests(t *testing.T, m map[string]string) {
 	t.Helper()
 	names := make([]string, 0, len(m))
@@ -91,6 +99,7 @@ func writeDigests(t *testing.T, m map[string]string) {
 func checkDigest(t *testing.T, golden map[string]string, res Result) {
 	t.Helper()
 	got := resultDigest(t, res)
+	checked[t.Name()] = got
 	if *update {
 		golden[t.Name()] = got
 		return
@@ -192,8 +201,8 @@ func equivConfig() Config {
 // engine × estimator, the run must reproduce the digest the per-core
 // reference engine committed — full Results, every float bit — at every
 // worker count. The -race CI job runs this, putting the shared solve
-// cache, the persistent pool and the phase-two controller advances under
-// the detector.
+// cache, the per-window residue goroutines and the phase-two controller
+// advances under the detector.
 func TestCohortEquivalence(t *testing.T) {
 	golden := readDigests(t)
 	policies := []Policy{PolicyStatic, PolicyProportional, PolicyP2C, PolicyFeedback}
@@ -375,7 +384,6 @@ func TestCohortWorklistBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.close()
 			for w := 0; w < e.windows; w++ {
 				if err := e.runWindow(w); err != nil {
 					t.Fatal(err)
@@ -413,7 +421,6 @@ func TestCohortMigratedCoresStartCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.close()
 	owned := make([]int16, e.nCores)
 	handovers, returns := 0, 0
 	for w := 0; w < e.windows; w++ {
@@ -465,11 +472,7 @@ func TestCohortSpanKeyHasLastMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.close()
-	if !e.analyticOK[0] {
-		t.Fatal("client is not analytic-eligible; the test is vacuous")
-	}
-	rate := 0.5 / e.utilCoef[0]
+	rate := 0.5 / queueing.Utilization(e.qcfgs[0], 1, 1)
 	for c := range 2 {
 		e.ctl[c], e.ctlClient[c] = e.fresh[0], 0
 	}

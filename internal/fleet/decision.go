@@ -175,7 +175,9 @@ type DecisionRecord struct {
 // record builds the window's DecisionRecord after the assignment is
 // final. Only called when tracing is on; the previous window's per-client
 // counts live in e.prevCount (allocated lazily, zero — an all-idle fleet —
-// at window 0).
+// at window 0). The core partition (Drained, Parked, Idle, Migrations and
+// MigrationPenalty) is left to runWindow, which copies it from the
+// window's observation of the same assignment.
 func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int, forced, rebalanced, suppressed bool) {
 	if e.prevCount == nil {
 		e.prevCount = make([]int, e.n)
@@ -188,22 +190,6 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 		Forced:     forced,
 		Rebalanced: rebalanced,
 		Suppressed: suppressed,
-	}
-	for c := 0; c < e.nCores; c++ {
-		switch e.asg.Client[c] {
-		case coreDrained:
-			rec.Drained++
-		case coreParked:
-			rec.Parked++
-		case coreIdle:
-			rec.Idle++
-		}
-		if e.asg.Migrated[c] {
-			rec.Migrations++
-		}
-	}
-	if rec.Migrations > 0 {
-		rec.MigrationPenalty = migrationPenalty
 	}
 	for ci := range rec.Clients {
 		cd := &rec.Clients[ci]
@@ -244,7 +230,7 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 // --- Counterfactual evaluation -----------------------------------------
 //
 // At each traced window the engine (single-threaded, behind the Step call
-// and before the worker pool runs) re-answers the window under up to K
+// and before the cohort walk) re-answers the window under up to K
 // alternative assignments. The alternative space is the single-core moves
 // off the chosen allocation — one core handed from a donor client to a
 // receiver — ranked by how promising last window's measurements make them
@@ -268,13 +254,6 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 // experiment seed, disjoint from the simulation (0xF1EE7) and scheduler
 // (0x70C2) branches.
 const cfLabel = 0xCF0F
-
-// cfMinCores is the per-client floor every alternative respects: a move
-// never strips a client to zero cores, whose cost the representative-core
-// model could not express. A client the scheduler left at or below it
-// gives no core away; the scheduler's own floor, minCores, equals it and
-// drops below it only on a degraded fleet.
-const cfMinCores = 1
 
 // cfKey caches one window's evaluated (client, core-count) tail: within a
 // window the seed and load are fixed, so equal counts give equal rates and
@@ -304,7 +283,10 @@ func (e *engine) counterfactual(w int, rec *DecisionRecord) error {
 	}
 	var cands []cand
 	for d := 0; d < n; d++ {
-		if counts[d] <= cfMinCores {
+		// The scheduler's floor: a move never strips a client to zero
+		// cores, whose cost the representative-core model could not
+		// express.
+		if counts[d] <= minCores {
 			continue
 		}
 		dc := &rec.Clients[d]

@@ -79,20 +79,20 @@ func ParseEngine(s string) (Engine, error) {
 // entries that keep being hit survive any churn of cold keys.
 const analyticCacheLimit = 1 << 16
 
-// steadyTail answers a core-window in closed form when it lies inside the
-// solver envelope: the client's service passed the solver's structural
-// caps (analyticOK, all false under the discrete engine) and the
-// mode-adjusted utilization is within queueing.AnalyticMaxUtilization.
-// !ok sends the caller — the cohort walk or the counterfactual evaluator —
-// to the discrete path; a solver refusal is cached as NaN, never an error.
-// The solve cache is keyed by the exact bits of rate and perf, and the
-// solver is pure, so a hit is the float a solve would give. Only the engine
-// goroutine calls it, so AnalyticSolves (first insertions of successful
-// solves) follows walk order at any worker count. The sampleEquiv passed
-// to the solver reproduces the discrete window's finite-sample rank
-// convention.
+// steadyTail answers a core-window in closed form when the solver accepts
+// it. The solver alone judges its envelope: queueing.AnalyticTail refuses
+// a service outside its structural caps and a mode-adjusted utilization
+// above queueing.AnalyticMaxUtilization, and steadyTail caches any refusal
+// as NaN, never an error. !ok sends the caller — the cohort walk or the
+// counterfactual evaluator — to the discrete path, as does the discrete
+// engine, which has no solve cache. The cache is keyed by the exact bits
+// of rate and perf, and the solver is pure, so a hit is the float a solve
+// would give. Only the engine goroutine calls it, so AnalyticSolves (first
+// insertions of successful solves) follows walk order at any worker
+// count. The sampleEquiv passed to the solver reproduces the discrete
+// window's finite-sample rank convention.
 func (e *engine) steadyTail(ci int16, rate, perf float64) (float64, bool) {
-	if !e.analyticOK[ci] || !(rate*e.utilCoef[ci]/perf <= queueing.AnalyticMaxUtilization) {
+	if e.solveCache == nil {
 		return 0, false
 	}
 	k := queueing.TailKey{Service: int32(ci), Rate: math.Float64bits(rate), Perf: math.Float64bits(perf)}

@@ -128,11 +128,10 @@ func TestFleetAutoClassifier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.close()
 	// Per-core boosted rate, at the B-mode perf factor: the most loaded
 	// mode the controller can be in at this load.
 	perCore := base.Rate * shape.Magnitude / float64(burst.Servers*burst.CoresPerServer)
-	if u := perCore * e.utilCoef[0] / (1 - burst.LSSlowdownB); u > queueing.AnalyticMaxUtilization {
+	if u := queueing.Utilization(e.qcfgs[0], perCore, 1-burst.LSSlowdownB); u > queueing.AnalyticMaxUtilization {
 		t.Fatalf("boosted utilization %.3f is outside the solver envelope; the test is vacuous", u)
 	}
 	bres, err := Run(burst)
@@ -169,7 +168,6 @@ func TestEngineErrorIndependentOfWorkerCount(t *testing.T) {
 		}
 		e.qcfgs[0].Workers = 0 // Simulator.Reset rejects it
 		err = e.runWindow(0)
-		e.close()
 		if err == nil {
 			t.Fatalf("%d workers: the corrupt service config simulated", workers)
 		}
@@ -206,12 +204,11 @@ func TestEngineFootprint(t *testing.T) {
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			e, err := newEngine(cfg)
+			_, err := newEngine(cfg)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.close()
 			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
 		return best

@@ -10,9 +10,10 @@
 // engine selection runs one execution path. Within a window a serial
 // cohort walk (cohort.go) folds the fleet into spans of identical cores,
 // answers the spans it can in closed form, and hands the per-core
-// discrete residue to a goroutine worker pool — every core draws from its
-// own (seed, core, window)-derived rng stream, so aggregate results are
-// bit-identical for identical seeds regardless of worker count. A barrier
+// discrete residue to goroutines started for the window, one per reusable
+// queueing.Simulator — every core draws from its own (seed, core,
+// window)-derived rng stream, so aggregate results are bit-identical for
+// identical seeds regardless of worker count. A barrier
 // then collects the window's measured tails, modes, violations and
 // controller slack into a WindowObservation and folds the window into the
 // run totals. The observation is handed to the scheduler's Step for the
@@ -50,7 +51,7 @@
 // reference. Each serving core-window's tail is deposited once, on the
 // engine goroutine, into its client's window and run stores and the
 // fleet store: coalesced spans during the walk, the discrete residue
-// after the pool joins. Either store's quantiles depend only on the
+// after the residue goroutines join. Either store's quantiles depend only on the
 // multiset of tails, so that deposit order cannot perturb any aggregate.
 //
 // Which client a core serves each window — and at what rate — is decided
@@ -81,8 +82,8 @@ type engine struct {
 	// window.
 	st *elastic
 
-	// The persistent worker pool and one reusable Simulator per worker.
-	pool *workerPool
+	// One reusable Simulator per residue worker; runWindow starts one
+	// goroutine per Simulator each window that has discrete residue.
 	sims []*queueing.Simulator
 
 	// winTrace and decTrace collect one record per finished window; the
@@ -105,16 +106,17 @@ type engine struct {
 	// client's SLO-scaled target. serverPerf is each server's generation
 	// perf factor; the walk reads it server by server. root is the run's
 	// rng root: a residue core-window's seed is root.Derive(core)
-	// .Derive(window), and Derive never advances its receiver, so the pool
-	// workers share root read-only.
+	// .Derive(window), and Derive never advances its receiver, so the
+	// residue workers share root read-only.
 	qcfgs      []queueing.Config
 	serverPerf []float64
 	root       *rng.Stream
 
-	// solveCache memoises analytic solves for the cohort walk and the
-	// counterfactual evaluator, both of which run on the engine goroutine
-	// (pool workers only simulate); solves counts its distinct successful
-	// first insertions, surfaced as Result.AnalyticSolves.
+	// solveCache memoises analytic solves and refusals for the cohort walk
+	// and the counterfactual evaluator, both of which run on the engine
+	// goroutine (residue workers only simulate); it is nil under the
+	// discrete engine. solves counts its distinct successful first
+	// insertions, surfaced as Result.AnalyticSolves.
 	solveCache *queueing.TailCache
 	solves     int
 
@@ -138,25 +140,17 @@ type engine struct {
 	// the Step call, so worker count cannot touch it), a per-window
 	// (client, count) → tail cache, and the per-client load scratch; its
 	// analytic solves go through solveCache on the engine goroutine, before
-	// the window's pool work starts.
+	// the window's walk.
 	cfK     int
 	cfRng   *rng.Stream
 	cfSim   *queueing.Simulator
 	cfCache map[cfKey]float64
 	cfLoad  []float64
 
-	// The solver envelope steadyTail checks, resolved once per run:
-	// utilCoef[ci] turns a per-core rate into a utilization (util =
-	// rate·utilCoef/perf), and analyticOK[ci] records whether the client's
-	// service is inside the analytic solver's structural caps (all false
-	// under the discrete engine).
-	utilCoef   []float64
-	analyticOK []bool
-
 	// tails is the window's per-core scratch, read by the barrier: each
 	// serving core's tail.
 	tails []float64
-	// errs holds one slot per pool worker: its lowest failing residue core.
+	// errs holds one slot per residue worker: its lowest failing core.
 	errs []coreErr
 
 	// analyticCW and cohortCW count the window's core-windows answered

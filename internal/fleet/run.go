@@ -2,8 +2,8 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"stretch/internal/core"
@@ -20,7 +20,6 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer e.close()
 	for w := 0; w < e.windows; w++ {
 		if err := e.runWindow(w); err != nil {
 			return Result{}, err
@@ -31,8 +30,8 @@ func Run(cfg Config) (Result, error) {
 
 // newEngine validates cfg and resolves everything a run holds constant:
 // per-client service configs and performance deltas, the scheduler, the
-// per-server perf factors, the rng root, the solver envelope, the tail
-// stores, and the worker pool. Callers must close the engine.
+// per-server perf factors, the rng root, the solve cache (auto engine
+// only), the tail stores, and one Simulator per residue worker.
 func newEngine(cfg Config) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -98,21 +97,10 @@ func newEngine(cfg Config) (*engine, error) {
 	if err := e.initCohorts(); err != nil {
 		return nil, err
 	}
-	// steadyTail's solver envelope (analyticOK stays all false under the
-	// discrete engine): per-client utilization coefficients and structural
-	// feasibility, probed once at a comfortably steady utilization (the
-	// refusals that matter here are rate-independent caps).
-	e.analyticOK = make([]bool, n)
+	// Only the auto engine solves; steadyTail answers nothing without a
+	// cache.
 	if cfg.Engine != EngineDiscrete {
 		e.solveCache = queueing.NewTailCache(analyticCacheLimit)
-		e.utilCoef = make([]float64, n)
-		for ci := range cfg.Traffic.Clients {
-			e.utilCoef[ci] = queueing.Utilization(qcfgs[ci], 1, 1)
-			if e.utilCoef[ci] > 0 && !math.IsInf(e.utilCoef[ci], 0) {
-				_, err := queueing.Analytic(qcfgs[ci], 0.1/e.utilCoef[ci], 1)
-				e.analyticOK[ci] = err == nil
-			}
-		}
 	}
 
 	if cfg.CounterfactualK > 0 {
@@ -148,77 +136,79 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.DecisionTrace != TraceOff {
 		e.decTrace = make([]DecisionRecord, 0, windows)
 	}
-
-	// One persistent pool for the whole horizon — the former per-window
-	// spawn loop burned workers × windows goroutine creations per run.
-	e.pool = newWorkerPool(workers)
 	return e, nil
 }
 
-// close stops the engine's worker pool.
-func (e *engine) close() { e.pool.close() }
-
 // runWindow advances the fleet through window w: the scheduler's Step on
-// the previous window's observation, the decision record, the cohort walk,
-// the pool over the discrete residue, and the barrier's observation.
+// the previous window's observation, the counterfactual evaluation, the
+// cohort walk, one goroutine per Simulator over the discrete residue, and
+// the barrier's observation and decision record.
 func (e *engine) runWindow(w int) error {
 	var obs *WindowObservation
 	if w > 0 {
 		obs = &e.winTrace[w-1]
 	}
 	asg := e.st.Step(w, obs)
-	if e.st.trace != TraceOff {
-		// Capture (and counterfactually evaluate) the decision before
-		// the worker pool runs: the record and the evaluator live on
-		// the engine goroutine only, so the trace — like every other
-		// aggregate — cannot depend on the worker count.
-		rec := e.st.dec
-		if e.cfK > 0 {
-			if err := e.counterfactual(w, rec); err != nil {
-				return err
-			}
+	rec := e.st.dec
+	if e.cfK > 0 {
+		// Evaluate the decision before the walk: the evaluator shares the
+		// solve cache with it, on the engine goroutine only, so the trace
+		// — like every other aggregate — cannot depend on the worker
+		// count.
+		if err := e.counterfactual(w, rec); err != nil {
+			return err
 		}
-		e.decTrace = append(e.decTrace, *rec)
 	}
 
 	// Simulate the window, then barrier before observing. The cohort
 	// walk answers coalescible spans serially and hands only the
-	// discrete residue to the pool, which claims it in blocks of
+	// discrete residue to the workers, which claim it in blocks of
 	// claimChunk instead of one atomic per item.
 	e.walkWindow(asg)
 	if work := len(e.worklist); work > 0 {
 		var next atomic.Int64
-		e.pool.run(len(e.sims), func(wk int) {
-			sim := e.sims[wk]
-			for {
-				lo := int(next.Add(claimChunk)) - claimChunk
-				if lo >= work {
-					return
-				}
-				hi := lo + claimChunk
-				if hi > work {
-					hi = work
-				}
-				for _, it := range e.worklist[lo:hi] {
-					// Chunks are claimed in rising core order, so a
-					// worker's first failure is its lowest.
-					if err := e.runWorkItem(it, w, sim); err != nil && e.errs[wk].err == nil {
-						e.errs[wk] = coreErr{it.core, fmt.Errorf("fleet: window %d core %d: %w", w, it.core, err)}
+		var wg sync.WaitGroup
+		for wk, sim := range e.sims {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					lo := int(next.Add(claimChunk)) - claimChunk
+					if lo >= work {
+						return
+					}
+					for _, it := range e.worklist[lo:min(lo+claimChunk, work)] {
+						// Chunks are claimed in rising core order, so a
+						// worker's first failure is its lowest.
+						if err := e.runWorkItem(it, w, sim); err != nil && e.errs[wk].err == nil {
+							e.errs[wk] = coreErr{it.core, fmt.Errorf("fleet: window %d core %d: %w", w, it.core, err)}
+						}
 					}
 				}
-			}
-		})
+			}()
+		}
+		wg.Wait()
 	}
 	if err := e.residueErr(); err != nil {
 		return err
 	}
 	// The walk deposited the coalesced spans; the residue's tails are
-	// deposited here, after the pool joins, so every store stays on the
+	// deposited here, after the workers join, so every store stays on the
 	// engine goroutine.
 	for _, it := range e.worklist {
 		e.deposit(it.client, e.tails[it.core], 1)
 	}
-	e.winTrace = append(e.winTrace, e.observe(w, asg))
+	o := e.observe(w, asg)
+	e.winTrace = append(e.winTrace, o)
+	if rec != nil {
+		// The observation counted the same assignment's partition.
+		rec.Drained, rec.Parked, rec.Idle = o.DrainedCores, o.ParkedCores, o.IdleCores
+		rec.Migrations = o.Migrations
+		if o.Migrations > 0 {
+			rec.MigrationPenalty = migrationPenalty
+		}
+		e.decTrace = append(e.decTrace, *rec)
+	}
 	return nil
 }
 
