@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"flag"
+	"sort"
+	"strings"
 	"testing"
 
 	"stretch/internal/core"
@@ -243,5 +246,43 @@ func TestStudyRunWithControllerHysteresisLimitsSwitches(t *testing.T) {
 	}
 	if sw := ctl.Switches(); sw == 0 || sw > 8 {
 		t.Fatalf("switch count %d at 1440 windows/day — hysteresis broken", sw)
+	}
+}
+
+// TestDigestsCompared fails when a line of the equivalence digest golden
+// names a cell no test checked, so a renamed or deleted cell cannot leave
+// its digest behind; under -update it rewrites the file with exactly the
+// checked cells. It reads what checkDigest recorded, so it must run after
+// every digest test: it is the last test of the package's last test file,
+// and Go runs a package's tests in that order. A filtered, shuffled or
+// -short run skips it.
+func TestDigestsCompared(t *testing.T) {
+	for _, name := range []string{"test.run", "test.skip"} {
+		if f := flag.Lookup(name); f != nil && f.Value.String() != "" {
+			t.Skipf("-%s filters the digest tests", strings.TrimPrefix(name, "test."))
+		}
+	}
+	if f := flag.Lookup("test.shuffle"); f != nil && f.Value.String() != "off" {
+		t.Skip("-shuffle may run this before the digest tests")
+	}
+	if testing.Short() {
+		t.Skip("a -short run need not check every digest cell")
+	}
+	if len(checked) == 0 {
+		t.Fatal("no digest cell was checked")
+	}
+	if *update {
+		writeDigests(t, checked)
+		return
+	}
+	var names []string
+	for name := range readDigests(t) {
+		if _, ok := checked[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Errorf("%s: %s is checked by no test: delete its line or restore its cell", digestGolden, name)
 	}
 }
