@@ -164,6 +164,16 @@ func main() {
 	run(n)
 }
 
+// simulatedRequests counts the requests a run put through the discrete
+// simulator: its serving core-windows less the ones the cohort walk
+// coalesced (analytic and zero-rate spans alike simulate none), times the
+// requests per window.
+func simulatedRequests(res fleet.Result, windowReq int) float64 {
+	simCW := res.Cores*res.Windows - res.DrainedCoreWindows - res.ParkedCoreWindows - res.IdleCoreWindows -
+		res.CohortCoreWindows
+	return float64(simCW) * float64(windowReq)
+}
+
 // runFleet builds the traffic source — a named spec or a trace file —
 // and simulates the fleet.
 func runFleet(p fleetParams) {
@@ -187,9 +197,7 @@ func runFleet(p fleetParams) {
 	if cfg.DecisionTrace != fleet.TraceOff {
 		fmt.Print(formatDecisionTrace(res))
 	}
-	simCW := float64(res.Cores)*float64(res.Windows) - float64(res.DrainedCoreWindows+res.ParkedCoreWindows+res.IdleCoreWindows)
-	simCW -= float64(res.AnalyticCoreWindows) // analytic windows simulate no requests
-	simReq := simCW * float64(p.windowReq)
+	simReq := simulatedRequests(res, p.windowReq)
 	fmt.Printf("(%.1fs wall, ~%.1fM simulated requests, %.1fM req/s)\n",
 		elapsed.Seconds(), simReq/1e6, simReq/1e6/elapsed.Seconds())
 }

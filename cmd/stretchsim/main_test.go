@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"stretch/internal/fleet"
+	"stretch/internal/loadgen"
+	"stretch/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -245,5 +247,46 @@ func TestBuildFleetConfigRejectsBadInput(t *testing.T) {
 	}
 	if _, err := fleet.Run(cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimulatedRequestsSkipsCoalescedWindows: the -fleet footer counts
+// only requests the discrete simulator ran. On a discrete run whose second
+// client is routed no load in three windows, the coalesced core-windows
+// are exactly those zero-rate ones, and they simulate nothing.
+func TestSimulatedRequestsSkipsCoalescedWindows(t *testing.T) {
+	const windowReq = 150
+	cfg := fleet.Config{
+		Servers: 3, CoresPerServer: 4,
+		Traffic: loadgen.Traffic{
+			Windows: 10, WindowSec: 300,
+			Clients: []loadgen.Client{
+				{Name: "search", Service: workload.WebSearch, Fraction: 0.5,
+					Spec: loadgen.Spec{Shape: loadgen.Constant{Rate: 3000}}},
+				{Name: "kv", Service: workload.DataServing, Fraction: 0.5,
+					Spec: loadgen.Spec{Shape: loadgen.Replay{Rates: []float64{6000, 6000, 0, 0, 6000, 6000, 6000, 0, 6000, 6000}}}},
+			},
+		},
+		Engine: fleet.EngineDiscrete, WindowRequests: windowReq, Seed: 7,
+	}
+	res, err := fleet.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serving, zeroRate := 0, 0
+	for _, o := range res.WindowTrace {
+		serving += o.ServingCores
+		for _, co := range o.Clients {
+			if co.Cores > 0 && co.OfferedRPS == 0 {
+				zeroRate += co.Cores
+			}
+		}
+	}
+	if zeroRate == 0 || res.CohortCoreWindows != zeroRate {
+		t.Fatalf("%d zero-rate and %d coalesced core-windows; want equal and positive", zeroRate, res.CohortCoreWindows)
+	}
+	if got, want := simulatedRequests(res, windowReq), float64((serving-zeroRate)*windowReq); got != want {
+		t.Fatalf("simulatedRequests = %v, want %v (%d serving less %d zero-rate core-windows)",
+			got, want, serving, zeroRate)
 	}
 }
