@@ -175,6 +175,28 @@ func namedSpecClients(name string, servers, cores, windows, wph int, seed uint64
 	}
 }
 
+// namedSpecTraffic materialises a named spec over hours × wph windows,
+// with the scenario it runs under: the parsed events, or the failover
+// spec's default scenario when events is empty. -fleet and synth share it.
+func namedSpecTraffic(name string, servers, cores int, hours float64, wph int, seed uint64, events string) (loadgen.Traffic, loadgen.Scenario, error) {
+	windows := int(hours * float64(wph))
+	if windows <= 0 {
+		return loadgen.Traffic{}, loadgen.Scenario{}, fmt.Errorf("non-positive horizon")
+	}
+	clients, err := namedSpecClients(name, servers, cores, windows, wph, seed)
+	if err != nil {
+		return loadgen.Traffic{}, loadgen.Scenario{}, err
+	}
+	scenario, err := loadgen.ParseEvents(events)
+	if err != nil {
+		return loadgen.Traffic{}, loadgen.Scenario{}, err
+	}
+	if name == "failover" && events == "" {
+		scenario = failoverScenario(servers, windows)
+	}
+	return loadgen.Traffic{Clients: clients, Windows: windows, WindowSec: 3600.0 / float64(wph)}, scenario, nil
+}
+
 // buildFleetConfig materialises the trace, policy and event list into a
 // fleet.Config. The trace is either a named generative spec or the path
 // of a recorded trace file to replay; replay adopts the file's horizon
@@ -201,10 +223,6 @@ func buildFleetConfig(p *fleetParams) (fleet.Config, error) {
 	if err != nil {
 		return fleet.Config{}, err
 	}
-	scenario, err := loadgen.ParseEvents(p.events)
-	if err != nil {
-		return fleet.Config{}, err
-	}
 	traceLevel, err := fleet.ParseTraceLevel(p.traceLevel)
 	if err != nil {
 		return fleet.Config{}, err
@@ -220,22 +238,13 @@ func buildFleetConfig(p *fleetParams) (fleet.Config, error) {
 	}
 
 	var (
-		clients   []loadgen.Client
-		windows   int
-		windowSec float64
+		traffic  loadgen.Traffic
+		scenario loadgen.Scenario
 	)
 	if isNamedTrace(p.trace) {
-		windows = int(p.hours * float64(p.wph))
-		windowSec = 3600.0 / float64(p.wph)
-		if windows <= 0 {
-			return fleet.Config{}, fmt.Errorf("non-positive fleet horizon")
-		}
-		clients, err = namedSpecClients(p.trace, p.servers, p.cores, windows, p.wph, p.seed)
+		traffic, scenario, err = namedSpecTraffic(p.trace, p.servers, p.cores, p.hours, p.wph, p.seed, p.events)
 		if err != nil {
 			return fleet.Config{}, err
-		}
-		if p.trace == "failover" && p.events == "" {
-			scenario = failoverScenario(p.servers, windows)
 		}
 	} else {
 		if _, statErr := os.Stat(p.trace); statErr != nil {
@@ -246,26 +255,26 @@ func buildFleetConfig(p *fleetParams) (fleet.Config, error) {
 		if err != nil {
 			return fleet.Config{}, err
 		}
-		traffic, err := t.Traffic()
-		if err != nil {
+		if traffic, err = t.Traffic(); err != nil {
 			return fleet.Config{}, err
 		}
-		clients = traffic.Clients
-		windows, windowSec = t.Windows, t.WindowSec
 		p.hours = t.Hours()
-		if p.events == "" {
-			scenario = t.Events
+		scenario = t.Events
+		if p.events != "" {
+			if scenario, err = loadgen.ParseEvents(p.events); err != nil {
+				return fleet.Config{}, err
+			}
 		}
 	}
 
-	table, err := resolveCalibration(p.calib, clients)
+	table, err := resolveCalibration(p.calib, traffic.Clients)
 	if err != nil {
 		return fleet.Config{}, err
 	}
 
 	cfg := fleet.Config{
 		Servers: p.servers, CoresPerServer: p.cores,
-		Traffic:       loadgen.Traffic{Clients: clients, Windows: windows, WindowSec: windowSec},
+		Traffic:       traffic,
 		Calibration:   table,
 		BatchSpeedupB: p.bSpeedup, LSSlowdownB: p.lsSlowdown,
 		WindowRequests: p.windowReq, Workers: p.workers, Seed: p.seed,

@@ -68,22 +68,9 @@ func buildSynthTrace(p synthParams) (*tracefile.Trace, error) {
 	if p.format != "csv" && p.format != "jsonl" {
 		return nil, fmt.Errorf("unknown format %q (csv|jsonl)", p.format)
 	}
-	windows := int(p.hours * float64(p.wph))
-	windowSec := 3600.0 / float64(p.wph)
-	if windows <= 0 {
-		return nil, fmt.Errorf("non-positive synth horizon")
-	}
-	clients, err := namedSpecClients(p.spec, p.servers, p.cores, windows, p.wph, p.seed)
+	traffic, scenario, err := namedSpecTraffic(p.spec, p.servers, p.cores, p.hours, p.wph, p.seed, p.events)
 	if err != nil {
 		return nil, err
-	}
-
-	scenario, err := loadgen.ParseEvents(p.events)
-	if err != nil {
-		return nil, err
-	}
-	if p.spec == "failover" && p.events == "" {
-		scenario = failoverScenario(p.servers, windows)
 	}
 
 	if p.arrival != "" {
@@ -91,10 +78,11 @@ func buildSynthTrace(p synthParams) (*tracefile.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		for i := range clients {
-			clients[i].Spec.Poisson = false
-			clients[i].Spec.Process = proc
-			clients[i].Spec.CV = cv
+		for i := range traffic.Clients {
+			c := &traffic.Clients[i]
+			c.Spec.Poisson = false
+			c.Spec.Process = proc
+			c.Spec.CV = cv
 		}
 	}
 
@@ -103,9 +91,9 @@ func buildSynthTrace(p synthParams) (*tracefile.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		expanded := make([]loadgen.Client, 0, len(clients)*cspec.Members)
-		members := make(map[string][]string, len(clients))
-		for _, c := range clients {
+		expanded := make([]loadgen.Client, 0, len(traffic.Clients)*cspec.Members)
+		members := make(map[string][]string, len(traffic.Clients))
+		for _, c := range traffic.Clients {
 			ms, err := loadgen.ExpandCohort(c, cspec)
 			if err != nil {
 				return nil, err
@@ -117,7 +105,7 @@ func buildSynthTrace(p synthParams) (*tracefile.Trace, error) {
 			members[c.Name] = names
 			expanded = append(expanded, ms...)
 		}
-		clients = expanded
+		traffic.Clients = expanded
 		// Surge events target clients by name; a surge on an expanded
 		// client becomes one per member (the multiplicative factor is
 		// share-independent, so per-member surges are equivalent).
@@ -137,7 +125,7 @@ func buildSynthTrace(p synthParams) (*tracefile.Trace, error) {
 	}
 
 	return tracefile.Synth(tracefile.SynthSpec{
-		Traffic: loadgen.Traffic{Clients: clients, Windows: windows, WindowSec: windowSec},
+		Traffic: traffic,
 		Events:  scenario,
 		Seed:    p.seed,
 	})
