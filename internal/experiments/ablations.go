@@ -152,22 +152,13 @@ func AblationControllerSignal(c *Context) (Table, error) {
 			return Table{}, err
 		}
 		res, err := study.RunWithController(ctl, 12, func(load float64, mode core.Mode) monitor.Observation {
-			perf := 1.0
-			if mode == core.ModeB {
-				perf = 1 - study.LSSlowdownB
-			}
-			util := load / perf
-			if util >= 0.999 {
-				util = 0.999
-			}
 			// Both signals grow with the same queueing term util/(1-util):
 			// the tail proxy of fig14, and as queue depth the M/M/1 mean
 			// number of waiting requests, util²/(1-util), truncated to
 			// whole requests.
-			return monitor.Observation{
-				TailMs:   100 * (0.30 + 0.55*util/(1-util)*0.12),
-				QueueLen: int(util * util / (1 - util)),
-			}
+			obs, util := proxyObservation(100, study.LSSlowdownB, load, mode)
+			obs.QueueLen = int(util * util / (1 - util))
+			return obs
 		})
 		if err != nil {
 			return Table{}, err

@@ -63,21 +63,11 @@ func Fig14(c *Context) (Table, error) {
 			return Table{}, err
 		}
 
-		// Closed-loop replay: tail latency rises with load and with the
-		// B-mode slowdown; the analytic proxy keeps the controller study
-		// independent of queueing-simulation noise.
+		// Closed-loop replay under the analytic tail proxy.
 		svc := workload.Services()[cs.ls]
 		observeAt := func(load float64, mode core.Mode) monitor.Observation {
-			perf := 1.0
-			if mode == core.ModeB {
-				perf = 1 - lsSlow
-			}
-			util := load / perf
-			if util >= 0.999 {
-				util = 0.999
-			}
-			// Tail ≈ service tail + queueing term growing as 1/(1-util).
-			return monitor.Observation{TailMs: svc.QoSTargetMs * (0.30 + 0.55*util/(1-util)*0.12)}
+			obs, _ := proxyObservation(svc.QoSTargetMs, lsSlow, load, mode)
+			return obs
 		}
 		ctl, err := monitor.New(monitor.DefaultConfig(svc.QoSTargetMs))
 		if err != nil {
@@ -102,4 +92,22 @@ func Fig14(c *Context) (Table, error) {
 	t.Notes = append(t.Notes,
 		"paper: Web Search cluster ~11 engageable hours -> ~5% 24h gain; YouTube cluster ~17 hours -> ~11% 24h gain")
 	return t, nil
+}
+
+// proxyObservation is the closed-loop replays' observation model: the
+// load over the LS thread's perf in mode (B-mode runs it lsSlow slower),
+// clamped just below saturation, drives a tail of targetMs × (service
+// tail + a queueing term growing as util/(1-util)). The analytic proxy
+// keeps the controller studies independent of queueing-simulation noise.
+// It also returns the utilization, for signals built on the same term.
+func proxyObservation(targetMs, lsSlow, load float64, mode core.Mode) (monitor.Observation, float64) {
+	perf := 1.0
+	if mode == core.ModeB {
+		perf = 1 - lsSlow
+	}
+	util := load / perf
+	if util >= 0.999 {
+		util = 0.999
+	}
+	return monitor.Observation{TailMs: targetMs * (0.30 + 0.55*util/(1-util)*0.12)}, util
 }
