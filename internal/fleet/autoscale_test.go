@@ -256,7 +256,7 @@ func TestAutoscaleRunParksOffPeak(t *testing.T) {
 // TestAutoscaleDeterministicAcrossWorkerCounts extends the determinism
 // contract to autoscaled runs: both built-in policies, the closed-loop
 // scheduler, scenario events and both estimators — bit-identical results
-// regardless of the worker pool size.
+// regardless of the worker count.
 func TestAutoscaleDeterministicAcrossWorkerCounts(t *testing.T) {
 	scenario := loadgen.Scenario{Events: []loadgen.Event{
 		{Kind: loadgen.EventDrain, Window: 2, Server: 1},

@@ -40,7 +40,8 @@ type Config struct {
 	// steady state (default 800 when zero).
 	WindowRequests int
 
-	// Workers caps the goroutine pool (default GOMAXPROCS when zero).
+	// Workers caps the residue goroutines per window (default GOMAXPROCS
+	// when zero).
 	// Results are independent of the worker count.
 	Workers int
 

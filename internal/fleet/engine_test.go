@@ -56,9 +56,9 @@ func autoLoadConfig() Config {
 // function of (client, rate, perf) and runs on the engine goroutine, so
 // sharding the discrete residue across goroutines must not perturb a
 // single bit of the result. The wide fleet's cold-start window puts
-// several claimChunk blocks of residue on the pool, so workers really run
+// several claimChunk blocks of residue on the workers, so they really run
 // concurrently; under the -race CI job that catches any solve, or any
-// other touch of the single-owner solve cache, from a pool worker.
+// other touch of the single-owner solve cache, from a residue worker.
 func TestFleetAutoIndependentOfWorkerCount(t *testing.T) {
 	wide := autoLoadConfig()
 	wide.Servers = 3 * claimChunk / wide.CoresPerServer
