@@ -18,9 +18,9 @@ import (
 	"stretch/internal/workload"
 )
 
-// benchCtx shares memoised grids across benchmark iterations so each bench
-// measures its own experiment's marginal work after the shared baselines
-// are built.
+// benchCtx's Lab shares measured cells across the benchmarks' first
+// iterations, so each bench's first iteration measures only the cells no
+// earlier bench measured; later iterations start from a fresh context.
 var benchCtx = experiments.NewContext(experiments.Quick)
 
 func benchExperiment(b *testing.B, id string) {

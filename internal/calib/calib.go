@@ -250,20 +250,20 @@ func Build(in Inputs) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	equal, err := colocate.Grid(in.Services, in.Batches, colocate.BaselineConfig(), in.Spec)
+	lab := colocate.NewLab(in.Spec)
+	equal, err := lab.Grid(colocate.BaselineConfig(), in.Services, in.Batches)
 	if err != nil {
 		return nil, err
 	}
-	bGrid, err := colocate.Grid(in.Services, in.Batches, colocate.SkewConfig(in.BSkew), in.Spec)
+	bGrid, err := lab.Grid(colocate.SkewConfig(in.BSkew), in.Services, in.Batches)
 	if err != nil {
 		return nil, err
 	}
-	qGrid, err := colocate.Grid(in.Services, in.Batches, colocate.SkewConfig(in.QSkew), in.Spec)
+	qGrid, err := lab.Grid(colocate.SkewConfig(in.QSkew), in.Services, in.Batches)
 	if err != nil {
 		return nil, err
 	}
-	names := append(append([]string(nil), in.Services...), in.Batches...)
-	solo, err := colocate.SoloIPC(names, in.Spec)
+	solo, err := lab.Solo(core.Solo(), append(append([]string(nil), in.Services...), in.Batches...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +272,10 @@ func Build(in Inputs) (*Table, error) {
 		Hash:    hash,
 		Inputs:  in,
 		Pairs:   make(map[string]map[string]PairPerf, len(in.Services)),
-		SoloIPC: solo,
+		SoloIPC: make(map[string]float64, len(solo)),
+	}
+	for n, a := range solo {
+		t.SoloIPC[n] = a.IPC
 	}
 	for _, s := range in.Services {
 		t.Pairs[s] = make(map[string]PairPerf, len(in.Batches))

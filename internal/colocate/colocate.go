@@ -3,11 +3,14 @@
 // batch colocation grids under the various core configurations (baseline
 // equal partitioning, Stretch B-/Q-mode skews, dynamic sharing, fetch
 // throttling, single-resource sharing studies, idealised software
-// scheduling) and normalises against solo full-core baselines.
+// scheduling) and normalises against solo full-core baselines. One Lab
+// holds every measurement of a run, so each (core config, workload pair)
+// is simulated once however many figures or tables read it.
 //
-// Invariant: every grid cell is a pure function of (workload pair, core
-// config, sampling spec) — memoisation in the experiment context can only
-// skip work, never change a number.
+// Invariant: every cell is a pure function of (core config, workload pair,
+// sampling spec), since sampling derives each trace seed from the spec and
+// the pair's names alone. A Lab therefore memoises cells by value: sharing
+// a cell can only skip work, never change a number.
 package colocate
 
 import (
@@ -125,71 +128,109 @@ type Pair struct {
 	LSAgg, BatchAgg sampling.Agg
 }
 
-// Grid runs every (ls, batch) pair on cores configured by cfg, in parallel,
-// and returns results indexed [ls][batch].
-func Grid(lsNames, batchNames []string, cfg core.Config, spec sampling.Spec) (map[string]map[string]Pair, error) {
-	var mu sync.Mutex
-	out := make(map[string]map[string]Pair, len(lsNames))
-	for _, ls := range lsNames {
-		out[ls] = make(map[string]Pair, len(batchNames))
-	}
-	var jobs []sampling.Job
+// Lab measures colocations and solo runs under one sampling spec and
+// simulates each (core config, workload pair) at most once: a cell is
+// keyed by the config's value, so equal configs share cells whatever a
+// caller calls them, and concurrent callers of one cell wait for its
+// single run and read the same result, error included.
+type Lab struct {
+	spec  sampling.Spec
+	cells sync.Map // cellKey → *cell
+}
+
+// cellKey names one measurement; an empty batch is ls alone on the core.
+type cellKey struct {
+	cfg       core.Config
+	ls, batch string
+}
+
+type cell struct {
+	once sync.Once
+	p    Pair
+	err  error
+}
+
+// NewLab returns an empty lab measuring under spec.
+func NewLab(spec sampling.Spec) *Lab { return &Lab{spec: spec} }
+
+// Grid runs every (ls, batch) pair on cores configured by cfg and returns
+// results indexed [ls][batch].
+func (l *Lab) Grid(cfg core.Config, lsNames, batchNames []string) (map[string]map[string]Pair, error) {
+	var keys []cellKey
 	for _, ls := range lsNames {
 		for _, b := range batchNames {
-			ls, b := ls, b
-			jobs = append(jobs, func() error {
-				lp, err := workload.Lookup(ls)
-				if err != nil {
-					return err
-				}
-				bp, err := workload.Lookup(b)
-				if err != nil {
-					return err
-				}
-				a0, a1, err := sampling.Colocated(cfg, lp, bp, spec)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				out[ls][b] = Pair{LS: ls, Batch: b, LSAgg: a0, BatchAgg: a1}
-				mu.Unlock()
-				return nil
-			})
+			keys = append(keys, cellKey{cfg, ls, b})
+		}
+	}
+	cells, err := l.measure(keys)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]map[string]Pair, len(lsNames))
+	for i, k := range keys {
+		if out[k.ls] == nil {
+			out[k.ls] = make(map[string]Pair, len(batchNames))
+		}
+		out[k.ls][k.batch] = cells[i].p
+	}
+	return out, nil
+}
+
+// Solo measures each named workload alone on a core configured by cfg;
+// core.Solo() gives the full-core normalisation baseline of every
+// slowdown/speedup figure.
+func (l *Lab) Solo(cfg core.Config, names ...string) (map[string]sampling.Agg, error) {
+	keys := make([]cellKey, len(names))
+	for i, n := range names {
+		keys[i] = cellKey{cfg: cfg, ls: n}
+	}
+	cells, err := l.measure(keys)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]sampling.Agg, len(names))
+	for i, n := range names {
+		out[n] = cells[i].p.LSAgg
+	}
+	return out, nil
+}
+
+// measure returns the cells for keys, running the ones no caller has run
+// yet in parallel.
+func (l *Lab) measure(keys []cellKey) ([]*cell, error) {
+	cells := make([]*cell, len(keys))
+	jobs := make([]sampling.Job, len(keys))
+	for i, k := range keys {
+		v, _ := l.cells.LoadOrStore(k, new(cell))
+		c := v.(*cell)
+		cells[i] = c
+		jobs[i] = func() error {
+			c.once.Do(func() { c.p, c.err = l.run(k) })
+			return c.err
 		}
 	}
 	if err := sampling.Parallel(jobs); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return cells, nil
 }
 
-// SoloIPC measures each named workload alone on a full core (the
-// normalisation baseline for every slowdown/speedup figure) in parallel.
-func SoloIPC(names []string, spec sampling.Spec) (map[string]float64, error) {
-	var mu sync.Mutex
-	out := make(map[string]float64, len(names))
-	var jobs []sampling.Job
-	for _, n := range names {
-		n := n
-		jobs = append(jobs, func() error {
-			p, err := workload.Lookup(n)
-			if err != nil {
-				return err
-			}
-			a, err := sampling.Solo(core.Solo(), p, spec)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			out[n] = a.IPC
-			mu.Unlock()
-			return nil
-		})
+// run simulates one cell.
+func (l *Lab) run(k cellKey) (Pair, error) {
+	lp, err := workload.Lookup(k.ls)
+	if err != nil {
+		return Pair{}, err
 	}
-	if err := sampling.Parallel(jobs); err != nil {
-		return nil, err
+	if k.batch == "" {
+		a, err := sampling.Solo(k.cfg, lp, l.spec)
+		return Pair{LS: k.ls, LSAgg: a}, err
 	}
-	return out, nil
+	bp, err := workload.Lookup(k.batch)
+	if err != nil {
+		return Pair{}, err
+	}
+	a0, a1, err := sampling.Colocated(k.cfg, lp, bp, l.spec)
+	return Pair{LS: k.ls, Batch: k.batch, LSAgg: a0, BatchAgg: a1}, err
 }
 
 // Slowdown returns 1 - colocated/solo (positive = performance loss).

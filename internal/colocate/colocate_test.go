@@ -1,6 +1,9 @@
 package colocate
 
 import (
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"stretch/internal/core"
@@ -91,8 +94,8 @@ func TestNormalisations(t *testing.T) {
 }
 
 func TestGridSmall(t *testing.T) {
-	grid, err := Grid([]string{workload.WebSearch}, []string{"povray", workload.Zeusmp},
-		BaselineConfig(), sampling.Quick())
+	grid, err := NewLab(sampling.Quick()).Grid(BaselineConfig(),
+		[]string{workload.WebSearch}, []string{"povray", workload.Zeusmp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,24 +113,166 @@ func TestGridSmall(t *testing.T) {
 }
 
 func TestGridUnknownWorkload(t *testing.T) {
-	if _, err := Grid([]string{"nope"}, []string{"povray"}, BaselineConfig(), sampling.Quick()); err == nil {
+	lab := NewLab(sampling.Quick())
+	if _, err := lab.Grid(BaselineConfig(), []string{"nope"}, []string{"povray"}); err == nil {
 		t.Fatal("unknown LS accepted")
 	}
-	if _, err := Grid([]string{workload.WebSearch}, []string{"nope"}, BaselineConfig(), sampling.Quick()); err == nil {
+	if _, err := lab.Grid(BaselineConfig(), []string{workload.WebSearch}, []string{"nope"}); err == nil {
 		t.Fatal("unknown batch accepted")
 	}
 }
 
 func TestSoloIPC(t *testing.T) {
-	m, err := SoloIPC([]string{"povray", workload.Zeusmp}, sampling.Quick())
+	lab := NewLab(sampling.Quick())
+	m, err := lab.Solo(core.Solo(), "povray", workload.Zeusmp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m) != 2 || m["povray"] <= 0 || m[workload.Zeusmp] <= 0 {
+	if len(m) != 2 || m["povray"].IPC <= 0 || m[workload.Zeusmp].IPC <= 0 {
 		t.Fatalf("solo map %v", m)
 	}
-	if _, err := SoloIPC([]string{"nope"}, sampling.Quick()); err == nil {
+	if _, err := lab.Solo(core.Solo(), "nope"); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestLabSharesCells is the Lab's contract under concurrency: goroutines
+// asking one Lab for overlapping grids and solo runs get exactly what a
+// direct sampling call on the same inputs returns, two configs that
+// compare equal under different names share their cells, and a failing
+// cell's error reaches every caller of it, not only the first.
+func TestLabSharesCells(t *testing.T) {
+	spec := sampling.Quick()
+	lab := NewLab(spec)
+	ideal, shareROB := IdealSchedulingConfig(0), ShareOnlyConfig(ResROB)
+	if ideal != shareROB {
+		t.Fatal("IdealSchedulingConfig(0) no longer equals ShareOnlyConfig(ResROB); pick two equal configs")
+	}
+	ls := []string{workload.WebSearch}
+	batch := []string{"povray", workload.Zeusmp}
+
+	const rounds = 3
+	var wg sync.WaitGroup
+	var (
+		grids [rounds][2]map[string]map[string]Pair
+		base  [rounds]map[string]map[string]Pair
+		solos [rounds][2]map[string]sampling.Agg
+	)
+	errs := make(chan error, 8*rounds)
+	for r := 0; r < rounds; r++ {
+		wg.Add(5)
+		go func() {
+			defer wg.Done()
+			var err error
+			grids[r][0], err = lab.Grid(ideal, ls, batch)
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			var err error
+			grids[r][1], err = lab.Grid(shareROB, ls, batch)
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			var err error
+			base[r], err = lab.Grid(BaselineConfig(), ls, batch[1:])
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			var err error
+			solos[r][0], err = lab.Solo(core.Solo(), workload.WebSearch, "povray")
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			var err error
+			solos[r][1], err = lab.Solo(core.Solo(), "povray", workload.Zeusmp)
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want := map[string]map[string]Pair{workload.WebSearch: {}}
+	for _, b := range batch {
+		lp, _ := workload.Lookup(workload.WebSearch)
+		bp, _ := workload.Lookup(b)
+		a0, a1, err := sampling.Colocated(ideal, lp, bp, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[workload.WebSearch][b] = Pair{LS: workload.WebSearch, Batch: b, LSAgg: a0, BatchAgg: a1}
+	}
+	lp, _ := workload.Lookup(workload.WebSearch)
+	zp, _ := workload.Lookup(workload.Zeusmp)
+	b0, b1, err := sampling.Colocated(BaselineConfig(), lp, zp, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBase := map[string]map[string]Pair{workload.WebSearch: {
+		workload.Zeusmp: {LS: workload.WebSearch, Batch: workload.Zeusmp, LSAgg: b0, BatchAgg: b1}}}
+	wantSolo := map[string]sampling.Agg{}
+	for _, n := range []string{workload.WebSearch, "povray", workload.Zeusmp} {
+		p, _ := workload.Lookup(n)
+		a, err := sampling.Solo(core.Solo(), p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSolo[n] = a
+	}
+	for r := 0; r < rounds; r++ {
+		for k, g := range grids[r] {
+			if !reflect.DeepEqual(g, want) {
+				t.Errorf("round %d grid %d differs from direct sampling.Colocated", r, k)
+			}
+		}
+		if !reflect.DeepEqual(base[r], wantBase) {
+			t.Errorf("round %d baseline grid differs from direct sampling.Colocated", r)
+		}
+		for k, names := range [][]string{{workload.WebSearch, "povray"}, {"povray", workload.Zeusmp}} {
+			for _, n := range names {
+				if !reflect.DeepEqual(solos[r][k][n], wantSolo[n]) {
+					t.Errorf("round %d solo %s differs from direct sampling.Solo", r, n)
+				}
+			}
+		}
+	}
+
+	// Two ideal/share-ROB cells, one baseline cell, three solo cells.
+	cells := 0
+	lab.cells.Range(func(any, any) bool { cells++; return true })
+	if cells != 6 {
+		t.Errorf("lab holds %d cells, want 6: equal configs must share cells", cells)
+	}
+
+	// Every caller of a failing cell sees its error, concurrent or later.
+	var failed sync.WaitGroup
+	gridErrs := make([]error, 4)
+	soloErrs := make([]error, 4)
+	for i := range gridErrs {
+		failed.Add(2)
+		go func() {
+			defer failed.Done()
+			_, gridErrs[i] = lab.Grid(BaselineConfig(), []string{"nope"}, batch)
+		}()
+		go func() {
+			defer failed.Done()
+			_, soloErrs[i] = lab.Solo(core.Solo(), "povray", "nope")
+		}()
+	}
+	failed.Wait()
+	_, lateErr := lab.Solo(core.Solo(), "nope")
+	for i, err := range append(append(gridErrs, soloErrs...), lateErr) {
+		if err == nil || !strings.Contains(err.Error(), "nope") {
+			t.Errorf("caller %d of the unknown workload's cell got %v", i, err)
+		}
 	}
 }
 

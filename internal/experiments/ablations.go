@@ -17,22 +17,8 @@ import (
 // proportion to the ROB (§IV footnote): B-mode 56-136 with the coupled LSQ
 // versus the same ROB skew with the LSQ left at the equal 32-32 split.
 func AblationLSQCoupling(c *Context) (Table, error) {
-	base, err := baselineGrid(c)
-	if err != nil {
-		return Table{}, err
-	}
-	coupled, err := skewGrid(c, BModeSkew)
-	if err != nil {
-		return Table{}, err
-	}
-	decoupledCfg := colocate.SkewConfig(BModeSkew)
-	decoupledCfg.LSQLimit = [2]int{decoupledCfg.LSQEntries / 2, decoupledCfg.LSQEntries / 2}
-	decoupled, err := c.Grid("skew-lsq-equal", func() (map[string]map[string]colocate.Pair, error) {
-		return colocate.Grid(workload.ServiceNames(), c.BatchNames(), decoupledCfg, c.Spec())
-	})
-	if err != nil {
-		return Table{}, err
-	}
+	decoupled := colocate.SkewConfig(BModeSkew)
+	decoupled.LSQLimit = [2]int{decoupled.LSQEntries / 2, decoupled.LSQEntries / 2}
 
 	t := Table{
 		ID:      "ablation-lsq",
@@ -40,17 +26,25 @@ func AblationLSQCoupling(c *Context) (Table, error) {
 		Header:  []string{"LSQ policy", "batch gain (mean)", "batch gain (max)"},
 		Metrics: map[string]float64{},
 	}
-	gains := func(grid map[string]map[string]colocate.Pair) (mean, max float64) {
+	gains := func(cfg core.Config) (mean, max float64, err error) {
 		var xs []float64
 		for _, ls := range workload.ServiceNames() {
-			for _, b := range c.BatchNames() {
-				xs = append(xs, colocate.Speedup(grid[ls][b].BatchAgg.IPC, base[ls][b].BatchAgg.IPC))
+			_, bCh, err := deltas(c, cfg, ls)
+			if err != nil {
+				return 0, 0, err
 			}
+			xs = append(xs, bCh...)
 		}
-		return stats.Mean(xs), stats.Max(xs)
+		return stats.Mean(xs), stats.Max(xs), nil
 	}
-	cm, cx := gains(coupled)
-	dm, dx := gains(decoupled)
+	cm, cx, err := gains(colocate.SkewConfig(BModeSkew))
+	if err != nil {
+		return Table{}, err
+	}
+	dm, dx, err := gains(decoupled)
+	if err != nil {
+		return Table{}, err
+	}
 	t.Rows = append(t.Rows,
 		[]string{"proportional (Stretch)", pct(cm), pct(cx)},
 		[]string{"equal 32-32", pct(dm), pct(dx)})
@@ -78,21 +72,22 @@ func AblationMSHR(c *Context) (Table, error) {
 		}()...),
 		Metrics: map[string]float64{},
 	}
-	for _, n := range names {
-		p, err := workload.Lookup(n)
+	solo := make(map[int]map[string]sampling.Agg, len(budgets))
+	for _, b := range budgets {
+		cfg := core.Solo()
+		cfg.MSHRPerThread = b
+		m, err := c.Solo(cfg, names...)
 		if err != nil {
 			return Table{}, err
 		}
+		solo[b] = m
+	}
+	for _, n := range names {
 		row := []string{n}
 		for _, b := range budgets {
-			cfg := core.Solo()
-			cfg.MSHRPerThread = b
-			a, err := sampling.Solo(cfg, p, c.Spec())
-			if err != nil {
-				return Table{}, err
-			}
-			row = append(row, f3(a.IPC))
-			t.Metrics[fmt.Sprintf("%s_%d", n, b)] = a.IPC
+			ipc := solo[b][n].IPC
+			row = append(row, f3(ipc))
+			t.Metrics[fmt.Sprintf("%s_%d", n, b)] = ipc
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -111,22 +106,18 @@ func AblationPrefetcher(c *Context) (Table, error) {
 		Header:  []string{"workload", "IPC off", "IPC on", "speedup"},
 		Metrics: map[string]float64{},
 	}
+	off := core.Solo()
+	off.Prefetch = false
+	offIPC, err := c.Solo(off, names...)
+	if err != nil {
+		return Table{}, err
+	}
+	onIPC, err := c.Solo(core.Solo(), names...)
+	if err != nil {
+		return Table{}, err
+	}
 	for _, n := range names {
-		p, err := workload.Lookup(n)
-		if err != nil {
-			return Table{}, err
-		}
-		off := core.Solo()
-		off.Prefetch = false
-		on := core.Solo()
-		aOff, err := sampling.Solo(off, p, c.Spec())
-		if err != nil {
-			return Table{}, err
-		}
-		aOn, err := sampling.Solo(on, p, c.Spec())
-		if err != nil {
-			return Table{}, err
-		}
+		aOff, aOn := offIPC[n], onIPC[n]
 		sp := colocate.Speedup(aOn.IPC, aOff.IPC)
 		t.Rows = append(t.Rows, []string{n, f3(aOff.IPC), f3(aOn.IPC), pct(sp)})
 		t.Metrics["speedup_"+n] = sp

@@ -5,15 +5,16 @@
 // EXPERIMENTS.md records against the paper's numbers.
 //
 // Invariant: every artifact is a pure function of its Scale and the
-// built-in seeds — regenerating an artifact is bit-reproducible, and the
-// shared memoised grids in Context only deduplicate work across artifacts,
-// never alter any cell.
+// built-in seeds — regenerating an artifact is bit-reproducible. The
+// Context's colocate.Lab measures each (core config, workload pair) once
+// and shares the cell with every artifact that reads it, which can skip
+// work but never alter a cell; testdata/quick.golden pins every
+// quick-scale table.
 package experiments
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"stretch/internal/colocate"
 	"stretch/internal/sampling"
@@ -93,40 +94,23 @@ func pct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 // f3 formats a float cell.
 func f3(f float64) string { return fmt.Sprintf("%.3f", f) }
 
-// Context memoises expensive shared results (solo baselines, grids) across
-// the experiments of one run. Concurrent experiments share a single build
-// per grid key: the first caller builds, the rest wait.
+// Context carries one run's scale and the Lab that measures every
+// colocation and solo cell of it: experiments that read the same (core
+// config, workload pair) share one simulation, whatever they call the
+// config, and concurrent experiments wait for it instead of repeating it.
 type Context struct {
 	Scale Scale
-
-	mu    sync.Mutex
-	solo  map[string]float64
-	grids map[string]*gridEntry
+	*colocate.Lab
 }
 
-// gridEntry holds one memoised grid; once guarantees a single build even
-// under concurrent callers.
-type gridEntry struct {
-	once sync.Once
-	g    map[string]map[string]colocate.Pair
-	err  error
-}
-
-// NewContext builds a context at the given scale.
+// NewContext builds a context at the given scale: Quick measures under
+// sampling.Quick, Full under sampling.Standard.
 func NewContext(sc Scale) *Context {
-	return &Context{
-		Scale: sc,
-		solo:  make(map[string]float64),
-		grids: make(map[string]*gridEntry),
+	spec := sampling.Standard()
+	if sc == Quick {
+		spec = sampling.Quick()
 	}
-}
-
-// Spec returns the sampling spec for the context's scale.
-func (c *Context) Spec() sampling.Spec {
-	if c.Scale == Quick {
-		return sampling.Quick()
-	}
-	return sampling.Standard()
+	return &Context{Scale: sc, Lab: colocate.NewLab(spec)}
 }
 
 // BatchNames returns the batch suite at the context's scale: all 29 at
@@ -148,50 +132,6 @@ func (c *Context) QueueRequests() int {
 		return 20000
 	}
 	return 80000
-}
-
-// SoloIPC returns the memoised solo full-core IPC for the named workloads.
-func (c *Context) SoloIPC(names ...string) (map[string]float64, error) {
-	c.mu.Lock()
-	var missing []string
-	for _, n := range names {
-		if _, ok := c.solo[n]; !ok {
-			missing = append(missing, n)
-		}
-	}
-	c.mu.Unlock()
-	if len(missing) > 0 {
-		m, err := colocate.SoloIPC(missing, c.Spec())
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		for k, v := range m {
-			c.solo[k] = v
-		}
-		c.mu.Unlock()
-	}
-	out := make(map[string]float64, len(names))
-	c.mu.Lock()
-	for _, n := range names {
-		out[n] = c.solo[n]
-	}
-	c.mu.Unlock()
-	return out, nil
-}
-
-// Grid returns the memoised colocation grid for a configuration key. The
-// builder runs at most once per key, even under concurrent callers.
-func (c *Context) Grid(key string, build func() (map[string]map[string]colocate.Pair, error)) (map[string]map[string]colocate.Pair, error) {
-	c.mu.Lock()
-	e, ok := c.grids[key]
-	if !ok {
-		e = &gridEntry{}
-		c.grids[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = build() })
-	return e.g, e.err
 }
 
 // Named couples an experiment id with its runner, for the CLI and benches.

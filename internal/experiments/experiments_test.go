@@ -11,8 +11,8 @@ import (
 // The experiment tests run at Quick scale by default and assert the
 // paper's qualitative shapes, not absolute numbers; set
 // STRETCH_EXPERIMENTS_SCALE=full to run the full budgets. One shared
-// context memoises the grids across the parallel tests (Context.Grid
-// builds each grid exactly once).
+// context's Lab serves the parallel tests, so each (core config, workload
+// pair) cell is simulated once however many tests read it.
 var testCtx = NewContext(testScale())
 
 func testScale() Scale {

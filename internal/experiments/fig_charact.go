@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"stretch/internal/colocate"
 	"stretch/internal/core"
@@ -11,23 +10,16 @@ import (
 	"stretch/internal/workload"
 )
 
-// baselineGrid memoises the Table II SMT-baseline colocation grid.
-func baselineGrid(c *Context) (map[string]map[string]colocate.Pair, error) {
-	return c.Grid("baseline", func() (map[string]map[string]colocate.Pair, error) {
-		return colocate.Grid(workload.ServiceNames(), c.BatchNames(), colocate.BaselineConfig(), c.Spec())
-	})
-}
-
 // Fig3 reproduces Figure 3: slowdown of latency-sensitive and batch
 // applications colocated on the SMT baseline, normalised to solo full-core
 // execution. The paper's headline: LS loses 14% on average (28% max),
 // batch loses 24% on average (46% max).
 func Fig3(c *Context) (Table, error) {
-	grid, err := baselineGrid(c)
+	grid, err := c.Grid(colocate.BaselineConfig(), workload.ServiceNames(), c.BatchNames())
 	if err != nil {
 		return Table{}, err
 	}
-	solo, err := c.SoloIPC(append(workload.ServiceNames(), c.BatchNames()...)...)
+	solo, err := c.Solo(core.Solo(), append(workload.ServiceNames(), c.BatchNames()...)...)
 	if err != nil {
 		return Table{}, err
 	}
@@ -43,8 +35,8 @@ func Fig3(c *Context) (Table, error) {
 		var lsS, bS []float64
 		for _, b := range c.BatchNames() {
 			p := grid[ls][b]
-			lsS = append(lsS, colocate.Slowdown(p.LSAgg.IPC, solo[ls]))
-			bS = append(bS, colocate.Slowdown(p.BatchAgg.IPC, solo[b]))
+			lsS = append(lsS, colocate.Slowdown(p.LSAgg.IPC, solo[ls].IPC))
+			bS = append(bS, colocate.Slowdown(p.BatchAgg.IPC, solo[b].IPC))
 		}
 		allLS = append(allLS, lsS...)
 		allB = append(allB, bS...)
@@ -72,36 +64,23 @@ func Fig3(c *Context) (Table, error) {
 // service and returns, per resource, the slowdown distributions of the LS
 // thread and the batch co-runners relative to solo.
 func resourceStudy(c *Context, ls string) (map[colocate.Resource][2]stats.Violin, error) {
-	solo, err := c.SoloIPC(append([]string{ls}, c.BatchNames()...)...)
+	solo, err := c.Solo(core.Solo(), append([]string{ls}, c.BatchNames()...)...)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[colocate.Resource][2]stats.Violin, 4)
-	var mu sync.Mutex
-	var jobs []sampling.Job
 	for _, r := range colocate.Resources() {
-		r := r
-		jobs = append(jobs, func() error {
-			grid, err := c.Grid(fmt.Sprintf("share-%v-%s", r, ls), func() (map[string]map[string]colocate.Pair, error) {
-				return colocate.Grid([]string{ls}, c.BatchNames(), colocate.ShareOnlyConfig(r), c.Spec())
-			})
-			if err != nil {
-				return err
-			}
-			var lsS, bS []float64
-			for _, b := range c.BatchNames() {
-				p := grid[ls][b]
-				lsS = append(lsS, colocate.Slowdown(p.LSAgg.IPC, solo[ls]))
-				bS = append(bS, colocate.Slowdown(p.BatchAgg.IPC, solo[b]))
-			}
-			mu.Lock()
-			out[r] = [2]stats.Violin{stats.Summarize(lsS), stats.Summarize(bS)}
-			mu.Unlock()
-			return nil
-		})
-	}
-	if err := sampling.Parallel(jobs); err != nil {
-		return nil, err
+		grid, err := c.Grid(colocate.ShareOnlyConfig(r), []string{ls}, c.BatchNames())
+		if err != nil {
+			return nil, err
+		}
+		var lsS, bS []float64
+		for _, b := range c.BatchNames() {
+			p := grid[ls][b]
+			lsS = append(lsS, colocate.Slowdown(p.LSAgg.IPC, solo[ls].IPC))
+			bS = append(bS, colocate.Slowdown(p.BatchAgg.IPC, solo[b].IPC))
+		}
+		out[r] = [2]stats.Violin{stats.Summarize(lsS), stats.Summarize(bS)}
 	}
 	return out, nil
 }
@@ -172,46 +151,16 @@ func Fig6(c *Context) (Table, error) {
 	names := append(append([]string{}, workload.ServiceNames()...), workload.Zeusmp)
 	batch := c.BatchNames()
 
-	type key struct {
-		name string
-		size int
-	}
-	ipc := make(map[key]float64)
-	var mu sync.Mutex
-	var jobs []sampling.Job
-	all := append(append([]string{}, names...), batch...)
-	seen := map[string]bool{}
-	for _, n := range all {
-		if seen[n] {
-			continue
+	solo := make(map[int]map[string]sampling.Agg, len(sizes))
+	for _, sz := range sizes {
+		cfg := core.Solo()
+		cfg.ROBEntries = sz
+		cfg.LSQEntries = max(sz/3, 8)
+		m, err := c.Solo(cfg, append(append([]string{}, names...), batch...)...)
+		if err != nil {
+			return Table{}, err
 		}
-		seen[n] = true
-		for _, sz := range sizes {
-			n, sz := n, sz
-			jobs = append(jobs, func() error {
-				p, err := workload.Lookup(n)
-				if err != nil {
-					return err
-				}
-				cfg := core.Solo()
-				cfg.ROBEntries = sz
-				cfg.LSQEntries = sz / 3
-				if cfg.LSQEntries < 8 {
-					cfg.LSQEntries = 8
-				}
-				a, err := sampling.Solo(cfg, p, c.Spec())
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				ipc[key{n, sz}] = a.IPC
-				mu.Unlock()
-				return nil
-			})
-		}
-	}
-	if err := sampling.Parallel(jobs); err != nil {
-		return Table{}, err
+		solo[sz] = m
 	}
 
 	t := Table{
@@ -224,11 +173,11 @@ func Fig6(c *Context) (Table, error) {
 		t.Header = append(t.Header, fmt.Sprintf("%d", sz))
 	}
 	slowAt := func(n string, sz int) float64 {
-		base := ipc[key{n, sizes[len(sizes)-1]}]
+		base := solo[sizes[len(sizes)-1]][n].IPC
 		if base <= 0 {
 			return 0
 		}
-		return 1 - ipc[key{n, sz}]/base
+		return 1 - solo[sz][n].IPC/base
 	}
 	for _, n := range names {
 		row := []string{n}
@@ -268,15 +217,13 @@ func Fig7(c *Context) (Table, error) {
 		Header:  []string{"workload", ">=1", ">=2", ">=3", ">=4", ">=5", "avg outstanding"},
 		Metrics: map[string]float64{},
 	}
-	for _, n := range []string{workload.WebSearch, workload.Zeusmp} {
-		p, err := workload.Lookup(n)
-		if err != nil {
-			return Table{}, err
-		}
-		a, err := sampling.Solo(core.Solo(), p, c.Spec())
-		if err != nil {
-			return Table{}, err
-		}
+	names := []string{workload.WebSearch, workload.Zeusmp}
+	solo, err := c.Solo(core.Solo(), names...)
+	if err != nil {
+		return Table{}, err
+	}
+	for _, n := range names {
+		a := solo[n]
 		row := []string{n}
 		for k := 1; k <= 5; k++ {
 			row = append(row, pct(a.MLPTail[k]))

@@ -18,25 +18,6 @@ import (
 // 56-136 speedups, with the mode driven both by the coarse hour-grain rule
 // and by the closed-loop controller.
 func Fig14(c *Context) (Table, error) {
-	base, err := baselineGrid(c)
-	if err != nil {
-		return Table{}, err
-	}
-	grid, err := skewGrid(c, BModeSkew)
-	if err != nil {
-		return Table{}, err
-	}
-
-	// Measured B-mode batch speedup and LS slowdown per LS service.
-	speedup := func(ls string) (bGain, lsSlow float64) {
-		var bs, lss []float64
-		for _, b := range c.BatchNames() {
-			bs = append(bs, colocate.Speedup(grid[ls][b].BatchAgg.IPC, base[ls][b].BatchAgg.IPC))
-			lss = append(lss, -colocate.Speedup(grid[ls][b].LSAgg.IPC, base[ls][b].LSAgg.IPC))
-		}
-		return stats.Mean(bs), stats.Mean(lss)
-	}
-
 	t := Table{
 		ID:      "fig14",
 		Title:   "Diurnal case studies: 24-hour cluster throughput gain (Fig. 14 / §VI-D)",
@@ -51,7 +32,15 @@ func Fig14(c *Context) (Table, error) {
 		{fleet.YouTubeTrace(), workload.MediaStreaming},
 	}
 	for _, cs := range cases {
-		bGain, lsSlow := speedup(cs.ls)
+		// Measured B-mode batch speedup and LS slowdown of the service.
+		lss, bs, err := deltas(c, colocate.SkewConfig(BModeSkew), cs.ls)
+		if err != nil {
+			return Table{}, err
+		}
+		for i := range lss {
+			lss[i] = -lss[i]
+		}
+		bGain, lsSlow := stats.Mean(bs), stats.Mean(lss)
 		study := fleet.Study{
 			Trace:         cs.trace,
 			EngageBelow:   0.85,

@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"stretch/internal/colocate"
-	"stretch/internal/sampling"
+	"stretch/internal/core"
 	"stretch/internal/stats"
 	"stretch/internal/workload"
 )
@@ -18,21 +17,32 @@ const BModeSkew = 56
 // QModeSkew is the mirrored QoS-boost configuration (136-56).
 const QModeSkew = 136
 
-// skewGrid memoises a colocation grid at a given LS-thread ROB allocation.
-func skewGrid(c *Context, rob0 int) (map[string]map[string]colocate.Pair, error) {
-	return c.Grid(fmt.Sprintf("skew-%d", rob0), func() (map[string]map[string]colocate.Pair, error) {
-		return colocate.Grid(workload.ServiceNames(), c.BatchNames(), colocate.SkewConfig(rob0), c.Spec())
-	})
+// deltas returns, for each batch co-runner of service ls in turn, the IPC
+// change of the LS thread and of the batch thread on cores configured by
+// cfg, relative to the same pair under equal partitioning
+// (colocate.Speedup). It measures the whole service × batch grid of cfg
+// and of the baseline, so the first call fans out over every pair.
+func deltas(c *Context, cfg core.Config, ls string) (lsCh, bCh []float64, err error) {
+	base, err := c.Grid(colocate.BaselineConfig(), workload.ServiceNames(), c.BatchNames())
+	if err != nil {
+		return nil, nil, err
+	}
+	grid, err := c.Grid(cfg, workload.ServiceNames(), c.BatchNames())
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, b := range c.BatchNames() {
+		p, q := grid[ls][b], base[ls][b]
+		lsCh = append(lsCh, colocate.Speedup(p.LSAgg.IPC, q.LSAgg.IPC))
+		bCh = append(bCh, colocate.Speedup(p.BatchAgg.IPC, q.BatchAgg.IPC))
+	}
+	return lsCh, bCh, nil
 }
 
 // Fig9 reproduces Figure 9: performance change of latency-sensitive and
 // batch threads under B-mode skews (left) and Q-mode skews (right),
 // normalised to the equally partitioned baseline.
 func Fig9(c *Context) (Table, error) {
-	base, err := baselineGrid(c)
-	if err != nil {
-		return Table{}, err
-	}
 	bSkews := []int{64, 56, 48, 40, 32}
 	qSkews := []int{128, 136, 144, 152, 160}
 	if c.Scale == Quick {
@@ -48,16 +58,13 @@ func Fig9(c *Context) (Table, error) {
 	}
 	run := func(mode string, skews []int) error {
 		for _, s := range skews {
-			grid, err := skewGrid(c, s)
-			if err != nil {
-				return err
-			}
 			var lsCh, bCh []float64
 			for _, ls := range workload.ServiceNames() {
-				for _, b := range c.BatchNames() {
-					lsCh = append(lsCh, colocate.Speedup(grid[ls][b].LSAgg.IPC, base[ls][b].LSAgg.IPC))
-					bCh = append(bCh, colocate.Speedup(grid[ls][b].BatchAgg.IPC, base[ls][b].BatchAgg.IPC))
+				l, b, err := deltas(c, colocate.SkewConfig(s), ls)
+				if err != nil {
+					return err
 				}
+				lsCh, bCh = append(lsCh, l...), append(bCh, b...)
 			}
 			lv, bv := stats.Summarize(lsCh), stats.Summarize(bCh)
 			t.Rows = append(t.Rows, []string{mode, fmt.Sprintf("%d-%d", s, 192-s),
@@ -83,15 +90,6 @@ func Fig9(c *Context) (Table, error) {
 // Fig10 reproduces Figure 10: per-benchmark batch speedups under the
 // B-mode 56-136 skew, sorted from largest to smallest per service.
 func Fig10(c *Context) (Table, error) {
-	base, err := baselineGrid(c)
-	if err != nil {
-		return Table{}, err
-	}
-	grid, err := skewGrid(c, BModeSkew)
-	if err != nil {
-		return Table{}, err
-	}
-
 	t := Table{
 		ID:      "fig10",
 		Title:   "Batch speedup with B-mode 56-136, sorted per service (Fig. 10)",
@@ -105,9 +103,9 @@ func Fig10(c *Context) (Table, error) {
 	var over15, over10 int
 	var all []float64
 	for _, ls := range workload.ServiceNames() {
-		var xs []float64
-		for _, b := range c.BatchNames() {
-			xs = append(xs, colocate.Speedup(grid[ls][b].BatchAgg.IPC, base[ls][b].BatchAgg.IPC))
+		_, xs, err := deltas(c, colocate.SkewConfig(BModeSkew), ls)
+		if err != nil {
+			return Table{}, err
 		}
 		sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
 		perLS[ls] = xs
@@ -140,17 +138,6 @@ func Fig10(c *Context) (Table, error) {
 // Fig11 reproduces Figure 11: batch slowdown under a dynamically shared ROB
 // relative to equal partitioning (and the small LS-side improvement).
 func Fig11(c *Context) (Table, error) {
-	base, err := baselineGrid(c)
-	if err != nil {
-		return Table{}, err
-	}
-	grid, err := c.Grid("dynamic", func() (map[string]map[string]colocate.Pair, error) {
-		return colocate.Grid(workload.ServiceNames(), c.BatchNames(), colocate.DynamicConfig(), c.Spec())
-	})
-	if err != nil {
-		return Table{}, err
-	}
-
 	t := Table{
 		ID:      "fig11",
 		Title:   "Batch slowdown with dynamically shared ROB vs equal partitioning (Fig. 11)",
@@ -159,10 +146,12 @@ func Fig11(c *Context) (Table, error) {
 	}
 	var allB, allLS []float64
 	for _, ls := range workload.ServiceNames() {
-		var bs, lss []float64
-		for _, b := range c.BatchNames() {
-			bs = append(bs, -colocate.Speedup(grid[ls][b].BatchAgg.IPC, base[ls][b].BatchAgg.IPC))
-			lss = append(lss, colocate.Speedup(grid[ls][b].LSAgg.IPC, base[ls][b].LSAgg.IPC))
+		lss, bs, err := deltas(c, colocate.DynamicConfig(), ls)
+		if err != nil {
+			return Table{}, err
+		}
+		for i := range bs {
+			bs[i] = -bs[i]
 		}
 		allB = append(allB, bs...)
 		allLS = append(allLS, lss...)
@@ -182,64 +171,25 @@ func Fig11(c *Context) (Table, error) {
 // dynamically shared ROB) versus Stretch B-mode 56-136, both normalised to
 // the equally partitioned baseline.
 func Fig12(c *Context) (Table, error) {
-	base, err := baselineGrid(c)
-	if err != nil {
-		return Table{}, err
-	}
 	ratios := []int{2, 4, 8, 16}
 	if c.Scale == Quick {
 		ratios = []int{4, 16}
 	}
-
-	type res struct{ lsSlow, bGain map[string]float64 }
-	rows := make(map[string]res)
-	var mu sync.Mutex
-	var jobs []sampling.Job
-	addCfg := func(label string, build func() (map[string]map[string]colocate.Pair, error)) {
-		jobs = append(jobs, func() error {
-			grid, err := c.Grid(label, build)
-			if err != nil {
-				return err
-			}
-			r := res{lsSlow: map[string]float64{}, bGain: map[string]float64{}}
-			for _, ls := range workload.ServiceNames() {
-				var lss, bs []float64
-				for _, b := range c.BatchNames() {
-					lss = append(lss, -colocate.Speedup(grid[ls][b].LSAgg.IPC, base[ls][b].LSAgg.IPC))
-					bs = append(bs, colocate.Speedup(grid[ls][b].BatchAgg.IPC, base[ls][b].BatchAgg.IPC))
-				}
-				r.lsSlow[ls] = stats.Mean(lss)
-				r.bGain[ls] = stats.Mean(bs)
-			}
-			mu.Lock()
-			rows[label] = r
-			mu.Unlock()
-			return nil
-		})
-	}
-	for _, m := range ratios {
-		m := m
-		addCfg(fmt.Sprintf("ft-%d", m), func() (map[string]map[string]colocate.Pair, error) {
-			return colocate.Grid(workload.ServiceNames(), c.BatchNames(), colocate.ThrottleConfig(m), c.Spec())
-		})
-	}
-	if err := sampling.Parallel(jobs); err != nil {
-		return Table{}, err
-	}
-	// Stretch comparison point (memoised from fig9/10 if already run).
-	sg, err := skewGrid(c, BModeSkew)
-	if err != nil {
-		return Table{}, err
-	}
-	st := res{lsSlow: map[string]float64{}, bGain: map[string]float64{}}
-	for _, ls := range workload.ServiceNames() {
+	// avg returns the LS slowdown and the batch speedup of cfg, each the
+	// mean over services of the per-service mean over batch co-runners.
+	avg := func(cfg core.Config) (lsSlow, bGain float64, err error) {
 		var lss, bs []float64
-		for _, b := range c.BatchNames() {
-			lss = append(lss, -colocate.Speedup(sg[ls][b].LSAgg.IPC, base[ls][b].LSAgg.IPC))
-			bs = append(bs, colocate.Speedup(sg[ls][b].BatchAgg.IPC, base[ls][b].BatchAgg.IPC))
+		for _, ls := range workload.ServiceNames() {
+			l, b, err := deltas(c, cfg, ls)
+			if err != nil {
+				return 0, 0, err
+			}
+			for i := range l {
+				l[i] = -l[i]
+			}
+			lss, bs = append(lss, stats.Mean(l)), append(bs, stats.Mean(b))
 		}
-		st.lsSlow[ls] = stats.Mean(lss)
-		st.bGain[ls] = stats.Mean(bs)
+		return stats.Mean(lss), stats.Mean(bs), nil
 	}
 
 	t := Table{
@@ -248,22 +198,22 @@ func Fig12(c *Context) (Table, error) {
 		Header:  []string{"config", "LS slowdown (avg)", "batch speedup (avg)"},
 		Metrics: map[string]float64{},
 	}
-	avg := func(m map[string]float64) float64 {
-		var xs []float64
-		for _, ls := range workload.ServiceNames() {
-			xs = append(xs, m[ls])
-		}
-		return stats.Mean(xs)
-	}
 	for _, m := range ratios {
-		r := rows[fmt.Sprintf("ft-%d", m)]
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("FT 1:%d", m), pct(avg(r.lsSlow)), pct(avg(r.bGain))})
-		t.Metrics[fmt.Sprintf("ft%d_ls_slow", m)] = avg(r.lsSlow)
-		t.Metrics[fmt.Sprintf("ft%d_batch_gain", m)] = avg(r.bGain)
+		lsSlow, bGain, err := avg(colocate.ThrottleConfig(m))
+		if err != nil {
+			return Table{}, err
+		}
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("FT 1:%d", m), pct(lsSlow), pct(bGain)})
+		t.Metrics[fmt.Sprintf("ft%d_ls_slow", m)] = lsSlow
+		t.Metrics[fmt.Sprintf("ft%d_batch_gain", m)] = bGain
 	}
-	t.Rows = append(t.Rows, []string{"Stretch 56-136", pct(avg(st.lsSlow)), pct(avg(st.bGain))})
-	t.Metrics["stretch_ls_slow"] = avg(st.lsSlow)
-	t.Metrics["stretch_batch_gain"] = avg(st.bGain)
+	lsSlow, bGain, err := avg(colocate.SkewConfig(BModeSkew))
+	if err != nil {
+		return Table{}, err
+	}
+	t.Rows = append(t.Rows, []string{"Stretch 56-136", pct(lsSlow), pct(bGain)})
+	t.Metrics["stretch_ls_slow"] = lsSlow
+	t.Metrics["stretch_batch_gain"] = bGain
 	t.Notes = append(t.Notes,
 		"paper: FT 1:2/1:4 cost LS 10%/25% for batch -3%/0%; 1:8/1:16 cost LS 48%/68% for batch +4%/+6%; Stretch gives batch +13% at LS -7%")
 	return t, nil
@@ -273,43 +223,27 @@ func Fig12(c *Context) (Table, error) {
 // structure contention, equal ROB split) vs Stretch (real contention,
 // 56-136) vs the combination, as batch speedup over the baseline core.
 func Fig13(c *Context) (Table, error) {
-	base, err := baselineGrid(c)
-	if err != nil {
-		return Table{}, err
-	}
-	ideal, err := c.Grid("ideal-sched", func() (map[string]map[string]colocate.Pair, error) {
-		return colocate.Grid(workload.ServiceNames(), c.BatchNames(), colocate.IdealSchedulingConfig(0), c.Spec())
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	stretch, err := skewGrid(c, BModeSkew)
-	if err != nil {
-		return Table{}, err
-	}
-	both, err := c.Grid("ideal-sched+stretch", func() (map[string]map[string]colocate.Pair, error) {
-		return colocate.Grid(workload.ServiceNames(), c.BatchNames(), colocate.IdealSchedulingConfig(BModeSkew), c.Spec())
-	})
-	if err != nil {
-		return Table{}, err
-	}
-
 	t := Table{
 		ID:      "fig13",
 		Title:   "Batch speedup: ideal software scheduling vs Stretch vs both (Fig. 13)",
 		Header:  []string{"LS service", "ideal scheduling", "Stretch", "Stretch + ideal"},
 		Metrics: map[string]float64{},
 	}
-	gain := func(grid map[string]map[string]colocate.Pair, ls string) float64 {
-		var xs []float64
-		for _, b := range c.BatchNames() {
-			xs = append(xs, colocate.Speedup(grid[ls][b].BatchAgg.IPC, base[ls][b].BatchAgg.IPC))
-		}
-		return stats.Mean(xs)
-	}
+	// The ideal-scheduling config equals ShareOnlyConfig(ResROB), so
+	// after Fig. 5 its cells are already measured.
+	cfgs := []core.Config{colocate.IdealSchedulingConfig(0), colocate.SkewConfig(BModeSkew),
+		colocate.IdealSchedulingConfig(BModeSkew)}
 	var gi, gs, gb []float64
 	for _, ls := range workload.ServiceNames() {
-		i, s, bo := gain(ideal, ls), gain(stretch, ls), gain(both, ls)
+		var g [3]float64
+		for k, cfg := range cfgs {
+			_, bCh, err := deltas(c, cfg, ls)
+			if err != nil {
+				return Table{}, err
+			}
+			g[k] = stats.Mean(bCh)
+		}
+		i, s, bo := g[0], g[1], g[2]
 		gi, gs, gb = append(gi, i), append(gs, s), append(gb, bo)
 		t.Rows = append(t.Rows, []string{ls, pct(i), pct(s), pct(bo)})
 	}
