@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // characterisation (§II–III) and evaluation (§VI). Each artifact has a
 // constructor returning a printable Table plus a set of named headline
-// metrics that the test suite asserts qualitative shapes on and
-// EXPERIMENTS.md records against the paper's numbers.
+// metrics that the test suite asserts qualitative shapes on; each table's
+// notes quote the paper's numbers, and the README's "Known divergences"
+// section records where the model departs from them.
 //
 // Invariant: every artifact is a pure function of its Scale and the
 // built-in seeds — regenerating an artifact is bit-reproducible. The
@@ -49,8 +50,8 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// Metrics holds headline numbers ("batch_gain_mean", ...) consumed
-	// by tests and EXPERIMENTS.md.
+	// Metrics holds headline numbers ("batch_gain_mean", ...) that the
+	// tests assert the paper's qualitative shapes on.
 	Metrics map[string]float64
 }
 

@@ -163,7 +163,7 @@ func Fig11(c *Context) (Table, error) {
 	t.Metrics["ls_gain_mean"] = stats.Mean(allLS)
 	t.Notes = append(t.Notes,
 		"paper: batch loses 8% mean / 49% max under dynamic sharing (worst with Data Serving, ~20%); LS gains ~4% mean",
-		"KNOWN DIVERGENCE: in this trace-driven model the LS thread's front-end stalls (I-misses, mispredict shadows) keep its window occupancy too low to clog the shared pool, so the batch thread gains modestly from dynamic sharing instead of losing; see EXPERIMENTS.md")
+		"KNOWN DIVERGENCE: in this trace-driven model the LS thread's front-end stalls (I-misses, mispredict shadows) keep its window occupancy too low to clog the shared pool, so the batch thread gains modestly from dynamic sharing instead of losing; see the README's Known divergences")
 	return t, nil
 }
 
