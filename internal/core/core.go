@@ -190,9 +190,6 @@ func New(cfg Config, streams ...Stream) (*Core, error) {
 			rob:      make([]robEnt, cfg.ROBEntries),
 			mshr:     cache.NewMSHRs(cfg.MSHRPerThread),
 		}
-		for j := range t.histDone {
-			t.histDone[j] = 0
-		}
 		c.threads = append(c.threads, t)
 	}
 	c.applyLimits()
@@ -433,7 +430,7 @@ func (c *Core) schedule(t *thread, f fetched) {
 		done = c.loadDone(t, op, issue)
 	case isa.OpStore:
 		done = issue + 1
-		c.storeAccess(t, op, issue)
+		c.storeAccess(t, op)
 	default:
 		done = issue + int64(isa.Latency(op.Kind))
 	}
@@ -556,7 +553,7 @@ func (c *Core) loadDone(t *thread, op *isa.MicroOp, issue int64) int64 {
 
 // storeAccess models a store's cache allocation; the write buffer hides its
 // latency, so stores complete at issue+1 and only perturb cache state.
-func (c *Core) storeAccess(t *thread, op *isa.MicroOp, issue int64) {
+func (c *Core) storeAccess(t *thread, op *isa.MicroOp) {
 	d := c.l1d[t.id]
 	addr := salt(op.Addr, t.id)
 	t.dAccesses++
@@ -564,7 +561,6 @@ func (c *Core) storeAccess(t *thread, op *isa.MicroOp, issue int64) {
 		t.dMisses++
 		c.llc[t.id].Access(addr)
 	}
-	_ = issue
 }
 
 // fetch pulls µops from the traces into the fetch buffers.

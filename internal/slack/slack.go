@@ -2,17 +2,16 @@
 // of full single-thread performance at which a latency-sensitive service
 // still meets its QoS target at a given load (Fig. 2).
 //
-// Performance is modulated the way the paper does it — Elfen-inspired
-// fine-grain time interleaving of a non-contentious preemptive co-runner:
-// the service runs on the core for a duty-cycle fraction f of every
-// sub-millisecond quantum. Besides the 1/f service-time stretch this adds
-// a small quantisation delay (a request finishing during an off-phase waits
-// for the next on-phase), which is negligible exactly because the quantum
-// is orders of magnitude below the latency targets — the property the
-// paper relies on.
+// Curve and RequiredPerf model reduced performance as a plain perf factor
+// f: every service time is stretched by 1/f (queueing.Simulator.QoS), and
+// RequiredPerf bisects f for the lowest value that still meets the QoS
+// target. The paper reduces performance by Elfen-style fine-grain time
+// interleaving; its sub-millisecond quantum sits orders of magnitude
+// below the latency targets, so the quantisation delay it adds is
+// negligible and the plain 1/f stretch stands in for it.
 //
 // Invariant: slack curves are pure functions of (service config, load,
-// seed); the bisection over duty cycles consumes no shared state, so
+// seed); the bisection over perf factors consumes no shared state, so
 // curves for different loads may be computed concurrently.
 package slack
 
@@ -21,35 +20,6 @@ import (
 
 	"stretch/internal/queueing"
 )
-
-// Modulator describes duty-cycle performance modulation.
-type Modulator struct {
-	// QuantumMs is the interleaving quantum (sub-millisecond).
-	QuantumMs float64
-	// Fraction is the duty cycle in (0, 1]: the fraction of each quantum
-	// the latency-sensitive thread owns.
-	Fraction float64
-}
-
-// EffectivePerf returns the modulated performance factor including the
-// expected quantisation penalty expressed as an equivalent slowdown for a
-// request of the given mean length. For quanta far below the service time
-// this converges to the duty cycle itself.
-func (m Modulator) EffectivePerf(meanServiceMs float64) (float64, error) {
-	if m.Fraction <= 0 || m.Fraction > 1 {
-		return 0, fmt.Errorf("slack: duty cycle %v out of (0,1]", m.Fraction)
-	}
-	if m.QuantumMs <= 0 {
-		return 0, fmt.Errorf("slack: non-positive quantum")
-	}
-	if meanServiceMs <= 0 {
-		return 0, fmt.Errorf("slack: non-positive service time")
-	}
-	// Expected residual off-phase wait at completion: half an off-phase.
-	offMs := m.QuantumMs * (1 - m.Fraction)
-	stretched := meanServiceMs/m.Fraction + offMs/2
-	return meanServiceMs / stretched, nil
-}
 
 // Point is one (load, required performance) sample of the slack curve.
 type Point struct {
@@ -124,22 +94,4 @@ func RequiredPerf(cfg queueing.Config, ratePerSec float64, nRequests int, resolu
 		return resolution, nil
 	}
 	return hi, nil
-}
-
-// Tolerates reports whether a service at the given load can absorb the
-// given colocation-induced slowdown without violating QoS: the check the
-// Stretch software monitor performs before engaging B-mode (§IV).
-func Tolerates(cfg queueing.Config, peak, loadFrac, slowdown float64, nRequests int, seed uint64) (bool, error) {
-	if slowdown < 0 || slowdown >= 1 {
-		return false, fmt.Errorf("slack: slowdown %v out of [0,1)", slowdown)
-	}
-	sim, err := queueing.NewSimulator(cfg)
-	if err != nil {
-		return false, err
-	}
-	qos, err := sim.QoS(peak*loadFrac, nRequests, 1-slowdown, seed)
-	if err != nil {
-		return false, err
-	}
-	return qos <= cfg.QoSTargetMs, nil
 }

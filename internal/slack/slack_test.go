@@ -18,43 +18,6 @@ func qcfg() queueing.Config {
 	}
 }
 
-func TestModulatorConvergesToDutyCycle(t *testing.T) {
-	m := Modulator{QuantumMs: 0.1, Fraction: 0.5}
-	perf, err := m.EffectivePerf(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Quantum ≪ service time: effective perf ≈ duty cycle.
-	if perf < 0.49 || perf > 0.51 {
-		t.Fatalf("effective perf = %v, want ~0.5", perf)
-	}
-	// Coarse quantum hurts more.
-	coarse := Modulator{QuantumMs: 5, Fraction: 0.5}
-	cPerf, err := coarse.EffectivePerf(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cPerf >= perf {
-		t.Fatalf("coarse quantum should cost extra: %v >= %v", cPerf, perf)
-	}
-}
-
-func TestModulatorValidation(t *testing.T) {
-	bad := []Modulator{
-		{QuantumMs: 0.1, Fraction: 0},
-		{QuantumMs: 0.1, Fraction: 1.5},
-		{QuantumMs: 0, Fraction: 0.5},
-	}
-	for i, m := range bad {
-		if _, err := m.EffectivePerf(10); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-	if _, err := (Modulator{QuantumMs: 0.1, Fraction: 0.5}).EffectivePerf(0); err == nil {
-		t.Error("zero service time accepted")
-	}
-}
-
 func TestRequiredPerfMonotoneInLoad(t *testing.T) {
 	c := qcfg()
 	peak, err := queueing.PeakLoad(c, 15000, 3)
@@ -115,30 +78,5 @@ func TestCurveShape(t *testing.T) {
 	}
 	if _, err := Curve(c, peak, []float64{0.5}, 1000, 1.5, 9); err == nil {
 		t.Fatal("bad resolution accepted")
-	}
-}
-
-func TestTolerates(t *testing.T) {
-	c := qcfg()
-	peak, err := queueing.PeakLoad(c, 15000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := Tolerates(c, peak, 0.3, 0.07, 15000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("7% slowdown at 30% load should be tolerable")
-	}
-	ok, err = Tolerates(c, peak, 1.0, 0.5, 15000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("50% slowdown at peak load should violate QoS")
-	}
-	if _, err := Tolerates(c, peak, 0.5, 1.5, 1000, 4); err == nil {
-		t.Fatal("slowdown >= 1 accepted")
 	}
 }
