@@ -15,6 +15,7 @@ package colocate
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"stretch/internal/core"
 	"stretch/internal/sampling"
@@ -135,7 +136,8 @@ type Pair struct {
 // single run and read the same result, error included.
 type Lab struct {
 	spec  sampling.Spec
-	cells sync.Map // cellKey → *cell
+	cells sync.Map     // cellKey → *cell
+	runs  atomic.Int64 // simulations started, so tests can count them
 }
 
 // cellKey names one measurement; an empty batch is ls alone on the core.
@@ -217,6 +219,7 @@ func (l *Lab) measure(keys []cellKey) ([]*cell, error) {
 
 // run simulates one cell.
 func (l *Lab) run(k cellKey) (Pair, error) {
+	l.runs.Add(1)
 	lp, err := workload.Lookup(k.ls)
 	if err != nil {
 		return Pair{}, err

@@ -245,11 +245,10 @@ func TestLabSharesCells(t *testing.T) {
 		}
 	}
 
-	// Two ideal/share-ROB cells, one baseline cell, three solo cells.
-	cells := 0
-	lab.cells.Range(func(any, any) bool { cells++; return true })
-	if cells != 6 {
-		t.Errorf("lab holds %d cells, want 6: equal configs must share cells", cells)
+	// Two ideal/share-ROB cells, one baseline cell, three solo cells,
+	// each simulated once across every round and caller.
+	if n := lab.runs.Load(); n != 6 {
+		t.Errorf("lab ran %d simulations, want 6: equal configs and repeated calls must share cells", n)
 	}
 
 	// Every caller of a failing cell sees its error, concurrent or later.
