@@ -14,6 +14,7 @@
 package colocate
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -161,6 +162,9 @@ func (l *Lab) Grid(cfg core.Config, lsNames, batchNames []string) (map[string]ma
 	var keys []cellKey
 	for _, ls := range lsNames {
 		for _, b := range batchNames {
+			if b == "" { // the key of a solo cell, not a workload
+				return nil, fmt.Errorf("colocate: empty batch workload name")
+			}
 			keys = append(keys, cellKey{cfg, ls, b})
 		}
 	}

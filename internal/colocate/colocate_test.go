@@ -120,6 +120,9 @@ func TestGridUnknownWorkload(t *testing.T) {
 	if _, err := lab.Grid(BaselineConfig(), []string{workload.WebSearch}, []string{"nope"}); err == nil {
 		t.Fatal("unknown batch accepted")
 	}
+	if _, err := lab.Grid(BaselineConfig(), []string{workload.WebSearch}, []string{""}); err == nil {
+		t.Fatal("empty batch name accepted as a solo run")
+	}
 }
 
 func TestSoloIPC(t *testing.T) {
