@@ -8,7 +8,7 @@
 //
 // A calibration run executes the colocation grid once per core
 // configuration (equal partitioning, the B-mode skew, the Q-mode skew)
-// under a sampling.Spec, and distils each (service, batch, mode) cell into
+// under a sampling.Spec, through a fresh colocate.Lab, and distils each (service, batch, mode) cell into
 // the two numbers the fleet engine consumes: the LS thread's slowdown and
 // the batch thread's speedup, both relative to the same pair under equal
 // partitioning. Equal-partition cells are identically zero by
