@@ -8,12 +8,12 @@
 //
 // A calibration run executes the colocation grid once per core
 // configuration (equal partitioning, the B-mode skew, the Q-mode skew)
-// under a sampling.Spec, through a fresh colocate.Lab, and distils each (service, batch, mode) cell into
-// the two numbers the fleet engine consumes: the LS thread's slowdown and
-// the batch thread's speedup, both relative to the same pair under equal
-// partitioning. Equal-partition cells are identically zero by
-// construction; solo full-core IPCs ride along for solo-normalised
-// reporting.
+// under a sampling.Spec, through a fresh colocate.Lab, and distils each
+// (service, batch, mode) cell into the two numbers the fleet engine
+// consumes: the LS thread's slowdown and the batch thread's speedup, both
+// relative to the same pair under equal partitioning. Equal-partition
+// cells are identically zero by construction; solo full-core IPCs ride
+// along for solo-normalised reporting.
 //
 // Tables are content-addressed: Inputs.Fingerprint hashes everything a
 // table is a function of — the workload profiles, the three core

@@ -108,16 +108,16 @@ func AblationPrefetcher(c *Context) (Table, error) {
 	}
 	off := core.Solo()
 	off.Prefetch = false
-	offIPC, err := c.Solo(off, names...)
+	offSolo, err := c.Solo(off, names...)
 	if err != nil {
 		return Table{}, err
 	}
-	onIPC, err := c.Solo(core.Solo(), names...)
+	onSolo, err := c.Solo(core.Solo(), names...)
 	if err != nil {
 		return Table{}, err
 	}
 	for _, n := range names {
-		aOff, aOn := offIPC[n], onIPC[n]
+		aOff, aOn := offSolo[n], onSolo[n]
 		sp := colocate.Speedup(aOn.IPC, aOff.IPC)
 		t.Rows = append(t.Rows, []string{n, f3(aOff.IPC), f3(aOn.IPC), pct(sp)})
 		t.Metrics["speedup_"+n] = sp
