@@ -76,22 +76,10 @@ func namedSpecClients(name string, servers, cores, windows, wph int, seed uint64
 	nCores := servers * cores
 	windowsPerDay := 24 * wph
 
-	// Anchor each service's traffic at its peak sustainable per-core rate
-	// (memoised: the PeakLoad bisection is the expensive part of startup).
-	peaks := map[string]float64{}
-	peak := func(svc string) (float64, error) {
-		if pk, ok := peaks[svc]; ok {
-			return pk, nil
-		}
-		pk, err := fleet.PeakRPSPerCore(svc, 4000, seed)
-		if err == nil {
-			peaks[svc] = pk
-		}
-		return pk, err
-	}
-
+	// Each service's traffic is anchored at its peak sustainable per-core
+	// rate.
 	diurnal := func(svc string, day [24]float64, coreShare float64) (loadgen.Spec, error) {
-		pk, err := peak(svc)
+		pk, err := fleet.PeakRPSPerCore(svc, 4000, seed)
 		if err != nil {
 			return loadgen.Spec{}, err
 		}
@@ -125,7 +113,7 @@ func namedSpecClients(name string, servers, cores, windows, wph int, seed uint64
 		if err != nil {
 			return nil, err
 		}
-		dsPeak, err := peak(workload.DataServing)
+		dsPeak, err := fleet.PeakRPSPerCore(workload.DataServing, 4000, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ type Config struct {
 	// resolves to it here) records into fixed log-bucketed histograms:
 	// O(1) per observation, memory independent of the request count,
 	// quantile error bounded by the bucket resolution.
-	// stats.EstimatorExact retains every observation and sorts per query
+	// stats.EstimatorExact retains every observation and selects per query
 	// — exact, but memory and tail-query cost grow linearly with requests;
 	// use it for small runs and accuracy comparisons. Either way results
 	// are bit-identical across worker counts for identical seeds.

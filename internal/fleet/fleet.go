@@ -47,7 +47,7 @@
 // stats.NewTail builds. The default is the log-bucketed histogram
 // (stats.Histogram), whose memory stays constant in the request count
 // (the enabler for 10k+-core runs). The exact estimator retains every
-// core-window tail in sorted samples instead and serves as the accuracy
+// core-window tail in exact samples instead and serves as the accuracy
 // reference. Each serving core-window's tail is deposited once, on the
 // engine goroutine, into its client's window and run stores and the
 // fleet store: coalesced spans during the walk, the discrete residue

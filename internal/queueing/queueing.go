@@ -16,7 +16,7 @@
 // Invariants: a simulation is a pure function of (Config, rate, nRequests,
 // perfFactor, seed) — bit-identical on every run, with Simulator state
 // never leaking between calls. Config.Estimator selects the latency store
-// through stats.NewTail: an exact sorted sample or a log-bucketed
+// through stats.NewTail: an exact sample or a log-bucketed
 // histogram whose error is bounded by the bucket resolution. The choice
 // never perturbs the simulated event sequence, only how its measurements
 // are summarised.
@@ -56,7 +56,7 @@ type Config struct {
 	QoSQuantile float64
 	QoSTargetMs float64
 	// Estimator selects the latency store stats.NewTail builds:
-	// stats.EstimatorExact retains and sorts every measured latency;
+	// stats.EstimatorExact retains every measured latency;
 	// stats.EstimatorHistogram records into a fixed log-bucketed histogram
 	// (O(1) add, bounded relative error). The zero value
 	// (stats.EstimatorDefault) is exact — standalone queueing callers are
@@ -125,7 +125,6 @@ type Result struct {
 // heap and flat sorted slice this replaces.
 type workerRing struct {
 	slots []float64
-	mask  int
 	head  int
 	n     int // pool width
 }
@@ -142,7 +141,6 @@ func (w *workerRing) reset(n int) {
 		w.slots = w.slots[:size]
 		clear(w.slots)
 	}
-	w.mask = size - 1
 	w.head = 0
 	w.n = n
 }
@@ -152,7 +150,7 @@ func (w *workerRing) min() float64 { return w.slots[w.head] }
 
 // replaceMin drops the minimum and inserts v in order.
 func (w *workerRing) replaceMin(v float64) {
-	slots, mask := w.slots, w.mask
+	slots, mask := w.slots, len(w.slots)-1
 	w.head = (w.head + 1) & mask
 	j := w.head + w.n - 1 // the slot just past the remaining n-1 workers
 	for j > w.head && slots[(j-1)&mask] > v {
@@ -163,35 +161,40 @@ func (w *workerRing) replaceMin(v float64) {
 }
 
 // Simulator runs request-level simulations with reusable state: the worker
-// ring, the latency store, the per-request service, arrival, start-time
-// and latency buffers and the arrival draw blocks persist across runs, so a caller stepping
-// many monitoring windows (the fleet engine's hot loop) pays no per-window
-// allocations. The zero value is ready after Reset. A Simulator is not
-// safe for concurrent use; share one per goroutine.
+// ring, the latency store, the per-request draw and latency buffers and the
+// arrival draw blocks persist across runs, so a caller stepping many
+// monitoring windows (the fleet engine's hot loop) pays no per-window
+// allocations. It also keeps its last draw: a run's random requests depend
+// only on (Config, seed, nRequests), so a bisection that probes one seed at
+// many rates or perf factors draws them once. The zero value is ready after
+// Reset. A Simulator is not safe for concurrent use; share one per goroutine.
 type Simulator struct {
-	cfg Config
-	// validated marks cfg as having passed Validate, letting Reset skip
-	// revalidating an unchanged config on the fleet's per-window hot loop.
-	// A bare equality check would not do: the zero Simulator's zero cfg
-	// must still be rejected until a Validate has actually run.
-	validated bool
-	workers   workerRing
+	// cfg is the configuration in place. Its Workers stays 0 until a
+	// Reset has validated one, since Validate rejects an empty pool.
+	cfg     Config
+	workers workerRing
 	// lat is the latency store cfg.Estimator selects (stats.NewTail),
 	// rebuilt only when a Reset changes the estimator.
 	lat stats.Tail
 	// arrGaps/arrHeads buffer batched (inter-arrival gap, burst head) draw
-	// pairs from the arrival stream, refilled in blocks so the arrival
-	// pass amortises the per-draw call overhead. Consumption order is
+	// pairs from the arrival stream, refilled in blocks so the draw
+	// amortises the per-draw call overhead. Consumption order is
 	// identical to the historical per-arrival draws (rng.Stream.FillArrivals).
 	arrGaps  []float64
 	arrHeads []bool
-	// svcMs and arrivalMs hold one run's per-request service times and
-	// arrival instants, filled by the first two passes of run and
-	// consumed by the queue pass, which records each post-warm-up latency
-	// in latMs.
-	svcMs     []float64
-	arrivalMs []float64
-	latMs     []float64
+	// drawSeed and drawN identify the requests svcMs and unitGap hold,
+	// drawn under cfg. Reset to a different Config discards them by
+	// zeroing drawN, which matches no run. A copy of the draw's Config
+	// would grow a Simulator past the 256-byte allocation size class.
+	drawSeed uint64
+	drawN    int
+	// svcMs holds each request's service time at full performance and
+	// unitGap its mean-1 gap after the previous arrival (0 for a burst
+	// follower); run scales both per call. latMs holds the last run's
+	// post-warm-up latencies in arrival order.
+	svcMs   []float64
+	unitGap []float64
+	latMs   []float64
 }
 
 // arrivalBatch is the block size of buffered arrival draws. Over-drawing
@@ -211,11 +214,12 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 // Reset swaps in a service configuration, keeping the allocated buffers
 // for reuse by the next run. Resetting to the configuration already in
 // place (the common case on the fleet's per-window loop, where a core
-// keeps its client across windows) skips the revalidation: Config is a
-// comparable value type, so equality means the earlier Validate verdict
-// still holds.
+// keeps its client across windows) skips the revalidation and keeps the
+// last draw: Config is a comparable value type, so equality means the
+// earlier Validate verdict still holds (a zero Workers means none has run).
+// Any other configuration discards the draw.
 func (s *Simulator) Reset(cfg Config) error {
-	if s.validated && cfg == s.cfg {
+	if cfg == s.cfg && cfg.Workers > 0 {
 		return nil
 	}
 	if err := cfg.Validate(); err != nil {
@@ -225,7 +229,7 @@ func (s *Simulator) Reset(cfg Config) error {
 		s.lat = stats.NewTail(cfg.Estimator, 0)
 	}
 	s.cfg = cfg
-	s.validated = true
+	s.drawN = 0
 	return nil
 }
 
@@ -272,14 +276,11 @@ func (s *Simulator) fillLat() stats.Tail {
 	return s.lat
 }
 
-// run is the simulation kernel behind Simulate and QoS. It is three
-// passes over per-request buffers: draw every service time, build the
-// arrival timeline, then run the FCFS queue over the two, leaving
-// post-warm-up latencies, in arrival order, in latMs.
-// The service and arrival streams are independent and each is consumed in
-// request order exactly as an interleaved loop would, so splitting the
-// passes changes no value; it lets the service draws' transcendental calls
-// overlap instead of waiting behind the queue's loop-carried state.
+// run is the simulation kernel behind Simulate and QoS: it draws the
+// requests unless the last draw is for the same seed and nRequests under
+// the same Config, then runs the FCFS queue over them at the given rate
+// and perf factor, leaving post-warm-up latencies, in arrival order, in
+// latMs.
 func (s *Simulator) run(ratePerSec float64, nRequests int, perfFactor float64, seed uint64) error {
 	cfg := s.cfg
 	if cfg.Workers <= 0 {
@@ -291,82 +292,90 @@ func (s *Simulator) run(ratePerSec float64, nRequests int, perfFactor float64, s
 	if perfFactor <= 0 || perfFactor > MaxPerfFactor || math.IsNaN(perfFactor) {
 		return fmt.Errorf("queueing: perf factor %v out of (0,%v]", perfFactor, float64(MaxPerfFactor))
 	}
-
-	// Pass 1: service times. Constants hoisted out of the per-request
-	// LogNormal — sigma², mu and sqrt(sigma²) depend only on
-	// (MeanServiceMs, ServiceCV) — keep every draw bit-identical: same
-	// expression, same evaluation order.
-	svcStream := rng.New(seed).Derive(2)
-	svcSigma2 := math.Log(1 + cfg.ServiceCV*cfg.ServiceCV)
-	svcMu := math.Log(cfg.MeanServiceMs) - svcSigma2/2
-	svcSig := math.Sqrt(svcSigma2)
-	s.svcMs = resize(s.svcMs, nRequests)
-	svcMs := s.svcMs
-	for i := range svcMs {
-		svcMs[i] = math.Exp(svcMu+svcSig*svcStream.Normal()) / perfFactor
+	if seed != s.drawSeed || nRequests != s.drawN {
+		s.draw(nRequests, seed)
+		s.drawSeed, s.drawN = seed, nRequests
 	}
 
-	// Pass 2: arrival timeline. Arrival draws are consumed from a
-	// block-refilled buffer: one (gap, head) pair per burst head, in
-	// exactly the order the unbatched loop drew them. Each refill is sized
-	// to the requests still outstanding — an upper bound on the arrival
-	// draws they can consume — so a short simulation (the fleet's
-	// per-window budget) never pays for draws past its last arrival.
-	arrStream := rng.New(seed).Derive(1)
-	if s.arrGaps == nil {
-		s.arrGaps = make([]float64, arrivalBatch)
-		s.arrHeads = make([]bool, arrivalBatch)
-	}
-	s.arrivalMs = resize(s.arrivalMs, nRequests)
-	arrivalMs := s.arrivalMs
+	// The FCFS k-server queue in arrival order. With identical workers,
+	// assigning each request to the earliest-free worker in arrival order
+	// is exactly FCFS. meanGapMs*unitGap[i] is the Exp(meanGapMs) gap
+	// rng.Stream.Exp would draw, bit for bit, and a burst follower's 0
+	// leaves the clock where it is.
 	meanGapMs := 1000 / ratePerSec
-	now := 0.0             // arrival clock, ms
-	pending := 0           // requests in this burst still to arrive at `now`
-	arrPos, arrLen := 0, 0 // empty: first use triggers a refill
-	for i := range arrivalMs {
-		if pending > 0 {
-			pending--
-		} else {
-			if arrPos == arrLen {
-				arrLen = nRequests - i
-				if arrLen > arrivalBatch {
-					arrLen = arrivalBatch
-				}
-				arrStream.FillArrivals(s.arrGaps[:arrLen], s.arrHeads[:arrLen], meanGapMs, cfg.BurstProb)
-				arrPos = 0
-			}
-			now += s.arrGaps[arrPos]
-			if s.arrHeads[arrPos] {
-				pending = int(cfg.BurstLen) - 1
-				if pending < 0 {
-					pending = 0
-				}
-			}
-			arrPos++
-		}
-		arrivalMs[i] = now
-	}
-
-	// Pass 3: the FCFS k-server queue in arrival order. With identical
-	// workers, assigning each request to the earliest-free worker in
-	// arrival order is exactly FCFS.
 	warm := nRequests / 10
 	s.workers.reset(cfg.Workers)
 	workers := &s.workers
 	s.latMs = resize(s.latMs, nRequests-warm)
 	latMs := s.latMs
-	for i, now := range arrivalMs {
+	svcMs := s.svcMs
+	now := 0.0 // arrival clock, ms
+	for i, u := range s.unitGap {
+		now += meanGapMs * u
 		start := workers.min()
 		if now > start {
 			start = now
 		}
-		finish := start + svcMs[i]
+		finish := start + svcMs[i]/perfFactor
 		workers.replaceMin(finish)
 		if i >= warm {
 			latMs[i-warm] = finish - now
 		}
 	}
 	return nil
+}
+
+// draw fills svcMs and unitGap with the n requests of seed under s.cfg.
+// The service and arrival streams are independent and each is consumed in
+// request order exactly as one interleaved loop would.
+func (s *Simulator) draw(n int, seed uint64) {
+	cfg := s.cfg
+	// Service times. Constants hoisted out of the per-request LogNormal —
+	// sigma², mu and sqrt(sigma²) depend only on (MeanServiceMs,
+	// ServiceCV) — keep every draw bit-identical: same expression, same
+	// evaluation order.
+	svcStream := rng.New(seed).Derive(2)
+	svcSigma2 := math.Log(1 + cfg.ServiceCV*cfg.ServiceCV)
+	svcMu := math.Log(cfg.MeanServiceMs) - svcSigma2/2
+	svcSig := math.Sqrt(svcSigma2)
+	s.svcMs = resize(s.svcMs, n)
+	svcMs := s.svcMs
+	for i := range svcMs {
+		svcMs[i] = math.Exp(svcMu + svcSig*svcStream.Normal())
+	}
+
+	// Unit arrival gaps. Arrival draws are consumed from a block-refilled
+	// buffer: one (gap, head) pair per burst head, in exactly the order
+	// the unbatched loop drew them. Each refill is sized to the requests
+	// still outstanding — an upper bound on the arrival draws they can
+	// consume — so a short simulation (the fleet's per-window budget)
+	// never pays for draws past its last arrival.
+	arrStream := rng.New(seed).Derive(1)
+	if s.arrGaps == nil {
+		s.arrGaps = make([]float64, arrivalBatch)
+		s.arrHeads = make([]bool, arrivalBatch)
+	}
+	s.unitGap = resize(s.unitGap, n)
+	unitGap := s.unitGap
+	pending := 0           // requests in this burst still to arrive with its head
+	arrPos, arrLen := 0, 0 // empty: first use triggers a refill
+	for i := range unitGap {
+		if pending > 0 {
+			pending--
+			unitGap[i] = 0
+			continue
+		}
+		if arrPos == arrLen {
+			arrLen = min(n-i, arrivalBatch)
+			arrStream.FillArrivals(s.arrGaps[:arrLen], s.arrHeads[:arrLen], 1, cfg.BurstProb)
+			arrPos = 0
+		}
+		unitGap[i] = s.arrGaps[arrPos]
+		if s.arrHeads[arrPos] {
+			pending = max(int(cfg.BurstLen)-1, 0)
+		}
+		arrPos++
+	}
 }
 
 // resize returns buf with length n, reallocating only when its capacity

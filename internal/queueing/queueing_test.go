@@ -1,9 +1,11 @@
 package queueing
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"stretch/internal/rng"
 	"stretch/internal/stats"
@@ -396,7 +398,7 @@ func TestLoadCurveShape(t *testing.T) {
 // TestHistogramEstimatorTracksExact locks the estimator contract: switching
 // Config.Estimator never perturbs the simulated event sequence (the exact
 // per-request mean is bit-identical) and quantile estimates stay within the
-// histogram's bucket resolution of the exact sorted-sample quantiles.
+// histogram's bucket resolution of the exact sample's quantiles.
 func TestHistogramEstimatorTracksExact(t *testing.T) {
 	exact := cfg()
 	exact.Estimator = stats.EstimatorExact
@@ -454,5 +456,126 @@ func TestValidateRejectsUnknownEstimator(t *testing.T) {
 	c.Estimator = stats.TailEstimator(99)
 	if err := c.Validate(); err == nil {
 		t.Fatal("unknown estimator accepted")
+	}
+}
+
+// TestSimulatorReusesDraw pins the draw memo: a Simulator that runs one
+// (seed, n) at several rates and perf factors, under both estimators, with
+// other seeds, other request counts and a Reset to another configuration
+// interleaved, answers every run bit for bit as a fresh Simulator does.
+// The interleaving is built so that a memo key missing the request count
+// or a Config field (BurstLen) reuses a stale draw.
+func TestSimulatorReusesDraw(t *testing.T) {
+	svc := workload.Services()[workload.DataServing]
+	a := ForService(svc)
+	aHist := a
+	aHist.Estimator = stats.EstimatorHistogram
+	longer := a
+	longer.BurstLen = a.BurstLen + 7
+	sat := float64(a.Workers) * 1000 / a.MeanServiceMs
+	type run struct {
+		cfg        Config
+		rate, perf float64
+		n          int
+		seed       uint64
+	}
+	runs := []run{
+		{a, 0.6 * sat, 1, 4000, 8},
+		{a, 0.3 * sat, 1, 1500, 7},
+		{a, 0.3 * sat, 1, 4000, 7}, // more requests than the draw in place
+		{a, 0.8 * sat, 1, 4000, 7},
+		{a, 0.8 * sat, 0.7, 4000, 7},
+		{a, 0.5 * sat, 1.2, 4000, 7},
+		{aHist, 0.8 * sat, 0.7, 4000, 7},
+		{aHist, 0.95 * sat, 1, 4000, 7},
+		{a, 0.8 * sat, 1, 4000, 9},
+		{longer, 0.8 * sat, 1, 4000, 7}, // only BurstLen differs
+		{longer, 0.4 * sat, 0.9, 4000, 7},
+		{a, 0.4 * sat, 0.9, 4000, 7}, // back to the first config
+		{a, 0.4 * sat, 0.9, 1500, 7}, // fewer requests than the draw in place
+		{a, 0.4 * sat, 0.9, 4000, 7},
+	}
+	var sim Simulator
+	for i, r := range runs {
+		if err := sim.Reset(r.cfg); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Simulate(r.cfg, r.rate, r.n, r.perf, r.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Simulate(r.rate, r.n, r.perf, r.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qos, err := sim.QoS(r.rate, r.n, r.perf, r.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(appendResultBits(nil, got), appendResultBits(nil, want)) || math.Float64bits(qos) != math.Float64bits(want.QoSMs) {
+			t.Fatalf("run %d %+v: reused Simulator gave %+v (QoS %v), a fresh one %+v", i, r, got, qos, want)
+		}
+	}
+}
+
+// TestSimulatorFootprint: a Simulator fits the 256-byte allocation size
+// class, so each residue worker's Simulator costs the fleet no more heap.
+func TestSimulatorFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(Simulator{}); sz > 256 {
+		t.Fatalf("Simulator is %d bytes, past the 256-byte size class", sz)
+	}
+}
+
+// TestPeakLoadMatchesFreshProbes: PeakLoad, whose probes share one draw,
+// returns bit for bit what the same bisection gives when every probe runs
+// on a fresh Simulator, for every catalogue service at the anchor budget.
+func TestPeakLoadMatchesFreshProbes(t *testing.T) {
+	reference := func(c Config, n int, seed uint64) float64 {
+		sat := float64(c.Workers) * 1000 / c.MeanServiceMs
+		unstable := 1 / Utilization(c, 1, 1)
+		lo, hi := sat*0.05, sat*1.2
+		for i := 0; i < 24; i++ {
+			mid := (lo + hi) / 2
+			if mid >= unstable {
+				hi = mid
+				continue
+			}
+			r, err := Simulate(c, mid, n, 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.QoSMs <= c.QoSTargetMs {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	svcs := workload.Services()
+	for _, name := range workload.ServiceNames() {
+		c := ForService(svcs[name])
+		for seed := uint64(1); seed <= 3; seed++ {
+			got, err := PeakLoad(c, 4000, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := reference(c, 4000, seed); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s seed %d: PeakLoad %v, fresh-probe bisection %v", name, seed, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkPeakLoad times the call that anchors every named fleet spec
+// (fleet.PeakRPSPerCore): web-search's peak at 4000 requests, seed 1,
+// under the exact estimator.
+func BenchmarkPeakLoad(b *testing.B) {
+	c := ForService(workload.Services()[workload.WebSearch])
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := PeakLoad(c, 4000, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -38,9 +38,15 @@ func Curve(cfg queueing.Config, peak float64, loads []float64, nRequests int, re
 	if resolution <= 0 || resolution >= 1 {
 		return nil, fmt.Errorf("slack: resolution %v out of (0,1)", resolution)
 	}
+	// One Simulator serves every load point: the seed and request count
+	// are fixed, so it draws the requests once for the whole curve.
+	sim, err := queueing.NewSimulator(cfg)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Point, 0, len(loads))
 	for _, lf := range loads {
-		req, err := RequiredPerf(cfg, peak*lf, nRequests, resolution, seed)
+		req, err := requiredPerf(sim, cfg, peak*lf, nRequests, resolution, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -55,12 +61,17 @@ func Curve(cfg queueing.Config, peak float64, loads []float64, nRequests int, re
 // floor resolution if the target is met even at the lowest searched
 // performance.
 func RequiredPerf(cfg queueing.Config, ratePerSec float64, nRequests int, resolution float64, seed uint64) (float64, error) {
-	// One Simulator serves every probe of the bisection: its buffers are
-	// sized once and no state leaks between calls.
 	sim, err := queueing.NewSimulator(cfg)
 	if err != nil {
 		return 0, err
 	}
+	return requiredPerf(sim, cfg, ratePerSec, nRequests, resolution, seed)
+}
+
+// requiredPerf is RequiredPerf on sim, which holds cfg. Every probe of the
+// bisection runs the same seed and request count, so sim draws the
+// requests once.
+func requiredPerf(sim *queueing.Simulator, cfg queueing.Config, ratePerSec float64, nRequests int, resolution float64, seed uint64) (float64, error) {
 	meets := func(perf float64) (bool, error) {
 		qos, err := sim.QoS(ratePerSec, nRequests, perf, seed)
 		return qos <= cfg.QoSTargetMs, err

@@ -12,6 +12,8 @@ import (
 // the log-bucketed histogram and checks its structural invariants: counts
 // conserved, quantiles monotone and inside the covered range, merge
 // equivalent to sequential accumulation, and Reset restoring a fresh state.
+// The same population goes into an exact Sample, whose quantiles must
+// equal the sort-based reference's bits, before and after one more Add.
 func FuzzHistogram(f *testing.F) {
 	f.Add(uint64(1), 10.0, 1.0, uint16(100))
 	f.Add(uint64(2), 0.0005, 2.0, uint16(1000))
@@ -24,8 +26,10 @@ func FuzzHistogram(f *testing.F) {
 		src := rng.New(seed)
 		h := NewTailHistogram()
 		a, b := NewTailHistogram(), NewTailHistogram()
+		xs := make([]float64, 0, int(n)+1)
 		for i := 0; i < int(n); i++ {
 			x := src.LogNormal(scale, shape)
+			xs = append(xs, x)
 			h.Add(x)
 			if i%2 == 0 {
 				a.Add(x)
@@ -33,6 +37,11 @@ func FuzzHistogram(f *testing.F) {
 				b.Add(x)
 			}
 		}
+		exact := NewSample(0)
+		exact.AddAll(xs)
+		checkAgainstSorted(t, "fuzz", exact, xs)
+		exact.Add(xs[0])
+		checkAgainstSorted(t, "fuzz after Add", exact, append(xs, xs[0]))
 		if h.N() != int(n) {
 			t.Fatalf("N = %d after %d adds", h.N(), n)
 		}

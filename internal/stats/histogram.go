@@ -15,9 +15,9 @@ const (
 	// fleet engine resolves it to EstimatorHistogram (O(1) memory in the
 	// request count) before building any store.
 	EstimatorDefault TailEstimator = iota
-	// EstimatorExact retains every observation in a Sample and sorts per
-	// quantile query: exact, but memory and time scale with the number of
-	// observations.
+	// EstimatorExact retains every observation in a Sample and selects
+	// the order statistics each quantile query needs: exact, but memory
+	// and time scale with the number of observations.
 	EstimatorExact
 	// EstimatorHistogram records observations into a fixed log-bucketed
 	// Histogram: quantiles carry a bounded relative error (the bucket

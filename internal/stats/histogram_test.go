@@ -241,8 +241,8 @@ func BenchmarkHistogramQuantile(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleQuantile is the exact-estimator counterpart: append and
-// sort the same population per query cycle.
+// BenchmarkSampleQuantile is the exact-estimator counterpart: append the
+// same population and select its quantile per query cycle.
 func BenchmarkSampleQuantile(b *testing.B) {
 	src := rng.New(1)
 	xs := make([]float64, 4096)

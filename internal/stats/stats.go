@@ -7,16 +7,19 @@
 //
 // Invariants: every estimator here is deterministic — identical inputs in
 // identical order produce bit-identical outputs — and both Tail stores'
-// quantiles are additionally order-independent: Sample sorts before it
-// answers one, and Histogram keeps integer bucket counts. So the fleet
-// engine may deposit a window's coalesced spans and its discrete residue
-// in separate passes, not in core order, without changing a bit.
+// quantiles are additionally order-independent: Sample answers one with
+// order statistics, which depend only on the multiset of its values, and
+// Histogram keeps integer bucket counts. So the fleet engine may deposit a
+// window's coalesced spans and its discrete residue in separate passes,
+// not in core order, without changing a bit.
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Running accumulates streaming mean/variance/min/max without retaining
@@ -71,8 +74,7 @@ func (r *Running) Max() float64 { return r.max }
 // Sample retains every observation for exact quantile computation. Use for
 // the experiment-scale data sets (at most a few million points).
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs []float64
 }
 
 // NewSample returns a Sample with capacity hint n.
@@ -83,7 +85,6 @@ func NewSample(n int) *Sample {
 // Add appends x.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
-	s.sorted = false
 }
 
 // AddN appends n copies of x.
@@ -91,13 +92,11 @@ func (s *Sample) AddN(x float64, n uint64) {
 	for ; n > 0; n-- {
 		s.xs = append(s.xs, x)
 	}
-	s.sorted = false
 }
 
 // AddAll appends every value of xs.
 func (s *Sample) AddAll(xs []float64) {
 	s.xs = append(s.xs, xs...)
-	s.sorted = false
 }
 
 // N returns the number of observations.
@@ -107,7 +106,6 @@ func (s *Sample) N() int { return len(s.xs) }
 // hot loops can reuse one Sample across windows without reallocating.
 func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
-	s.sorted = false
 }
 
 // Mean returns the sample mean.
@@ -123,29 +121,75 @@ func (s *Sample) Mean() float64 {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
-// between closest ranks. Returns 0 for an empty sample.
+// between closest ranks. Returns 0 for an empty sample. It selects the two
+// order statistics it needs instead of sorting, reordering the
+// observations in place; NaN orders first, as in sort.Float64s.
 func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
+	n := len(s.xs)
+	if n == 0 {
 		return 0
 	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+	pos := q * float64(n-1)
+	switch {
+	case q <= 0:
+		pos = 0
+	case q >= 1:
+		pos = float64(n - 1)
 	}
-	if q <= 0 {
-		return s.xs[0]
-	}
-	if q >= 1 {
-		return s.xs[len(s.xs)-1]
-	}
-	pos := q * float64(len(s.xs)-1)
 	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
+	selectRank(s.xs, lo)
+	if float64(lo) == pos {
 		return s.xs[lo]
 	}
+	// The next order statistic is the least value right of rank lo.
+	hi := s.xs[lo+1]
+	for _, x := range s.xs[lo+2:] {
+		if cmp.Less(x, hi) {
+			hi = x
+		}
+	}
 	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return s.xs[lo]*(1-frac) + hi*frac
+}
+
+// selectRank reorders xs so that xs[k] holds the value a sort would put
+// there, no value before it orders after it and none after it orders
+// before it. It is Hoare's quickselect with the middle element as pivot;
+// after 2·log₂n rounds it sorts what is left of the range, so adversarial
+// inputs cost O(n log n), not O(n²).
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for rounds := 2 * bits.Len(uint(len(xs))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(xs[lo : hi+1])
+			return
+		}
+		pivot := xs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for cmp.Less(xs[i], pivot) {
+				i++
+			}
+			for cmp.Less(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] order at or before the pivot, xs[i..hi] at or after
+		// it, and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Max returns the largest observation (0 if empty).

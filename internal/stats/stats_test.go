@@ -5,6 +5,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"stretch/internal/rng"
 )
 
 func TestRunningAgainstDirect(t *testing.T) {
@@ -68,7 +71,7 @@ func TestSampleEmptyAndInterleaved(t *testing.T) {
 	if s.Quantile(0.5) != 10 {
 		t.Fatal("single-element quantile")
 	}
-	s.Add(20) // add after a quantile call must re-sort
+	s.Add(20) // an add after a quantile call must be seen
 	if got := s.Quantile(1); got != 20 {
 		t.Fatalf("max after interleaved add = %v", got)
 	}
@@ -94,6 +97,120 @@ func TestSampleReset(t *testing.T) {
 	s.Add(1)
 	if s.Quantile(0.5) != 2 || s.N() != 2 {
 		t.Fatalf("post-reset stats wrong: %v over %d", s.Quantile(0.5), s.N())
+	}
+}
+
+// sortedQuantile is the sort-based quantile Sample.Quantile must equal:
+// sort a copy, then interpolate between the closest ranks.
+func sortedQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	ys := append([]float64(nil), xs...)
+	sort.Float64s(ys)
+	if q <= 0 {
+		return ys[0]
+	}
+	if q >= 1 {
+		return ys[len(ys)-1]
+	}
+	pos := q * float64(len(ys)-1)
+	lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+	if lo == hi {
+		return ys[lo]
+	}
+	frac := pos - float64(lo)
+	return ys[lo]*(1-frac) + ys[hi]*frac
+}
+
+// sameFloat reports bit-identical values, counting any two NaNs as equal.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// quantileProbes are the quantiles every Sample check asks for, out-of-range
+// ones included.
+var quantileProbes = []float64{-0.5, 0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999, 1, 1.5}
+
+// checkAgainstSorted asks s for every probe quantile, twice over, and
+// compares each answer with the sort-based reference over want.
+func checkAgainstSorted(t *testing.T, name string, s *Sample, want []float64) {
+	t.Helper()
+	for round := 0; round < 2; round++ {
+		for _, q := range quantileProbes {
+			if got, ref := s.Quantile(q), sortedQuantile(want, q); !sameFloat(got, ref) {
+				t.Fatalf("%s n=%d round %d: Quantile(%v) = %v, sorted reference %v", name, len(want), round, q, got, ref)
+			}
+		}
+	}
+}
+
+// TestSampleQuantileMatchesSorted: selection answers every quantile with the
+// bits a full sort gives, over random values, heavy duplicates, NaN and
+// ±Inf, and tiny samples, with repeated queries and an Add after a query.
+func TestSampleQuantileMatchesSorted(t *testing.T) {
+	src := rng.New(5)
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + trial%3
+		if trial >= 30 {
+			n = 1 + src.Intn(500)
+		}
+		var xs []float64
+		for i := 0; i < n; i++ {
+			switch k := trial % 5; {
+			case k == 1: // heavy duplicates
+				xs = append(xs, float64(src.Intn(4)))
+			case k == 2 && src.Intn(8) == 0: // sprinkled specials
+				xs = append(xs, special[src.Intn(len(special))])
+			default:
+				xs = append(xs, src.LogNormal(10, 1.5)-5)
+			}
+		}
+		s := NewSample(0)
+		s.AddAll(xs)
+		checkAgainstSorted(t, "random", s, xs)
+		x := special[trial%len(special)]
+		s.Add(x)
+		checkAgainstSorted(t, "after Add", s, append(xs, x))
+	}
+}
+
+// TestSampleQuantileLargeOrderedInputs: sorted, reversed, all-equal and
+// organ-pipe inputs of 10⁵ values, the patterns that drive a naive
+// quickselect quadratic, answer exactly and, all eleven probes of all four
+// together, in well under a second (tens of milliseconds on two vCPUs, a
+// few hundred under -race; quadratic selection takes seconds).
+func TestSampleQuantileLargeOrderedInputs(t *testing.T) {
+	const n = 100000
+	patterns := map[string]func(i int) float64{
+		"sorted":     func(i int) float64 { return float64(i) },
+		"reversed":   func(i int) float64 { return float64(n - i) },
+		"all-equal":  func(int) float64 { return 3 },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
+	}
+	var took time.Duration
+	for name, f := range patterns {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		s := NewSample(n)
+		s.AddAll(xs)
+		got := make([]float64, len(quantileProbes))
+		start := time.Now()
+		for i, q := range quantileProbes {
+			got[i] = s.Quantile(q)
+		}
+		took += time.Since(start)
+		for i, q := range quantileProbes {
+			if ref := sortedQuantile(xs, q); !sameFloat(got[i], ref) {
+				t.Fatalf("%s: Quantile(%v) = %v, sorted reference %v", name, q, got[i], ref)
+			}
+		}
+	}
+	if took > time.Second {
+		t.Fatalf("%d quantiles of four 10⁵-value inputs took %v", len(quantileProbes), took)
 	}
 }
 

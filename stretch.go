@@ -31,7 +31,7 @@
 //     exposed as FleetResult.WindowTrace. Tail quantiles are estimated by
 //     mergeable log-bucketed histograms by default (TailEstimator), which
 //     is what lets the fleet scale to tens of thousands of cores with
-//     constant per-core memory; the exact sorted-sample estimator remains
+//     constant per-core memory; the exact sample estimator remains
 //     available for small runs and accuracy comparisons. The fleet's
 //     per-mode performance arithmetic can be calibrated from the
 //     cycle-level layer (CalibrationTable, DefaultCalibration): each
@@ -400,8 +400,9 @@ type TailEstimator = stats.TailEstimator
 // log-bucketed histogram: O(1) per observation and constant memory, with
 // quantile error bounded by the bucket resolution (≤ 1/16 ≈ 6.25% per
 // quantisation level, half that in expectation). EstimatorExact retains
-// and sorts every observation — exact, but memory grows with request
-// count; use it for small runs and accuracy comparisons.
+// every observation and selects each quantile's order statistics — exact,
+// but memory grows with request count; use it for small runs and accuracy
+// comparisons.
 const (
 	EstimatorDefault   = stats.EstimatorDefault
 	EstimatorExact     = stats.EstimatorExact
