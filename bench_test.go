@@ -232,9 +232,9 @@ func BenchmarkFleet10kCores(b *testing.B) {
 }
 
 // BenchmarkFleet100kCores runs the same diurnal day at 100k cores under
-// the auto engine: steady windows answered by the analytic fast path,
-// transitional ones (cold starts, mode switches, excursions above the
-// solver's utilization ceiling) on the discrete simulator.
+// the auto engine: every window the solver accepts answered by the
+// analytic fast path, its refusals (excursions above the solver's
+// utilization ceiling) on the discrete simulator.
 func BenchmarkFleet100kCores(b *testing.B) {
 	cfg := benchFleetConfig(6250, EstimatorDefault) // 100000 cores
 	cfg.Engine = EngineAuto

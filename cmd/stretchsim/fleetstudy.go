@@ -46,7 +46,7 @@ type fleetParams struct {
 // p; windowReq is the -window-requests default.
 func addRunFlags(fs *flag.FlagSet, p *fleetParams, windowReq int) {
 	fs.StringVar(&p.estimator, "tail-estimator", "histogram", "tail quantile estimator (histogram|exact)")
-	fs.StringVar(&p.engine, "engine", "discrete", "window engine — discrete event simulation, or per-window auto classification that answers steady windows analytically (discrete|auto)")
+	fs.StringVar(&p.engine, "engine", "discrete", "window engine — discrete event simulation, or auto, which answers every window the analytic solver accepts in closed form (discrete|auto)")
 	fs.StringVar(&p.calib, "calib", "", "per-(service,batch,mode) calibration from the cycle-level model: \"default\" for the committed table, a .json path for an on-disk cache (built on miss), empty for uniform scalars")
 	fs.StringVar(&p.events, "events", "", "scenario events overriding the trace's embedded or default annotations, e.g. \"drain:24:0,restore:72:0,surge:30-40:video:1.8,perf:3:0.85\"")
 	fs.IntVar(&p.windowReq, "window-requests", windowReq, "simulated requests per core-window")

@@ -62,7 +62,7 @@ func TestFleetGolden(t *testing.T) {
 		// pays warm-up migrations on the way back up, locked end to end —
 		// policy echo, parked core-windows in the schedule line and all.
 		{"mixed", "feedback", 24, "histogram", "", "util", ""},
-		// Auto-engine runs lock the analytic fast path's classifier output:
+		// Auto-engine runs lock the analytic fast path's output:
 		// the engine line reports how many serving core-windows were
 		// answered analytically and coalesced and how many distinct solves
 		// it took, and the fleet numbers must hold steady against the

@@ -2,18 +2,18 @@
 // under every engine selection.
 //
 // In a homogeneous fleet almost every in-service core is bit-identical to
-// its neighbours: same client, same perf generation, same settled mode,
-// same per-core rate. Paying per-core cost for each of them — a
+// its neighbours: same client, same perf generation, same controller
+// state, same per-core rate. Paying per-core cost for each of them — a
 // work-claim, a solve-cache probe, a histogram Add, a controller Observe —
 // a million times per window is wasted work. This path exploits the
 // redundancy instead: each window is walked once, in core order, as
 // run-length spans of the plan keyed by (client, rate, perf bits,
-// migrated, last mode, controller value). A span whose classification is
-// steady is answered once — one analytic solve, one AddN deposit of the
+// migrated, controller value). Under the auto engine a span the solver
+// accepts is answered once — one analytic solve, one AddN deposit of the
 // span's whole count into each tail store, a bulk fill of the window
 // slices, and one controller Observe copied to every member. Under the
-// discrete engine classification is off: only zero-rate spans coalesce,
-// and every other core-window is discrete residue.
+// discrete engine only zero-rate spans coalesce, and every other
+// core-window is discrete residue.
 //
 // Each core owns its controller, as each SMT core owns its §IV-C monitor
 // in the paper. monitor.Controller is a deterministic all-scalar function
@@ -123,11 +123,11 @@ func (e *engine) walkWindow(asg Assignment) {
 				// Handover (or return from a sentinel state): cold start
 				// with a freshly reset controller.
 				e.release(c)
-				e.ctl[c], e.ctlClient[c], e.lastMode[c] = e.fresh[ci], ci, -1
+				e.ctl[c], e.ctlClient[c] = e.fresh[ci], ci
 			}
 			rate, mig := asg.Rate[c], asg.Migrated[c]
 			if spanStart >= 0 && (ci != spanCi || rate != spanRate || perf != spanPerf || mig != spanMig ||
-				e.lastMode[c] != e.lastMode[spanStart] || e.ctl[c] != e.ctl[spanStart]) {
+				e.ctl[c] != e.ctl[spanStart]) {
 				flush(c)
 			}
 			if spanStart < 0 {
@@ -140,15 +140,15 @@ func (e *engine) walkWindow(asg Assignment) {
 }
 
 // subRun executes one maximal run of cores sharing (client, rate, perf,
-// migrated, last mode, controller value) — the cohort key. The mode,
-// effective perf factor (scaled by the server's generation, the engaged
-// mode's calibrated LS delta and any migration penalty) and steadiness
-// classification are computed once for the whole run: identical inputs
-// would give every member core the identical answer. The run's size is
-// added to the window's analytic and cohort counters and to the batch
-// count of its mode, whose credit it earns (a migrated core runs on a
-// freshly reset controller, so its mode is Baseline), and every member's
-// last mode becomes this window's mode.
+// migrated, controller value) — the cohort key. The mode, effective perf
+// factor (scaled by the server's generation, the engaged mode's
+// calibrated LS delta and any migration penalty) and analytic answer are
+// computed once for the whole run: identical inputs would give every
+// member core the identical answer. The run's size is added to the
+// window's analytic and cohort counters and to the batch count of its
+// mode, whose credit it earns (a migrated core runs on a freshly reset
+// controller, so its mode is Baseline), and every member's lastMode
+// becomes this window's mode.
 func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	m := int32(b - a)
 	mode := e.ctl[a].Mode()
@@ -160,19 +160,15 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 		perf *= 1 - migrationPenalty
 	}
 	e.batchCW[ci][mode] += int64(m)
-	lm := int8(mode)
-	settled := e.lastMode[a] == lm
 	for c := a; c < b; c++ {
-		e.lastMode[c] = lm
+		e.lastMode[c] = int8(mode)
 	}
 
-	// The steadiness classifier: auto takes the analytic path on a span
-	// whose mode is settled (a migrated core starts on a fresh controller,
-	// so it never is) and which the solver accepts (steadyTail, never
-	// under the discrete engine). Anything else — a solver refusal, for a
-	// structural cap or a utilization above the ceiling — drops the whole
-	// span to the discrete residue; tail is read only when the span
-	// coalesces.
+	// Auto answers a span analytically exactly when the solver accepts it
+	// (steadyTail, never under the discrete engine; see engine.go). A
+	// solver refusal, for a structural cap or a utilization above the
+	// ceiling, drops the whole span to the discrete residue; tail is read
+	// only when the span coalesces.
 	//
 	// An idle window — a Poisson draw of zero arrivals, or a window the
 	// scheduler routed no load to — skips the queueing simulation under
@@ -184,7 +180,7 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 	// bottom bucket alike, so idle windows pull the measured quantiles down
 	// rather than being silently dropped.
 	tail, analytic := 0.0, false
-	if rate > 0 && settled {
+	if rate > 0 {
 		tail, analytic = e.steadyTail(ci, rate, perf)
 	}
 	if analytic {

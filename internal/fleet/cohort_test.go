@@ -164,11 +164,11 @@ func checkWorkers(t *testing.T, golden map[string]string, cfg Config) Result {
 
 // equivConfig is the equivalence suite's base fleet: two clients on
 // different services (different targets and calibration-free deltas), a
-// diurnal shape so the auto classifier mixes analytic and discrete
-// windows, a drain/restore that sends cores through sentinel states and
-// back as cold starts, and a surge that steps one client's rate
-// mid-horizon — transitions that reset controllers or switch modes, and
-// split or rejoin the walk's spans.
+// diurnal shape so the auto engine mixes analytic and discrete windows,
+// a drain/restore that sends cores through sentinel states and back as
+// cold starts, and a surge that steps one client's rate mid-horizon —
+// transitions that reset controllers or switch modes, and split or
+// rejoin the walk's spans.
 func equivConfig() Config {
 	return Config{
 		Servers: 3, CoresPerServer: 4,
@@ -401,14 +401,13 @@ func TestCohortWorklistBounded(t *testing.T) {
 	}
 }
 
-// TestCohortMigratedCoresStartCold pins why the steadiness classifier
-// needs no migration term: under feedback churn, a drain/restore and
-// util-autoscaler park/unpark, every core the scheduler marks Migrated
-// enters its window holding another client's controller or none — an
-// owner change or a return from a parked server — so the walk resets it
-// and its mode is never settled. It also pins why a migrated core needs
-// no batch-credit rule of its own: it runs its window on the reset
-// controller, in Baseline, so it never earns a B-mode bonus to forfeit.
+// TestCohortMigratedCoresStartCold: under feedback churn, a drain/restore
+// and util-autoscaler park/unpark, every core the scheduler marks
+// Migrated enters its window holding another client's controller or none
+// — an owner change or a return from a parked server — so the walk
+// resets it. This pins why a migrated core needs no batch-credit rule of
+// its own: it runs its window on the reset controller, in Baseline, so it
+// never earns a B-mode bonus to forfeit.
 func TestCohortMigratedCoresStartCold(t *testing.T) {
 	cfg := equivConfig()
 	cfg.Scheduler = SchedulerConfig{Policy: PolicyFeedback}
@@ -451,12 +450,13 @@ func TestCohortMigratedCoresStartCold(t *testing.T) {
 	}
 }
 
-// TestCohortSpanKeyHasLastMode: two cores whose controllers are equal but
-// whose last modes differ must not share a span, because the steadiness
-// classifier reads the last mode. Core 0 settled in Baseline is answered
-// analytically; core 1, just switched out of B-mode, is the only residue.
-// No equivalence digest catches a span key without lastMode.
-func TestCohortSpanKeyHasLastMode(t *testing.T) {
+// TestCohortSpanIgnoresLastMode: two cores whose controllers are equal
+// but whose previous modes differ share one span, because a window's tail
+// depends only on its config, rate, perf and seed, and the controller
+// value carries every mode the core can run. Under auto the solver
+// accepts the span, so both cores are answered analytically and neither
+// is discrete residue.
+func TestCohortSpanIgnoresLastMode(t *testing.T) {
 	cfg := Config{
 		Servers: 1, CoresPerServer: 2,
 		Traffic: loadgen.Traffic{
@@ -482,10 +482,14 @@ func TestCohortSpanKeyHasLastMode(t *testing.T) {
 		Rate:     []float64{rate, rate},
 		Migrated: []bool{false, false},
 	})
-	if e.analyticCW != 1 {
-		t.Fatalf("%d analytic core-windows, want 1 (core 0)", e.analyticCW)
+	if e.analyticCW != 2 || e.cohortCW != 2 {
+		t.Fatalf("%d analytic and %d cohort core-windows, want 2 each", e.analyticCW, e.cohortCW)
 	}
-	if len(e.worklist) != 1 || e.worklist[0].core != 1 {
-		t.Fatalf("worklist %+v, want core 1 alone", e.worklist)
+	if len(e.worklist) != 0 {
+		t.Fatalf("worklist %+v, want no residue", e.worklist)
+	}
+	if e.tails[0] != e.tails[1] || e.ctl[0] != e.ctl[1] || e.lastMode[0] != e.lastMode[1] {
+		t.Fatalf("span members diverged: tails %v, %v; modes %d, %d",
+			e.tails[0], e.tails[1], e.lastMode[0], e.lastMode[1])
 	}
 }

@@ -65,9 +65,9 @@ type Config struct {
 
 	// Engine selects how per-core window tails are computed: the discrete
 	// event-level simulator (the zero value, which simulates every
-	// core-window that has load) or the per-window auto classifier that
-	// answers settled-mode windows inside the solver envelope analytically
-	// and keeps the rest on the discrete path. See engine.go.
+	// core-window that has load) or auto, which answers every window the
+	// analytic solver accepts in closed form and simulates the rest. See
+	// engine.go.
 	Engine Engine
 
 	// Scheduler selects the core-allocation and load-routing policy; the

@@ -1,17 +1,17 @@
 // Engine selection: the analytic fast path. The discrete simulator runs a
-// core-window at one stationary rate and perf factor, so once the core's
-// controller mode has settled (it matches the previous window) and the window
-// is inside the solver envelope, its queueing equilibrium describes it and
-// queueing.AnalyticTail answers it in closed form. Cold starts — handovers and
-// migrations among them — fail the mode test; a burst or surge only changes
-// the rate the envelope sees. A diurnal fleet mostly cruises between rate
-// plateaus, which turns a 1M-core × 24h day from hours of event simulation
-// into seconds, plus a discrete residue of mode switches and peaks.
+// core-window from an empty queue at one stationary rate and perf factor,
+// and the controller's mode and any migration penalty are already in perf,
+// so the window's queueing equilibrium describes it. Under auto,
+// queueing.AnalyticTail answers a window in closed form exactly when the
+// solver accepts it; a burst or surge only changes the rate it sees. A
+// diurnal fleet mostly cruises between rate plateaus, which turns a
+// 1M-core × 24h day from hours of event simulation into seconds, plus a
+// discrete residue of the windows the solver refuses.
 //
 // The engine selection changes no execution path: every engine runs the
-// cohort walk (cohort.go), and the selection only sets what its
-// steadiness classifier may answer analytically — nothing under discrete,
-// steady windows under auto.
+// cohort walk (cohort.go), and the selection only sets what it may answer
+// analytically — nothing under discrete, whatever the solver accepts
+// under auto.
 package fleet
 
 import (
@@ -30,12 +30,12 @@ const (
 	// event-level queueing simulator — the default. It answers nothing
 	// analytically; only zero-rate windows skip the simulator.
 	EngineDiscrete Engine = 0
-	// EngineAuto classifies each (core, window): a settled-mode window
-	// inside the solver envelope takes the analytic fast path; a mode
-	// switch, a cold start (migrations included) or utilization above
-	// queueing.AnalyticMaxUtilization keeps full discrete fidelity. Its
-	// value stays 2 although 1 is unused: Result.Engine is JSON-encoded as
-	// an int, so renumbering would change every auto Result digest.
+	// EngineAuto answers each (core, window) the solver accepts on the
+	// analytic fast path; a solver refusal — a structural cap, or
+	// utilization above queueing.AnalyticMaxUtilization — keeps full
+	// discrete fidelity. Its value stays 2 although 1 is unused:
+	// Result.Engine is JSON-encoded as an int, so renumbering would change
+	// every auto Result digest.
 	EngineAuto Engine = 2
 )
 

@@ -39,10 +39,9 @@ func TestEngineParse(t *testing.T) {
 	}
 }
 
-// autoLoadConfig is lowLoadConfig at a diurnally varying moderate load:
-// steady enough that the auto classifier answers most post-warm-up
-// windows analytically, with a controller mode switch early in the
-// horizon exercising the discrete fallback.
+// autoLoadConfig is lowLoadConfig at a diurnally varying moderate load,
+// inside the solver envelope at every window, with controller mode
+// switches along the horizon.
 func autoLoadConfig() Config {
 	cfg := lowLoadConfig()
 	cfg.Traffic.Clients[0].Spec.Shape = loadgen.Diurnal{
@@ -55,17 +54,19 @@ func autoLoadConfig() Config {
 // TestFleetAutoIndependentOfWorkerCount: the analytic fast path is a pure
 // function of (client, rate, perf) and runs on the engine goroutine, so
 // sharding the discrete residue across goroutines must not perturb a
-// single bit of the result. The wide fleet's cold-start window puts
-// several claimChunk blocks of residue on the workers, so they really run
-// concurrently; under the -race CI job that catches any solve, or any
-// other touch of the single-owner solve cache, from a residue worker.
+// single bit of the result. The wide fleet's peak windows, above the
+// solver's utilization ceiling, put several claimChunk blocks of residue
+// on the workers, so they really run concurrently; under the -race CI job
+// that catches any solve, or any other touch of the single-owner solve
+// cache, from a residue worker.
 func TestFleetAutoIndependentOfWorkerCount(t *testing.T) {
 	wide := autoLoadConfig()
 	wide.Servers = 3 * claimChunk / wide.CoresPerServer
-	wide.Traffic.Clients[0].Spec.Shape = loadgen.Diurnal{ // same per-core load
-		HourLoad: loadgen.WebSearchDay(), PeakRPS: 600 * 3 * claimChunk, WindowsPerDay: 12,
+	wide.Traffic.Clients[0].Spec.Shape = loadgen.Diurnal{ // peak ρ ≈ 0.93 per core
+		HourLoad: loadgen.WebSearchDay(), PeakRPS: 800 * 3 * claimChunk, WindowsPerDay: 12,
 	}
 	wide.WindowRequests = 100
+	residue := 0
 	for name, cfg := range map[string]Config{"small": autoLoadConfig(), "wide": wide} {
 		run := func(workers int) Result {
 			t.Helper()
@@ -80,20 +81,26 @@ func TestFleetAutoIndependentOfWorkerCount(t *testing.T) {
 		if base.AnalyticCoreWindows == 0 {
 			t.Fatalf("%s: auto engine answered no windows analytically; the test is vacuous", name)
 		}
+		for _, o := range base.WindowTrace {
+			residue = max(residue, o.ServingCores-o.CohortCores)
+		}
 		for _, workers := range []int{5, 16} {
 			if got := run(workers); !reflect.DeepEqual(base, got) {
 				t.Fatalf("%s: auto run with %d workers diverged from 1 worker", name, workers)
 			}
 		}
 	}
+	if residue < 2*claimChunk {
+		t.Fatalf("at most %d residue cores in a window; the workers never share one", residue)
+	}
 }
 
-// TestFleetAutoClassifier locks the classifier's rules: the cold-start
-// window stays discrete, the discrete engine reports no analytic windows
-// at all, and a burst window is a window like any other — the simulator
-// runs it at one stationary rate, so once its mode has settled and its
-// boosted utilization is inside the solver envelope it is answered
-// analytically.
+// TestFleetAutoClassifier locks the engines' rules. The discrete engine
+// reports no analytic windows at all. Auto answers every window the
+// solver accepts analytically: the cold-start window on every serving
+// core, and a burst window like any other — the simulator runs it at one
+// stationary rate, so once its boosted utilization is inside the solver
+// envelope it is answered analytically.
 func TestFleetAutoClassifier(t *testing.T) {
 	disc, err := Run(lowLoadConfig())
 	if err != nil {
@@ -112,14 +119,14 @@ func TestFleetAutoClassifier(t *testing.T) {
 	if auto.Engine != EngineAuto {
 		t.Fatalf("auto run reported engine %v", auto.Engine)
 	}
-	// Window 0 is a cold start on every core: at most windows-1 of each
-	// core's windows can be analytic.
-	if max := auto.Cores * (cfg.Traffic.Windows - 1); auto.AnalyticCoreWindows > max {
-		t.Fatalf("%d analytic core-windows exceeds the %d cold-start ceiling", auto.AnalyticCoreWindows, max)
+	// Window 0 is a cold start on every core, inside the solver envelope:
+	// every serving core is answered analytically.
+	if w0 := auto.WindowTrace[0]; w0.ServingCores == 0 || w0.AnalyticCores != w0.ServingCores {
+		t.Fatalf("window 0: %d of %d serving cores analytic, want all", w0.AnalyticCores, w0.ServingCores)
 	}
 
 	// A recurring burst whose boosted rate stays under the ceiling: its
-	// settled burst windows take the analytic path.
+	// burst windows take the analytic path.
 	burst := autoLoadConfig()
 	base := loadgen.Constant{Rate: 280 * 8}
 	shape := loadgen.Burst{Base: base, Start: 2, Length: 2, Every: 4, Magnitude: 1.5}

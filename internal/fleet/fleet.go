@@ -122,11 +122,10 @@ type engine struct {
 
 	// Cohort walk state (cohort.go), one slot per core: ctl is the core's
 	// controller, ctlClient the client it serves (−1: none) and lastMode
-	// the mode it ran its latest window in (−1 after a reset; once the
-	// walk has passed a core, the mode of the current window). switches
-	// banks the switch counts of released controllers, fresh holds one
-	// reset controller per client, whose copies share its tuning, and
-	// worklist is the window's discrete residue.
+	// the mode it ran this window in, which the walk writes and observe
+	// reads. switches banks the switch counts of released controllers,
+	// fresh holds one reset controller per client, whose copies share its
+	// tuning, and worklist is the window's discrete residue.
 	ctl       []monitor.Controller
 	ctlClient []int16
 	lastMode  []int8

@@ -40,12 +40,12 @@ import (
 const (
 	// AnalyticMaxUtilization is the soundness ceiling of the closed-form
 	// solver, and the one utilization limit of the fleet's auto engine:
-	// its steadiness classifier and counterfactual evaluator answer
-	// analytically only at or below it. The solver's accuracy envelope
-	// (TestAnalyticMatchesDiscrete) is validated through this point; above
-	// it the heavy-traffic approximations degrade and the equilibrium
-	// itself takes longer than a window to reach, so the solver refuses
-	// and callers keep the discrete simulator.
+	// its cohort walk and counterfactual evaluator answer analytically
+	// only at or below it. The solver's accuracy envelope
+	// (TestAnalyticMatchesDiscrete) is validated through this point;
+	// above it the heavy-traffic approximations degrade and the
+	// equilibrium itself takes longer than a window to reach, so the
+	// solver refuses and callers keep the discrete simulator.
 	AnalyticMaxUtilization = 0.85
 	// maxAnalyticWorkers bounds the Erlang busy-distribution recurrence:
 	// beyond it the a^i/i! terms approach float64 overflow and the O(k)
@@ -91,8 +91,8 @@ type expComp struct {
 
 // Utilization returns the offered request load over service capacity,
 // ρ = λ·E[S]/k, for the configured service at the given arrival rate and
-// perf factor — the steadiness signal the fleet's auto classifier
-// compares against AnalyticMaxUtilization.
+// perf factor — the signal the analytic solver compares against
+// AnalyticMaxUtilization.
 func Utilization(cfg Config, ratePerSec, perfFactor float64) float64 {
 	if cfg.Workers <= 0 || perfFactor <= 0 {
 		return math.Inf(1)
@@ -323,6 +323,23 @@ func lognormQuantile(mean, sigma, u float64) float64 {
 	return math.Exp(mu + sigma*math.Sqrt2*math.Erfinv(2*u-1))
 }
 
+// tailEdges and tailMids are the tail histogram's bucket upper edges and
+// midpoints, constants of its geometry built once per process. The
+// underflow bucket's midpoint is 0; the top bucket's is +Inf, which the
+// histogram clamps into the top bucket.
+var tailEdges, tailMids = tailGrid()
+
+func tailGrid() (edges, mids []float64) {
+	h := stats.NewTailHistogram()
+	prev := 0.0
+	for j := range h.NumBuckets() {
+		u := h.UpperBound(j)
+		edges, mids, prev = append(edges, u), append(mids, (prev+u)/2), u
+	}
+	mids[0] = 0
+	return edges, mids
+}
+
 // depositAnalytic discretises the mixture distribution onto the histogram
 // grid as integer counts. The service time is first discretised into
 // per-bucket atoms at bucket midpoints (one erf per bucket edge); each
@@ -352,28 +369,14 @@ func depositAnalytic(h *stats.Histogram, cfg Config, es float64, waitComps []exp
 		return 0.5 * math.Erfc(-(math.Log(x)-mu)/(sigma*math.Sqrt2))
 	}
 
-	// Bucket edges, midpoints and per-bucket service mass. The top bucket
-	// absorbs the remaining upper tail; its midpoint is +Inf, which the
-	// histogram clamps into the top bucket.
-	edges := make([]float64, nb)
-	mids := make([]float64, nb)
+	// Per-bucket service mass. The top bucket's edge is +Inf, where cdf is
+	// exactly 1, so it absorbs the remaining upper tail.
+	edges, mids := tailEdges, tailMids
 	sMass := make([]float64, nb)
-	prevEdge, prevCDF := 0.0, 0.0
-	for j := 0; j < nb; j++ {
-		u := h.UpperBound(j)
-		edges[j] = u
-		if math.IsInf(u, 1) {
-			mids[j] = math.Inf(1)
-			sMass[j] = 1 - prevCDF
-			continue
-		}
-		mids[j] = (prevEdge + u) / 2
-		if j == 0 {
-			mids[j] = 0 // underflow bucket: representative value 0
-		}
+	prevCDF := 0.0
+	for j, u := range edges {
 		c := cdf(u)
-		sMass[j] = c - prevCDF
-		prevEdge, prevCDF = u, c
+		sMass[j], prevCDF = c-prevCDF, c
 	}
 
 	// Accumulate each component's mass into float buckets.

@@ -2,6 +2,7 @@ package queueing
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"stretch/internal/stats"
@@ -33,7 +34,7 @@ func rateAtUtil(cfg Config, rho, perf float64) float64 {
 
 // TestAnalyticMatchesDiscrete pins the accuracy contract of the analytic
 // fast path: across the full service catalogue and the utilization range
-// the fleet's auto classifier routes to the solver, the analytic mean sojourn
+// the fleet's auto engine routes to the solver, the analytic mean sojourn
 // time and QoS-quantile tail stay within a documented envelope of a
 // long discrete simulation. The envelope is deliberately wider than the
 // histogram bucket resolution: the discrete reference at finite n carries
@@ -125,8 +126,8 @@ func TestAnalyticSoundnessEnvelope(t *testing.T) {
 	}
 }
 
-// TestUtilization cross-checks the classifier signal against first
-// principles: rho = rate·E[G]·E[S] / (k·1000·perf).
+// TestUtilization cross-checks the solver's utilization signal against
+// first principles: rho = rate·E[G]·E[S] / (k·1000·perf).
 func TestUtilization(t *testing.T) {
 	cfg := Config{Workers: 16, MeanServiceMs: 17, ServiceCV: 0.4,
 		BurstProb: 0.005, BurstLen: 20, QoSQuantile: 0.99, QoSTargetMs: 100}
@@ -140,6 +141,36 @@ func TestUtilization(t *testing.T) {
 	}
 	if !math.IsInf(Utilization(Config{}, 700, 1), 1) {
 		t.Error("unconfigured service must report infinite utilization")
+	}
+}
+
+// TestAnalyticTailAllocs pins what one solve allocates on a catalogue
+// service: the tail histogram, the mixture's scratch arrays and the
+// per-bucket mass arrays, but not the histogram grid's bucket edges and
+// midpoints, which are built once per process. A fleet run makes one
+// solve per distinct (client, rate, perf), so this is the auto engine's
+// allocation per solve.
+func TestAnalyticTailAllocs(t *testing.T) {
+	const maxAllocs, maxBytes, runs = 11, 20000, 20
+	cfg := svcConfigs()[workload.WebSearch]
+	rate := rateAtUtil(cfg, 0.7, 1)
+	solve := func() {
+		if _, err := AnalyticTail(cfg, rate, 1, 400); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, solve)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("AnalyticTail: %.0f allocs, %d B per solve", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Fatalf("AnalyticTail allocates %.0f times and %d B per solve, want at most %d and %d B",
+			allocs, bytes, maxAllocs, maxBytes)
 	}
 }
 

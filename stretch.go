@@ -413,18 +413,17 @@ const (
 func ParseTailEstimator(s string) (TailEstimator, error) { return stats.ParseTailEstimator(s) }
 
 // EngineMode selects how the fleet computes per-core window tails: the
-// discrete event-level simulator or the per-window auto classifier.
+// discrete event-level simulator or the auto engine's analytic fast path.
 type EngineMode = fleet.Engine
 
 // Engine modes. EngineDiscrete (the default) simulates every core-window
 // that has load event by event and answers nothing analytically.
-// EngineAuto classifies per (core, window): a window whose controller
-// mode is settled and whose utilization is inside the solver's validated
-// envelope takes the closed-form analytic fast path; mode switches, cold
-// starts (client handovers and migrations among them) and utilization
-// above the ceiling keep full discrete fidelity, which is what makes
-// 1M-core × 24h fleet days tractable without giving up event-level
-// accuracy where it matters.
+// EngineAuto answers every (core, window) the closed-form solver accepts
+// analytically, whatever the controller's mode or history; windows the
+// solver refuses (utilization above its ceiling, or a service outside
+// its validated envelope) keep full discrete fidelity, which is what
+// makes 1M-core × 24h fleet days tractable without giving up event-level
+// accuracy where the solver cannot vouch for its answer.
 const (
 	EngineDiscrete = fleet.EngineDiscrete
 	EngineAuto     = fleet.EngineAuto
