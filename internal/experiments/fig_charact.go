@@ -62,21 +62,31 @@ func Fig3(c *Context) (Table, error) {
 
 // resourceStudy runs the §III-B single-shared-resource grids for one LS
 // service and returns, per resource, the slowdown distributions of the LS
-// thread and the batch co-runners relative to solo.
+// thread and the batch co-runners relative to solo. The solo cells and
+// the four resources' grids run as one fan-out, so no worker idles at
+// the end of a small grid.
 func resourceStudy(c *Context, ls string) (map[colocate.Resource][2]stats.Violin, error) {
-	solo, err := c.Solo(core.Solo(), append([]string{ls}, c.BatchNames()...)...)
-	if err != nil {
+	rs := colocate.Resources()
+	grids := make([]map[string]map[string]colocate.Pair, len(rs))
+	var solo map[string]sampling.Agg
+	jobs := []sampling.Job{func() (err error) {
+		solo, err = c.Solo(core.Solo(), append([]string{ls}, c.BatchNames()...)...)
+		return err
+	}}
+	for i, r := range rs {
+		jobs = append(jobs, func() (err error) {
+			grids[i], err = c.Grid(colocate.ShareOnlyConfig(r), []string{ls}, c.BatchNames())
+			return err
+		})
+	}
+	if err := sampling.Parallel(jobs); err != nil {
 		return nil, err
 	}
-	out := make(map[colocate.Resource][2]stats.Violin, 4)
-	for _, r := range colocate.Resources() {
-		grid, err := c.Grid(colocate.ShareOnlyConfig(r), []string{ls}, c.BatchNames())
-		if err != nil {
-			return nil, err
-		}
+	out := make(map[colocate.Resource][2]stats.Violin, len(rs))
+	for i, r := range rs {
 		var lsS, bS []float64
 		for _, b := range c.BatchNames() {
-			p := grid[ls][b]
+			p := grids[i][ls][b]
 			lsS = append(lsS, colocate.Slowdown(p.LSAgg.IPC, solo[ls].IPC))
 			bS = append(bS, colocate.Slowdown(p.BatchAgg.IPC, solo[b].IPC))
 		}

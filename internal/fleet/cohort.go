@@ -4,9 +4,9 @@
 // In a homogeneous fleet almost every in-service core is bit-identical to
 // its neighbours: same client, same perf generation, same controller
 // state, same per-core rate. Paying per-core cost for each of them — a
-// work-claim, a solve-cache probe, a histogram Add, a controller Observe —
-// a million times per window is wasted work. This path exploits the
-// redundancy instead: each window is walked once, in core order, as
+// worklist slot, a solve-cache probe, a histogram Add, a controller
+// Observe — a million times per window is wasted work. This path exploits
+// the redundancy instead: each window is walked once, in core order, as
 // run-length spans of the plan keyed by (client, rate, perf bits,
 // migrated, controller value). Under the auto engine a span the solver
 // accepts is answered once — one analytic solve, one AddN deposit of the
@@ -26,8 +26,8 @@
 //
 // Discrete-residue cores keep their per-core (seed, core, window) rng
 // streams untouched and run one core at a time on residue workers, one
-// goroutine per Simulator started for the window and joined at its
-// barrier, so the determinism contract — byte-identical goldens,
+// goroutine per share of the worklist started for the window and joined
+// at its barrier, so the determinism contract — byte-identical goldens,
 // DeepEqual across worker counts — holds exactly. The per-core reference
 // engine this path replaced committed a digest of every equivalence cell
 // (testdata/equivalence_digests.golden); cohort_test.go holds the walk to
@@ -39,12 +39,13 @@ import (
 	"stretch/internal/queueing"
 )
 
-// claimChunk is the number of work units a residue worker claims per
-// atomic increment. One atomic per core made the claim counter the
-// hottest cache line in a million-core window; block claims amortise it
-// 128×, and the chunk is small enough that the tail imbalance (≤ chunk per
-// worker) is noise at every fleet size the benches run.
-const claimChunk = 128
+// minShare is the residue a worker must have before another one starts:
+// a window's residue splits into ⌈items/minShare⌉ shares, at most one per
+// worker, so a residue of at most minShare items runs on one worker. A
+// share per worker for any residue would have every worker's Simulator
+// grow its own request buffers, which a small fleet's windows never
+// repay in memory (BenchmarkPlanCapacity).
+const minShare = 128
 
 // workItem is one discrete-residue core-window handed to the residue
 // workers: the core keeps its own derived seed and observes into its own
@@ -212,7 +213,7 @@ func (e *engine) subRun(a, b int, ci int16, rate, rawPerf float64, mig bool) {
 // core's own (seed, core, window)-derived stream, its tail written to the
 // core's slot and observed by the core's own controller (runWindow
 // deposits it after the workers join). Items touch disjoint cores, so the
-// workers need no locking beyond the claim counter.
+// workers need no locking.
 func (e *engine) runWorkItem(it workItem, w int, sim *queueing.Simulator) error {
 	c := int(it.core)
 	seed := e.root.Derive(uint64(c)).Derive(uint64(w)).Uint64()

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 
-	"stretch/internal/queueing"
 	"stretch/internal/rng"
 )
 
@@ -244,8 +243,9 @@ func (e *elastic) record(w int, obs *WindowObservation, desired []int, moves int
 // construction.
 //
 // Determinism: the evaluator draws its seed from (Seed, window, client)
-// only, reuses one dedicated Simulator, and — identical seeds per (w, ci)
-// across allocations — compares alternatives under common random numbers.
+// only, reuses the first residue worker's Simulator (idle until the
+// walk), and — identical seeds per (w, ci) across allocations — compares
+// alternatives under common random numbers.
 // Under the auto engine it answers eligible (utilization within the
 // analytic ceiling, structurally solvable) evaluations from the analytic
 // fast path instead, exactly like the main engine's steady windows.
@@ -350,8 +350,8 @@ func (e *engine) cfCost(w int, counts []int) (float64, error) {
 
 // cfTail answers one (client, core-count) evaluation: from the window
 // cache, the analytic fast path (auto engine, utilization within the
-// analytic ceiling) or the dedicated discrete simulator seeded by (Seed,
-// window, client).
+// analytic ceiling) or the first residue worker's simulator, seeded by
+// (Seed, window, client).
 func (e *engine) cfTail(w, ci, cnt int, rate float64) (float64, error) {
 	k := cfKey{ci, cnt}
 	if t, ok := e.cfCache[k]; ok {
@@ -362,10 +362,10 @@ func (e *engine) cfTail(w, ci, cnt int, rate float64) (float64, error) {
 		return t, nil
 	}
 	seed := e.cfRng.Derive(uint64(w)).Derive(uint64(ci)).Uint64()
-	if err := e.cfSim.Reset(e.qcfgs[ci]); err != nil {
+	if err := e.sims[0].Reset(e.qcfgs[ci]); err != nil {
 		return 0, err
 	}
-	tail, err := e.cfSim.QoS(rate, e.windowReq, 1, seed)
+	tail, err := e.sims[0].QoS(rate, e.windowReq, 1, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -377,7 +377,6 @@ func (e *engine) cfTail(w, ci, cnt int, rate float64) (float64, error) {
 func (e *engine) initCounterfactual(k int, seed uint64) {
 	e.cfK = k
 	e.cfRng = rng.New(seed).Derive(cfLabel)
-	e.cfSim = new(queueing.Simulator)
 	e.cfCache = make(map[cfKey]float64)
 	e.cfLoad = make([]float64, len(e.qcfgs))
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -55,15 +54,15 @@ func autoLoadConfig() Config {
 // function of (client, rate, perf) and runs on the engine goroutine, so
 // sharding the discrete residue across goroutines must not perturb a
 // single bit of the result. The wide fleet's peak windows, above the
-// solver's utilization ceiling, put several claimChunk blocks of residue
-// on the workers, so they really run concurrently; under the -race CI job
-// that catches any solve, or any other touch of the single-owner solve
-// cache, from a residue worker.
+// solver's utilization ceiling, put more than minShare items of residue
+// on the workers, so several shares really run concurrently; under the
+// -race CI job that catches any solve, or any other touch of the
+// single-owner solve cache, from a residue worker.
 func TestFleetAutoIndependentOfWorkerCount(t *testing.T) {
 	wide := autoLoadConfig()
-	wide.Servers = 3 * claimChunk / wide.CoresPerServer
+	wide.Servers = 3 * minShare / wide.CoresPerServer
 	wide.Traffic.Clients[0].Spec.Shape = loadgen.Diurnal{ // peak ρ ≈ 0.93 per core
-		HourLoad: loadgen.WebSearchDay(), PeakRPS: 800 * 3 * claimChunk, WindowsPerDay: 12,
+		HourLoad: loadgen.WebSearchDay(), PeakRPS: 800 * 3 * minShare, WindowsPerDay: 12,
 	}
 	wide.WindowRequests = 100
 	residue := 0
@@ -90,8 +89,8 @@ func TestFleetAutoIndependentOfWorkerCount(t *testing.T) {
 			}
 		}
 	}
-	if residue < 2*claimChunk {
-		t.Fatalf("at most %d residue cores in a window; the workers never share one", residue)
+	if residue <= 2*minShare {
+		t.Fatalf("at most %d residue cores in a window; no window splits into three shares", residue)
 	}
 }
 
@@ -158,36 +157,37 @@ func TestFleetAutoClassifier(t *testing.T) {
 
 // TestEngineErrorIndependentOfWorkerCount: a residue core-window that
 // fails stops the run with the lowest failing core's error, whichever
-// worker simulated it. Every core fails its cold-start window here, so at
-// four workers the four claimChunk blocks fail on whichever workers
-// claimed them. Which worker claims which block is up to the scheduler,
-// so the reduction over the per-worker slots is also checked on a
-// hand-built set of slots.
+// share simulated it. Only the second client's cores fail their
+// cold-start window here, and its first core sits inside a share, not at
+// a share's start, at every worker count. The 385-core residue is
+// divisible by no worker count and splits into one, two and three shares.
 func TestEngineErrorIndependentOfWorkerCount(t *testing.T) {
 	cfg := lowLoadConfig()
-	cfg.Servers = 4 * claimChunk / cfg.CoresPerServer
+	cfg.Servers, cfg.CoresPerServer = 77, 5
+	search := cfg.Traffic.Clients[0]
+	search.Fraction = 0.4
+	other := search
+	other.Name, other.Fraction = "other", 0.6
+	cfg.Traffic.Clients = []loadgen.Client{search, other}
 	var msgs []string
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 3} {
 		cfg.Workers = workers
 		e, err := newEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.qcfgs[0].Workers = 0 // Simulator.Reset rejects it
+		e.qcfgs[1].Workers = 0 // Simulator.Reset rejects it
 		err = e.runWindow(0)
 		if err == nil {
 			t.Fatalf("%d workers: the corrupt service config simulated", workers)
 		}
+		if n := len(e.worklist); n != 385 {
+			t.Fatalf("%d residue items in window 0, want 385", n)
+		}
 		msgs = append(msgs, err.Error())
 	}
-	if msgs[0] != msgs[1] || !strings.Contains(msgs[0], "core 0:") {
-		t.Fatalf("errors at 1 and 4 workers: %q, %q; want the same, naming core 0", msgs[0], msgs[1])
-	}
-
-	low, high := errors.New("low"), errors.New("high")
-	e := &engine{errs: []coreErr{{256, high}, {}, {3, low}, {128, high}}}
-	if err := e.residueErr(); !errors.Is(err, low) {
-		t.Fatalf("residueErr = %v, want core 3's error", err)
+	if msgs[0] != msgs[1] || msgs[0] != msgs[2] || !strings.Contains(msgs[0], "core 154:") {
+		t.Fatalf("errors at 1, 2 and 3 workers: %q; want the same, naming core 154", msgs)
 	}
 }
 

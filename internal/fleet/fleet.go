@@ -83,7 +83,8 @@ type engine struct {
 	st *elastic
 
 	// One reusable Simulator per residue worker; runWindow starts one
-	// goroutine per Simulator each window that has discrete residue.
+	// goroutine per share of each window's discrete residue, share s on
+	// sims[s].
 	sims []*queueing.Simulator
 
 	// winTrace and decTrace collect one record per finished window; the
@@ -134,23 +135,22 @@ type engine struct {
 	worklist  []workItem
 
 	// Counterfactual evaluator state (decision.go), wired by
-	// initCounterfactual when Config.CounterfactualK > 0: a dedicated
-	// Simulator and rng branch (the evaluator runs single-threaded behind
-	// the Step call, so worker count cannot touch it), a per-window
-	// (client, count) → tail cache, and the per-client load scratch; its
-	// analytic solves go through solveCache on the engine goroutine, before
-	// the window's walk.
+	// initCounterfactual when Config.CounterfactualK > 0: an rng branch
+	// (the evaluator runs single-threaded behind the Step call, on
+	// e.sims[0] before the residue workers start, so worker count cannot
+	// touch it), a per-window (client, count) → tail cache, and the
+	// per-client load scratch; its analytic solves go through solveCache
+	// on the engine goroutine, before the window's walk.
 	cfK     int
 	cfRng   *rng.Stream
-	cfSim   *queueing.Simulator
 	cfCache map[cfKey]float64
 	cfLoad  []float64
 
 	// tails is the window's per-core scratch, read by the barrier: each
 	// serving core's tail.
 	tails []float64
-	// errs holds one slot per residue worker: its lowest failing core.
-	errs []coreErr
+	// errs holds one slot per residue share: its first, lowest, failure.
+	errs []error
 
 	// analyticCW and cohortCW count the window's core-windows answered
 	// analytically and by the cohort walk; the barrier copies them into
@@ -168,10 +168,4 @@ type engine struct {
 	winTails  []stats.Tail
 	runTails  []stats.Tail
 	fleetTail stats.Tail
-}
-
-// coreErr is a failed residue core-window: the core and its error.
-type coreErr struct {
-	core int32
-	err  error
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"stretch/internal/core"
 	"stretch/internal/queueing"
@@ -121,7 +120,7 @@ func newEngine(cfg Config) (*engine, error) {
 	for i := range e.sims {
 		e.sims[i] = new(queueing.Simulator)
 	}
-	e.errs = make([]coreErr, workers)
+	e.errs = make([]error, workers)
 	// Exact run stores are sized for the static split; an elastic client
 	// that outgrows it appends. The histogram ignores the hints.
 	e.winTails = make([]stats.Tail, n)
@@ -141,7 +140,7 @@ func newEngine(cfg Config) (*engine, error) {
 
 // runWindow advances the fleet through window w: the scheduler's Step on
 // the previous window's observation, the counterfactual evaluation, the
-// cohort walk, one goroutine per Simulator over the discrete residue, and
+// cohort walk, one goroutine per share of the discrete residue, and
 // the barrier's observation and decision record.
 func (e *engine) runWindow(w int) error {
 	var obs *WindowObservation
@@ -162,35 +161,32 @@ func (e *engine) runWindow(w int) error {
 
 	// Simulate the window, then barrier before observing. The cohort
 	// walk answers coalescible spans serially and hands only the
-	// discrete residue to the workers, which claim it in blocks of
-	// claimChunk instead of one atomic per item.
+	// discrete residue to the workers: the core-ordered worklist splits
+	// into equal contiguous shares of at most minShare items, or one per
+	// worker if that is fewer, each on its own goroutine and Simulator.
+	// A share stops at its first failure, its lowest failing core, so the
+	// first failing share holds the window's.
 	e.walkWindow(asg)
-	if work := len(e.worklist); work > 0 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for wk, sim := range e.sims {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					lo := int(next.Add(claimChunk)) - claimChunk
-					if lo >= work {
-						return
-					}
-					for _, it := range e.worklist[lo:min(lo+claimChunk, work)] {
-						// Chunks are claimed in rising core order, so a
-						// worker's first failure is its lowest.
-						if err := e.runWorkItem(it, w, sim); err != nil && e.errs[wk].err == nil {
-							e.errs[wk] = coreErr{it.core, fmt.Errorf("fleet: window %d core %d: %w", w, it.core, err)}
-						}
-					}
+	work := len(e.worklist)
+	shares := min(len(e.sims), (work+minShare-1)/minShare)
+	var wg sync.WaitGroup
+	for s := range shares {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, it := range e.worklist[s*work/shares : (s+1)*work/shares] {
+				if err := e.runWorkItem(it, w, e.sims[s]); err != nil {
+					e.errs[s] = fmt.Errorf("fleet: window %d core %d: %w", w, it.core, err)
+					return
 				}
-			}()
-		}
-		wg.Wait()
+			}
+		}()
 	}
-	if err := e.residueErr(); err != nil {
-		return err
+	wg.Wait()
+	for _, err := range e.errs[:shares] {
+		if err != nil {
+			return err
+		}
 	}
 	// The walk deposited the coalesced spans; the residue's tails are
 	// deposited here, after the workers join, so every store stays on the
@@ -210,18 +206,6 @@ func (e *engine) runWindow(w int) error {
 		e.decTrace = append(e.decTrace, *rec)
 	}
 	return nil
-}
-
-// residueErr returns the lowest failing residue core's error, whichever
-// worker ran it, so the error does not depend on the worker count.
-func (e *engine) residueErr() error {
-	var first coreErr
-	for _, ce := range e.errs {
-		if ce.err != nil && (first.err == nil || ce.core < first.core) {
-			first = ce
-		}
-	}
-	return first.err
 }
 
 // deposit records m serving core-windows of client ci with tail t in the

@@ -8,9 +8,10 @@
 // Invariant: the Controller is a pure state machine over its observation
 // sequence — no clocks, no randomness, no dependence on the core model's
 // timing — so identical observations always replay to identical actions.
-// Its tuning is held by pointer and never written after Reset, so copies
-// of one controller share it: the fleet engine holds controllers by value,
-// one per core, and every core of a client shares that client's tuning.
+// Its tuning is the paper's one fixed ladder (package constants) plus the
+// signal and target it holds by value, so a copy is a fully independent
+// controller and two copies fed the same observations compare equal with
+// ==: the fleet engine holds controllers by value, one per core.
 package monitor
 
 import (
@@ -65,61 +66,39 @@ const (
 	SignalQueueLength
 )
 
-// Config tunes the controller.
+// The controller's tuning: B-mode engages when the tail sits below
+// engageBelow × target and is left above disengageAbove × target (with
+// the queue-length signal, at most queueEngageBelow waiting requests and
+// at least queueDisengageAbove). Every condition must hold for hysteresis
+// consecutive windows before the controller acts — mode flips flush both
+// pipelines, so flapping is costly — and throttleAfter consecutive
+// violating windows outside B-mode throttle the co-runner.
+const (
+	engageBelow         = 0.70
+	disengageAbove      = 0.95
+	queueEngageBelow    = 1
+	queueDisengageAbove = 4
+	hysteresis          = 2
+	throttleAfter       = 4
+)
+
+// Config selects the controller's signal and tail-latency target.
 type Config struct {
 	// Signal selects the QoS metric.
 	Signal Signal
-
 	// TargetMs is the tail-latency QoS target.
 	TargetMs float64
-	// EngageBelow engages B-mode when tail < EngageBelow × target.
-	EngageBelow float64
-	// DisengageAbove leaves B-mode when tail > DisengageAbove × target.
-	DisengageAbove float64
-
-	// QueueEngageBelow / QueueDisengageAbove are the queue-length
-	// equivalents (requests waiting).
-	QueueEngageBelow    int
-	QueueDisengageAbove int
-
-	// QModeAvailable provisions the optional Q-mode configuration.
-	QModeAvailable bool
-
-	// Hysteresis is how many consecutive windows a condition must hold
-	// before the controller acts — mode flips flush both pipelines, so
-	// flapping is costly.
-	Hysteresis int
-	// ThrottleAfter is how many consecutive violating windows (after
-	// leaving B-mode) trigger co-runner throttling.
-	ThrottleAfter int
 }
 
-// DefaultConfig returns the controller tuning used by the experiments.
+// DefaultConfig returns the tail-latency-driven tuning for targetMs.
 func DefaultConfig(targetMs float64) Config {
-	return Config{
-		Signal:              SignalTailLatency,
-		TargetMs:            targetMs,
-		EngageBelow:         0.70,
-		DisengageAbove:      0.95,
-		QueueEngageBelow:    1,
-		QueueDisengageAbove: 4,
-		QModeAvailable:      true,
-		Hysteresis:          2,
-		ThrottleAfter:       4,
-	}
+	return Config{Signal: SignalTailLatency, TargetMs: targetMs}
 }
 
 // Validate rejects unusable tunings.
 func (c Config) Validate() error {
-	switch {
-	case c.TargetMs <= 0 && c.Signal == SignalTailLatency:
+	if c.TargetMs <= 0 && c.Signal == SignalTailLatency {
 		return fmt.Errorf("monitor: non-positive target")
-	case c.EngageBelow <= 0 || c.EngageBelow >= c.DisengageAbove:
-		return fmt.Errorf("monitor: engage threshold must be in (0, disengage)")
-	case c.Hysteresis < 1:
-		return fmt.Errorf("monitor: hysteresis must be >= 1")
-	case c.ThrottleAfter < 1:
-		return fmt.Errorf("monitor: throttle-after must be >= 1")
 	}
 	return nil
 }
@@ -128,11 +107,11 @@ func (c Config) Validate() error {
 // timing dependence on the core model: callers feed it one observation per
 // monitoring window and apply the returned action.
 //
-// The tuning is shared, not copied: cfg points at the Config given to
-// Reset and is read-only afterwards. The scalar state is ordered so the
-// three one-byte fields pack into one word (56 B in all).
+// The target and signal are held by value (queueLen: SignalQueueLength);
+// the fields are ordered so the one-byte fields pack into one word (56 B
+// in all).
 type Controller struct {
-	cfg *Config
+	targetMs float64
 
 	lowStreak  int
 	highStreak int
@@ -140,6 +119,7 @@ type Controller struct {
 	lastTail   float64
 	switches   uint64
 
+	queueLen  bool
 	mode      core.Mode
 	throttled bool
 	observed  bool
@@ -155,15 +135,13 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // Reset reinitialises the controller in place for cfg, starting in Baseline
-// mode with all streaks and the switch count cleared. It stores one heap
-// copy of cfg, which every later copy of the controller shares; callers
-// that hold many controllers of one tuning (the fleet engine) Reset one
-// and copy it rather than Reset each.
+// mode with all streaks and the switch count cleared. It allocates
+// nothing.
 func (c *Controller) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	*c = Controller{cfg: &cfg, mode: core.ModeBaseline}
+	*c = Controller{targetMs: cfg.TargetMs, queueLen: cfg.Signal == SignalQueueLength, mode: core.ModeBaseline}
 	return nil
 }
 
@@ -187,10 +165,10 @@ func (c *Controller) LastTailMs() float64 { return c.lastTail }
 // observation, or when the controller is not tail-latency driven, Slack
 // returns 0.
 func (c *Controller) Slack() float64 {
-	if !c.observed || c.cfg.TargetMs <= 0 {
+	if !c.observed || c.targetMs <= 0 {
 		return 0
 	}
-	return (c.cfg.TargetMs - c.lastTail) / c.cfg.TargetMs
+	return (c.targetMs - c.lastTail) / c.targetMs
 }
 
 // Observation is one monitoring window's QoS reading.
@@ -222,21 +200,21 @@ func (c *Controller) Observe(o Observation) Action {
 
 	switch {
 	case high:
-		// QoS pressure: leave B-mode first, then escalate.
-		if c.mode == core.ModeB && c.highStreak >= c.cfg.Hysteresis {
-			c.mode = c.modeUnderPressure()
+		// QoS pressure: leave B-mode first (straight to Q-mode), then
+		// escalate.
+		if c.mode == core.ModeB && c.highStreak >= hysteresis {
+			c.mode = core.ModeQ
 			c.switches++
 			c.highStreak = 0
-			return c.actionFor(c.mode)
+			return ActionEngageQ
 		}
 		if c.mode != core.ModeB {
 			c.violStreak++
-			if !c.throttled && c.violStreak >= c.cfg.ThrottleAfter {
+			if !c.throttled && c.violStreak >= throttleAfter {
 				c.throttled = true
 				return ActionThrottleCo
 			}
-			if c.mode == core.ModeBaseline && c.cfg.QModeAvailable &&
-				c.highStreak >= c.cfg.Hysteresis {
+			if c.mode == core.ModeBaseline && c.highStreak >= hysteresis {
 				c.mode = core.ModeQ
 				c.switches++
 				return ActionEngageQ
@@ -248,7 +226,7 @@ func (c *Controller) Observe(o Observation) Action {
 			c.violStreak = 0
 			return ActionStopThrottle
 		}
-		if c.mode != core.ModeB && c.lowStreak >= c.cfg.Hysteresis {
+		if c.mode != core.ModeB && c.lowStreak >= hysteresis {
 			c.mode = core.ModeB
 			c.switches++
 			return ActionEngageB
@@ -266,23 +244,8 @@ func (c *Controller) Observe(o Observation) Action {
 }
 
 func (c *Controller) classify(o Observation) (low, high bool) {
-	if c.cfg.Signal == SignalQueueLength {
-		return o.QueueLen <= c.cfg.QueueEngageBelow, o.QueueLen >= c.cfg.QueueDisengageAbove
+	if c.queueLen {
+		return o.QueueLen <= queueEngageBelow, o.QueueLen >= queueDisengageAbove
 	}
-	return o.TailMs < c.cfg.EngageBelow*c.cfg.TargetMs,
-		o.TailMs > c.cfg.DisengageAbove*c.cfg.TargetMs
-}
-
-func (c *Controller) modeUnderPressure() core.Mode {
-	if c.cfg.QModeAvailable {
-		return core.ModeQ
-	}
-	return core.ModeBaseline
-}
-
-func (c *Controller) actionFor(m core.Mode) Action {
-	if m == core.ModeQ {
-		return ActionEngageQ
-	}
-	return ActionBaseline
+	return o.TailMs < engageBelow*c.targetMs, o.TailMs > disengageAbove*c.targetMs
 }

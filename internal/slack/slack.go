@@ -2,10 +2,9 @@
 // of full single-thread performance at which a latency-sensitive service
 // still meets its QoS target at a given load (Fig. 2).
 //
-// Curve and RequiredPerf model reduced performance as a plain perf factor
-// f: every service time is stretched by 1/f (queueing.Simulator.QoS), and
-// RequiredPerf bisects f for the lowest value that still meets the QoS
-// target. The paper reduces performance by Elfen-style fine-grain time
+// Curve models reduced performance as a plain perf factor f: every
+// service time is stretched by 1/f (queueing.Simulator.QoS), and each
+// point bisects f for the lowest value that still meets the QoS target. The paper reduces performance by Elfen-style fine-grain time
 // interleaving; its sub-millisecond quantum sits orders of magnitude
 // below the latency targets, so the quantisation delay it adds is
 // negligible and the plain 1/f stretch stands in for it.
@@ -55,22 +54,12 @@ func Curve(cfg queueing.Config, peak float64, loads []float64, nRequests int, re
 	return out, nil
 }
 
-// RequiredPerf finds the minimum performance factor meeting the QoS target
-// at the given arrival rate, by bisection to the given resolution. It
-// returns 1 if even full performance misses the target (no slack), and the
-// floor resolution if the target is met even at the lowest searched
-// performance.
-func RequiredPerf(cfg queueing.Config, ratePerSec float64, nRequests int, resolution float64, seed uint64) (float64, error) {
-	sim, err := queueing.NewSimulator(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return requiredPerf(sim, cfg, ratePerSec, nRequests, resolution, seed)
-}
-
-// requiredPerf is RequiredPerf on sim, which holds cfg. Every probe of the
-// bisection runs the same seed and request count, so sim draws the
-// requests once.
+// requiredPerf finds the minimum performance factor meeting the QoS target
+// at the given arrival rate on sim, which holds cfg, by bisection to the
+// given resolution. It returns 1 if even full performance misses the
+// target (no slack), and the floor resolution if the target is met even
+// at the lowest searched performance. Every probe of the bisection runs
+// the same seed and request count, so sim draws the requests once.
 func requiredPerf(sim *queueing.Simulator, cfg queueing.Config, ratePerSec float64, nRequests int, resolution float64, seed uint64) (float64, error) {
 	meets := func(perf float64) (bool, error) {
 		qos, err := sim.QoS(ratePerSec, nRequests, perf, seed)

@@ -24,14 +24,11 @@ func TestRequiredPerfMonotoneInLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := RequiredPerf(c, peak*0.2, 15000, 0.05, 3)
+	pts, err := Curve(c, peak, []float64{0.2, 0.9}, 15000, 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := RequiredPerf(c, peak*0.9, 15000, 0.05, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	low, high := pts[0].RequiredPerf, pts[1].RequiredPerf
 	if low > high {
 		t.Fatalf("required perf fell with load: %v@20%% vs %v@90%%", low, high)
 	}
@@ -46,11 +43,11 @@ func TestRequiredPerfMonotoneInLoad(t *testing.T) {
 func TestRequiredPerfOverload(t *testing.T) {
 	c := qcfg()
 	// Far beyond saturation: even full performance fails -> 1.
-	rp, err := RequiredPerf(c, 10000, 10000, 0.05, 3)
+	pts, err := Curve(c, 10000, []float64{1}, 10000, 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp != 1 {
+	if rp := pts[0].RequiredPerf; rp != 1 {
 		t.Fatalf("overloaded RequiredPerf = %v, want 1", rp)
 	}
 }

@@ -39,10 +39,10 @@ type Tail interface {
 }
 
 // NewTail returns the store est selects, and is the one place an
-// estimator maps to a store: a Histogram with the default latency geometry
-// for EstimatorHistogram, otherwise an exact Sample with capacity hint
-// capHint. EstimatorDefault therefore means exact here; a consumer with a
-// different default (the fleet engine) resolves it before calling.
+// estimator maps to a store: a Histogram for EstimatorHistogram, otherwise
+// an exact Sample with capacity hint capHint. EstimatorDefault therefore
+// means exact here; a consumer with a different default (the fleet
+// engine) resolves it before calling.
 func NewTail(est TailEstimator, capHint int) Tail {
 	if est == EstimatorHistogram {
 		return NewTailHistogram()
@@ -86,78 +86,60 @@ func ParseTailEstimator(s string) (TailEstimator, error) {
 	return 0, fmt.Errorf("stats: unknown tail estimator %q (exact|histogram)", s)
 }
 
-// Default geometry for latency histograms (milliseconds): 1µs..60s with 16
+// The latency histogram geometry (milliseconds): 1µs..60s with 16
 // log-linear sub-buckets per octave — worst-case relative bucket width
 // 1/16 = 6.25% (at the bottom of each octave; 4.4% averaged over an
-// octave), ~3.3KB per histogram.
+// octave), ~3.3KB per histogram. 26 octaves are the fewest whose top,
+// 2^26 µs ≈ 67s, reaches the 60s maximum; values at or above the maximum
+// clamp into the top bucket.
 const (
 	tailHistMinMs     = 1e-3
 	tailHistMaxMs     = 6e4
 	tailHistPerOctave = 16
+	tailHistBuckets   = 1 + 26*tailHistPerOctave
 )
 
 // Histogram is a fixed log-bucketed (HDR-style) latency histogram: each
-// power-of-two octave between a minimum and maximum trackable value is
+// power-of-two octave between the minimum and maximum trackable latency is
 // split into a fixed number of linear sub-buckets, so Add is O(1) with no
-// allocation, Quantile is O(buckets), and two histograms with the same
-// geometry merge by adding bucket counts.
+// allocation, Quantile is O(buckets), and two histograms merge by adding
+// bucket counts.
 //
 // Invariants that make it the fleet's scalable tail estimator:
 //
 //   - Counts are integers, so the counts — and every quantile — depend
 //     only on the multiset of values recorded, not on their order, and
 //     merging is associative and commutative.
-//   - The bucket boundaries are fixed by the constructor parameters alone
-//     (never adapted to data), so histograms built independently are always
-//     mergeable and quantiles are reproducible.
+//   - The bucket boundaries are package constants (never adapted to
+//     data), so any two histograms are mergeable and quantiles are
+//     reproducible.
 //   - Quantile returns the midpoint of the bucket containing the requested
 //     rank: its relative error is bounded by the bucket resolution,
-//     1/perOctave of the value (half that in expectation).
+//     1/tailHistPerOctave of the value (half that in expectation).
 //
 // Values below the minimum (including zero — an idle window's tail) land in
 // a dedicated underflow bucket whose representative value is 0; values at
 // or above the maximum clamp into the top bucket. The zero Histogram is not
-// usable; construct with NewLogHistogram or NewTailHistogram.
+// usable; construct with NewTailHistogram.
 type Histogram struct {
-	min       float64
-	max       float64
-	perOctave int
-	counts    []uint64
-	total     uint64
+	counts []uint64
+	total  uint64
 }
 
-// NewLogHistogram builds a histogram covering [min, max) with perOctave
-// linear sub-buckets per power-of-two octave. Histograms are mergeable iff
-// they share the same (min, max, perOctave) geometry.
-func NewLogHistogram(min, max float64, perOctave int) *Histogram {
-	if perOctave <= 0 || min <= 0 || max <= min {
-		panic("stats: invalid log histogram shape")
-	}
-	octaves := int(math.Ceil(math.Log2(max / min)))
-	if octaves < 1 {
-		octaves = 1
-	}
-	return &Histogram{
-		min: min, max: max, perOctave: perOctave,
-		counts: make([]uint64, 1+octaves*perOctave),
-	}
-}
-
-// NewTailHistogram builds a Histogram with the default latency geometry
-// (1µs to 60s in milliseconds, 16 sub-buckets per octave) shared by the
-// queueing simulator and the fleet engine, so any two tail histograms in
+// NewTailHistogram builds an empty Histogram. The queueing simulator and
+// the fleet engine share its one geometry, so any two tail histograms in
 // the system are mergeable.
 func NewTailHistogram() *Histogram {
-	return NewLogHistogram(tailHistMinMs, tailHistMaxMs, tailHistPerOctave)
+	return &Histogram{counts: make([]uint64, tailHistBuckets)}
 }
 
 // bucket maps x to its bucket index. Index 0 is the underflow bucket
 // (x below the minimum, including zero, negatives and NaN).
 func (h *Histogram) bucket(x float64) int {
-	if !(x >= h.min) { // NaN-safe: NaN compares false
+	if !(x >= tailHistMinMs) { // NaN-safe: NaN compares false
 		return 0
 	}
-	if x >= h.max {
+	if x >= tailHistMaxMs {
 		return len(h.counts) - 1
 	}
 	// x/min = f × 2^e with f in [0.5, 1): octave e-1, linear sub-bucket
@@ -165,14 +147,14 @@ func (h *Histogram) bucket(x float64) int {
 	// (x ≥ min) and < max/min, so it is always a positive normal float and
 	// Frexp reduces to reading the exponent field and forcing it to 2^-1 —
 	// the same (f, e) Frexp returns, without its subnormal normalisation.
-	b := math.Float64bits(x / h.min)
+	b := math.Float64bits(x / tailHistMinMs)
 	e := int(b>>52) - 1022
 	f := math.Float64frombits(b&(1<<52-1) | 0x3fe<<52)
-	sub := int((f*2 - 1) * float64(h.perOctave))
-	if sub >= h.perOctave { // guard the f→1 rounding edge
-		sub = h.perOctave - 1
+	sub := int((f*2 - 1) * tailHistPerOctave)
+	if sub >= tailHistPerOctave { // guard the f→1 rounding edge
+		sub = tailHistPerOctave - 1
 	}
-	i := 1 + (e-1)*h.perOctave + sub
+	i := 1 + (e-1)*tailHistPerOctave + sub
 	if i >= len(h.counts) {
 		i = len(h.counts) - 1
 	}
@@ -185,10 +167,10 @@ func (h *Histogram) value(i int) float64 {
 	if i == 0 {
 		return 0
 	}
-	o := (i - 1) / h.perOctave
-	sub := (i - 1) % h.perOctave
-	base := h.min * math.Ldexp(1, o) // min × 2^o
-	width := base / float64(h.perOctave)
+	o := (i - 1) / tailHistPerOctave
+	sub := (i - 1) % tailHistPerOctave
+	base := tailHistMinMs * math.Ldexp(1, o) // min × 2^o
+	width := base / tailHistPerOctave
 	return base + width*(float64(sub)+0.5)
 }
 
@@ -229,15 +211,15 @@ func (h *Histogram) NumBuckets() int { return len(h.counts) }
 // a CDF on exactly the grid a sampled histogram would discretise to.
 func (h *Histogram) UpperBound(i int) float64 {
 	if i <= 0 {
-		return h.min
+		return tailHistMinMs
 	}
 	if i >= len(h.counts)-1 {
 		return math.Inf(1)
 	}
-	o := (i - 1) / h.perOctave
-	sub := (i - 1) % h.perOctave
-	base := h.min * math.Ldexp(1, o) // min × 2^o
-	width := base / float64(h.perOctave)
+	o := (i - 1) / tailHistPerOctave
+	sub := (i - 1) % tailHistPerOctave
+	base := tailHistMinMs * math.Ldexp(1, o) // min × 2^o
+	width := base / tailHistPerOctave
 	return base + width*float64(sub+1)
 }
 
@@ -250,13 +232,8 @@ func (h *Histogram) Reset() {
 	h.total = 0
 }
 
-// Merge adds o's counts into h. Both histograms must share the same
-// geometry (same constructor parameters); Merge panics otherwise, since a
-// cross-geometry merge would silently misattribute every observation.
+// Merge adds o's counts into h.
 func (h *Histogram) Merge(o *Histogram) {
-	if h.min != o.min || h.max != o.max || h.perOctave != o.perOctave || len(h.counts) != len(o.counts) {
-		panic("stats: merging histograms of different geometry")
-	}
 	for i, c := range o.counts {
 		h.counts[i] += c
 	}
@@ -265,7 +242,7 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Quantile returns the q-quantile (0 <= q <= 1) as the representative value
 // of the bucket containing that rank: within one bucket width of the exact
-// sample quantile, i.e. a relative error bounded by 1/perOctave. Returns 0
+// sample quantile, i.e. a relative error bounded by 1/tailHistPerOctave. Returns 0
 // for an empty histogram. O(buckets).
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
@@ -301,5 +278,5 @@ func (h *Histogram) Max() float64 {
 }
 
 // Resolution is the worst-case relative half-width of a quantile estimate:
-// bucket width over bucket lower bound, 1/perOctave.
-func (h *Histogram) Resolution() float64 { return 1 / float64(h.perOctave) }
+// bucket width over bucket lower bound, 1/tailHistPerOctave.
+func (h *Histogram) Resolution() float64 { return 1.0 / tailHistPerOctave }

@@ -201,22 +201,14 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramMergePanicsOnGeometryMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-geometry merge did not panic")
-		}
-	}()
-	NewTailHistogram().Merge(NewLogHistogram(1, 100, 8))
-}
-
-func TestLogHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewLogHistogram with max<=min did not panic")
-		}
-	}()
-	NewLogHistogram(5, 5, 4)
+// TestHistogramBucketCount: the bucket array spans the fewest whole
+// octaves from the minimum that reach the maximum, plus the underflow
+// bucket.
+func TestHistogramBucketCount(t *testing.T) {
+	octaves := int(math.Ceil(math.Log2(tailHistMaxMs / tailHistMinMs)))
+	if want := 1 + octaves*tailHistPerOctave; NewTailHistogram().NumBuckets() != want {
+		t.Fatalf("%d buckets, want %d", NewTailHistogram().NumBuckets(), want)
+	}
 }
 
 // BenchmarkHistogramAdd measures the O(1) hot-path record.

@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit used throughout the
 // simulator: running moments (Running), exact percentiles over bounded
-// samples (Sample), mergeable log-bucketed tail-latency histograms
-// (Histogram) and the five-number "violin" summaries the paper's figures
-// report. Sample and Histogram are the two Tail stores, and NewTail maps a
+// samples (Sample), mergeable log-bucketed tail-latency histograms of one
+// fixed geometry (Histogram) and the five-number "violin" summaries the
+// paper's figures report. Sample and Histogram are the two Tail stores, and NewTail maps a
 // TailEstimator to one of them.
 //
 // Invariants: every estimator here is deterministic — identical inputs in

@@ -244,7 +244,9 @@ var (
 // Controller re-exports the §IV-C software monitor.
 type Controller = monitor.Controller
 
-// ControllerConfig re-exports the monitor tuning.
+// ControllerConfig re-exports the monitor's settings: its QoS signal and
+// tail-latency target. The thresholds, hysteresis and throttle delay are
+// the §IV-C tuning every controller runs.
 type ControllerConfig = monitor.Config
 
 // NewController builds the CPI2-style Stretch controller for a service
